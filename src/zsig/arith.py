@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 
 from .config import DEFAULT_PRIMALITY_ROUNDS, DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND
@@ -157,7 +158,13 @@ def _sieve_primes(bound: int) -> tuple[int, ...]:
         if sieve[p]:
             start = p * p
             sieve[start::p] = b"\x00" * ((bound - start) // p + 1)
-    return tuple(i for i, flag in enumerate(sieve) if flag)
+    return tuple(compress(range(bound + 1), sieve))
+
+
+# Primes per block product (about 80k bits near 10^6).  The gcds against all
+# blocks together cost what one gcd against the full primorial did, and the
+# first call no longer pays for building that 1.44M-bit product.
+_BLOCK_PRIMES = 4096
 
 
 def _product(nums: tuple[int, ...]) -> int:
@@ -171,8 +178,11 @@ def _product(nums: tuple[int, ...]) -> int:
 
 
 @lru_cache(maxsize=4)
-def _primorial(bound: int) -> int:
-    return _product(_sieve_primes(bound))
+def _prime_blocks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Consecutive runs of the primes <= bound, each with its product."""
+    primes = _sieve_primes(bound)
+    runs = (primes[i:i + _BLOCK_PRIMES] for i in range(0, len(primes), _BLOCK_PRIMES))
+    return tuple((run, _product(run)) for run in runs)
 
 
 def trial_division(m: int, bound: int = DEFAULT_TRIAL_BOUND) -> tuple[dict[int, int], int]:
@@ -196,11 +206,13 @@ def trial_division(m: int, bound: int = DEFAULT_TRIAL_BOUND) -> tuple[dict[int, 
             found[m] = found.get(m, 0) + 1
             m = 1
         return found, m
-    # one gcd against the primorial finds the squarefree product of all
-    # small prime divisors; scanning that small product is then cheap
-    g = gcd(m, _primorial(bound))
-    if g > 1:
-        for p in _sieve_primes(bound):
+    # one gcd per block product finds the squarefree product of the block's
+    # prime divisors; scanning that small product is then cheap
+    for primes, block in _prime_blocks(bound):
+        g = gcd(m, block)
+        if g == 1:
+            continue
+        for p in primes:
             if g % p == 0:
                 e = 0
                 while m % p == 0:
@@ -229,7 +241,7 @@ def _prime_check_cost(n: int) -> int:
     return n.bit_length() * words * words
 
 
-def _budgeted_is_prime(n: int, budget: int) -> tuple[bool | None, int]:
+def _budgeted_is_prime(n: int, budget: int, rounds: int) -> tuple[bool | None, int]:
     """is_prime unless a single test would dwarf the remaining budget.
 
     Returns (verdict or None when skipped, work charged).  Small operands are
@@ -238,7 +250,7 @@ def _budgeted_is_prime(n: int, budget: int) -> tuple[bool | None, int]:
     cost = _prime_check_cost(n)
     if n.bit_length() > _PRIME_CHECK_FLOOR_BITS and cost > budget:
         return None, 0
-    return is_prime(n), cost
+    return is_prime(n, rounds=rounds), cost
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
@@ -313,6 +325,7 @@ def factor(
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
     seed: int = 0,
+    rounds: int = DEFAULT_PRIMALITY_ROUNDS,
 ) -> FactorReport:
     """Trial division then budgeted Brent rho; never fails, may leave a cofactor."""
     if m < 1:
@@ -327,7 +340,7 @@ def factor(
         n = pending.pop()
         if n == 1:
             continue
-        verdict, spent = _budgeted_is_prime(n, budget)
+        verdict, spent = _budgeted_is_prime(n, budget, rounds)
         budget -= spent
         if verdict is None:
             unresolved.append((n, False))

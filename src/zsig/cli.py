@@ -257,7 +257,14 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = Path(args.out)
     done: set[str] = set()
     if out.exists():
-        for line in out.read_text().splitlines():
+        data = out.read_bytes()
+        complete = data.rfind(b"\n") + 1
+        if complete < len(data):
+            # a run killed mid-write leaves an unterminated last line: drop it
+            # so the point is recomputed and the file stays line-aligned
+            with out.open("r+b") as handle:
+                handle.truncate(complete)
+        for line in data[:complete].decode().splitlines():
             if line.strip():
                 done.add(json.loads(line)["key"])
     points = spec.points()
@@ -393,3 +400,7 @@ def main(argv: list[str] | None = None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

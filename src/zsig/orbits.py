@@ -9,19 +9,22 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import gcd
 
 from .config import DEFAULT_DIGIT_BUDGET
-from .polynomials import PolyQ
+from .polynomials import PolyQ, clear_denominators
 
 # decimal digits <= floor(bits * log10(2)) + 1
 _LOG10_2 = 0.30102999566398120
 
 
+def _digits_for_bits(bits: int) -> int:
+    return int(bits * _LOG10_2) + 1
+
+
 def decimal_digits(n: int) -> int:
     """Upper estimate of the decimal digit count of |n|, cheap for huge ints."""
-    if n == 0:
-        return 1
-    return int(abs(n).bit_length() * _LOG10_2) + 1
+    return _digits_for_bits(abs(n).bit_length())
 
 
 class DigitBudgetError(RuntimeError):
@@ -97,11 +100,40 @@ class Orbit:
         return "wandering"
 
 
-def _check_budget(x: Fraction, budget: int, entries: list[OrbitEntry], n: int) -> None:
-    if decimal_digits(x.numerator) > budget or decimal_digits(x.denominator) > budget:
-        raise DigitBudgetError(
-            f"iterate {n} exceeds digit budget of {budget} decimal digits", entries
-        )
+def _denominator_bits_floor(f: PolyQ, x: Fraction) -> int:
+    """A lower bound on the bit length of the denominator of f(x), from sizes.
+
+    Write x = p/q, f = f1/m and d = deg f.  If every prime r of q has
+    v_r(f1_d) < v_r(q), the Horner value has v_r = v_r(f1_d) at those r, so
+    the reducing gcd divides m*f1_d and the denominator is at least
+    q^d / |f1_d|.  Otherwise the bound is 0.
+    """
+    f1, _ = clear_denominators(f)
+    lead = abs(f1[-1])
+    q = x.denominator
+    # the condition says every prime of gcd(q, f1_d) still divides q / gcd(q, f1_d)
+    shared = gcd(q, lead)
+    rest = q // shared
+    while shared > 1:
+        t = gcd(shared, rest)
+        if t == 1:
+            return 0
+        shared //= t
+    return f.degree * (q.bit_length() - 1) - lead.bit_length() + 1
+
+
+def _step(f: PolyQ, x: Fraction, budget: int) -> Fraction | None:
+    """f(x), or None when it outgrows the digit budget.
+
+    Iterates whose denominator bound alone breaks the budget are rejected
+    before the costly evaluation runs.
+    """
+    if _digits_for_bits(_denominator_bits_floor(f, x)) > budget:
+        return None
+    y = f.evaluate(x)
+    if decimal_digits(y.numerator) > budget or decimal_digits(y.denominator) > budget:
+        return None
+    return y
 
 
 def orbit(f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Orbit:
@@ -112,8 +144,11 @@ def orbit(f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Orbi
     seen: dict[Fraction, int] = {Fraction(0): 0}
     x = Fraction(0)
     for n in range(1, N + 1):
-        x = f.evaluate(x)
-        _check_budget(x, digit_budget, entries, n)
+        x = _step(f, x, digit_budget)
+        if x is None:
+            raise DigitBudgetError(
+                f"iterate {n} exceeds digit budget of {digit_budget} decimal digits", entries
+            )
         if x == 0:
             entries.append(OrbitEntry(n, x))
             return Orbit(HIT_ZERO, entries, tail=0, period=n, step=n)
@@ -135,8 +170,8 @@ def iterate_point(
     """
     values = [x]
     for _ in range(N):
-        x = f.evaluate(x)
-        if decimal_digits(x.numerator) > digit_budget or decimal_digits(x.denominator) > digit_budget:
+        x = _step(f, x, digit_budget)
+        if x is None:
             break
         values.append(x)
     return values

@@ -10,12 +10,21 @@ import re
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Union
 
 Rational = Fraction
 
 RationalLike = Union[Fraction, int, str]
+
+# A Fraction from a numerator and a positive denominator already known to be
+# coprime, skipping the normalizing gcd (a private constructor that changed
+# shape in Python 3.12).
+if hasattr(Fraction, "_from_coprime_ints"):
+    _coprime_fraction = Fraction._from_coprime_ints
+else:
+    def _coprime_fraction(numerator: int, denominator: int) -> Fraction:
+        return Fraction(numerator, denominator, _normalize=False)
 
 
 class ParseError(ValueError):
@@ -71,8 +80,13 @@ class PolyQ:
         return tuple(int(c * m) for c in self.coeffs), m
 
     def evaluate(self, x: Fraction) -> Fraction:
-        """Exact Horner evaluation (homogenized over the integers, so the
-        result is normalized by a single gcd)."""
+        """Exact Horner evaluation, homogenized over the integers.
+
+        With x = p/q in lowest terms, acc = sum f1_i p^i q^(d-i) is congruent
+        to f1_d p^d modulo q, so a prime dividing both acc and m*q^d divides
+        m*|f1_d|.  Stripping gcds against that small number reaches lowest
+        terms without a gcd of two huge integers.
+        """
         f1, m = self._cleared
         p, q = x.numerator, x.denominator
         acc = f1[-1]
@@ -80,7 +94,16 @@ class PolyQ:
         for i in range(len(f1) - 2, -1, -1):
             qpow *= q
             acc = acc * p + f1[i] * qpow
-        return Fraction(acc, m * qpow)
+        if acc == 0:
+            return Fraction(0)
+        den = m * qpow
+        shared = m * abs(f1[-1])
+        t = gcd(gcd(acc, shared), den)
+        while t > 1:
+            acc //= t
+            den //= t
+            t = gcd(gcd(acc, shared), den)
+        return _coprime_fraction(acc, den)
 
     def __call__(self, x: Fraction) -> Fraction:
         return self.evaluate(x)

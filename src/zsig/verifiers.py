@@ -137,10 +137,10 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
         entries = exc.entries
         if not entries:
             return [], None, "digit budget exhausted before the first iterate"
-        return entries, zsigmondy_report_from_entries(entries, cfg), None
+        return entries, zsigmondy_report_from_entries(entries, cfg, witnesses=False), None
     if not orb.wandering:
         return orb.entries, None, f"finite orbit: {orb.describe_cycle()}"
-    return orb.entries, zsigmondy_report_from_entries(orb.entries, cfg), None
+    return orb.entries, zsigmondy_report_from_entries(orb.entries, cfg, witnesses=False), None
 
 
 def _base_details(entries: Sequence[OrbitEntry], report, error) -> dict:

@@ -4,7 +4,8 @@ The central trick: an index has a primitive prime divisor iff its numerator
 still exceeds 1 after dividing out, at full multiplicity, every prime shared
 with an earlier numerator.  That gcd-stripping never factors the huge A_n,
 so it stays exact at any size; factorization only decorates the verdicts
-with explicit witness primes where the budget allows.
+with explicit witness primes where the budget allows, and a report built
+without witnesses certifies rigid divisibility without factoring at all.
 """
 
 from __future__ import annotations
@@ -64,33 +65,29 @@ def primitive_verdict(
     entries: Sequence[OrbitEntry], n: int, config: RunConfig | None = None
 ) -> PrimitiveVerdict:
     """Decide whether A_n has a prime divisor not dividing any earlier A_m."""
-    verdict, _ = _verdict_with_trial_primes(entries, n, config or RunConfig())
-    return verdict
-
-
-def _verdict_with_trial_primes(
-    entries: Sequence[OrbitEntry], n: int, cfg: RunConfig
-) -> tuple[PrimitiveVerdict, list[int]]:
     if not 1 <= n <= len(entries):
         raise ValueError(f"index {n} outside computed orbit (1..{len(entries)})")
-    is_unit = entries[n - 1].is_unit
     stripped = stripped_numerator(entries, n)
-    witnesses: tuple[int, ...] = ()
-    small_primes: list[int] = []
-    if stripped > 1:
-        report = factor(
-            stripped,
-            trial_bound=cfg.factor_trial_bound,
-            rho_budget=cfg.factor_rho_budget,
-            seed=cfg.seed,
-        )
-        primes = [p for p, _ in report.factored]
-        small_primes = [p for p in primes if p <= cfg.factor_trial_bound]
-        if report.cofactor_status == "probable_prime":
-            primes.append(report.cofactor)
-        witnesses = tuple(sorted(primes))
-    verdict = PrimitiveVerdict(n, stripped > 1, stripped, witnesses, is_unit)
-    return verdict, small_primes
+    witnesses, _ = _witness_primes(stripped, config or RunConfig())
+    return PrimitiveVerdict(n, stripped > 1, stripped, witnesses, entries[n - 1].is_unit)
+
+
+def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[tuple[int, ...], list[int]]:
+    """(sorted witness primes, primes found by trial division) of a stripped part."""
+    if stripped <= 1:
+        return (), []
+    report = factor(
+        stripped,
+        trial_bound=cfg.factor_trial_bound,
+        rho_budget=cfg.factor_rho_budget,
+        seed=cfg.seed,
+        rounds=cfg.primality_rounds,
+    )
+    primes = [p for p, _ in report.factored]
+    small_primes = [p for p in primes if p <= cfg.factor_trial_bound]
+    if report.cofactor_status == "probable_prime":
+        primes.append(report.cofactor)
+    return tuple(sorted(primes)), small_primes
 
 
 def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> ZsigmondyReport:
@@ -107,19 +104,28 @@ def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> Zsigmond
 
 
 def zsigmondy_report_from_entries(
-    entries: Sequence[OrbitEntry], config: RunConfig | None = None
+    entries: Sequence[OrbitEntry], config: RunConfig | None = None, *, witnesses: bool = True
 ) -> ZsigmondyReport:
+    """Per-index verdicts, elements and rigid-divisibility violations.
+
+    With ``witnesses=False`` no stripped part is factored: witness lists and
+    the k(p) table stay empty, and ``rigid_law_holds`` certifies the
+    valuation law at every prime at once.  Only if it fails does the report
+    take the factoring path, so ``rigid_violations`` is the same either way.
+    """
     cfg = config or RunConfig()
     N = len(entries)
+    stripped = [stripped_numerator(entries, n) for n in range(1, N + 1)]
+    factoring = witnesses or not rigid_law_holds(entries, stripped)
     per_index: list[PrimitiveVerdict] = []
     discovered: set[int] = set()
     # Every prime's first appearance sits inside that index's stripped part,
     # so the stripped-part factorizations surface all small primes of all A_n.
-    for n in range(1, N + 1):
-        verdict, small = _verdict_with_trial_primes(entries, n, cfg)
-        per_index.append(verdict)
+    for n, s in enumerate(stripped, start=1):
+        primes, small = _witness_primes(s, cfg) if factoring else ((), [])
+        per_index.append(PrimitiveVerdict(n, s > 1, s, primes, entries[n - 1].is_unit))
         discovered.update(small)
-        discovered.update(verdict.witness_primes)
+        discovered.update(primes)
     elements = [v.n for v in per_index if not v.has_primitive]
     k_table: dict[int, int] = {}
     for p in sorted(discovered):
@@ -130,6 +136,26 @@ def zsigmondy_report_from_entries(
     report = ZsigmondyReport(N, elements, per_index, k_table)
     report.rigid_violations = verify_rigid_divisibility(entries, k_table)
     return report
+
+
+def rigid_law_holds(entries: Sequence[OrbitEntry], stripped: Sequence[int]) -> bool:
+    """Whether |A_n| = prod of the stripped parts S_k over k | n, for every n.
+
+    That identity is the rigid-divisibility valuation law at every prime at
+    once, denominator primes included.  S_k is the product of p^v_p(A_k)
+    over the primes p first dividing A_k (k(p) = k), so the product over
+    k | n is the product of p^v_p(A_k(p)) over the primes with k(p) | n; it
+    equals |A_n| exactly when v_p(A_n) = v_p(A_k(p)) if k(p) | n and 0
+    otherwise.  One product per index replaces factoring anything.
+    """
+    for n in range(1, len(entries) + 1):
+        product = 1
+        for k in range(1, n + 1):
+            if n % k == 0:
+                product *= stripped[k - 1]
+        if product != abs(entries[n - 1].A):
+            return False
+    return True
 
 
 def verify_rigid_divisibility(

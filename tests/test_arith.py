@@ -132,3 +132,32 @@ def test_trial_division_huge_input():
     for p, e in found.items():
         acc *= p**e
     assert acc == m
+
+
+def test_trial_division_across_prime_blocks():
+    rng = random.Random(3)
+    small = list(sympy.primerange(2, 10**6))
+    for bound in (10**6, 5000):
+        for _ in range(10):
+            chosen = {p: rng.randint(1, 3) for p in rng.sample(small, 6) if p <= bound}
+            big = sympy.nextprime(2**80 + rng.randrange(2**40))
+            m = big
+            for p, e in chosen.items():
+                m *= p**e
+            assert trial_division(m, bound) == (chosen, big)
+
+
+def test_factor_passes_primality_rounds(monkeypatch):
+    import zsig.arith as arith
+
+    seen = []
+    real = arith.is_prime
+    monkeypatch.setattr(
+        arith, "is_prime", lambda n, *, rounds: seen.append(rounds) or real(n, rounds=rounds)
+    )
+    m = 3 * (2**127 - 1)  # a cofactor past the deterministic Miller-Rabin range
+    assert factor(m, rounds=5).factored == ((3, 1),)
+    assert seen == [5]
+    seen.clear()
+    factor(m)
+    assert seen == [64]

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 from zsig import reports
 from zsig.cli import main
@@ -7,6 +11,7 @@ from zsig.verifiers import SweepSpec, run_sweep
 from tests.conftest import LEAN
 
 FAST = ["--rho-budget", "200000"]
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run(capsys, *argv):
@@ -207,11 +212,14 @@ def test_sweep_partial_file_resumes(tmp_path, capsys):
     assert run(capsys, "sweep", str(spec_path), "-o", str(full))[0] == 0
     lines = full.read_text().splitlines()
     assert len(lines) == 2
-    # simulate an interrupted run: only the first line present
+    # simulate an interrupted run: only the first line present, or a run
+    # killed mid-write that left an unterminated last line
+    first, second = (line.encode() + b"\n" for line in lines)
     partial = tmp_path / "partial.jsonl"
-    partial.write_text(lines[0] + "\n")
-    assert run(capsys, "sweep", str(spec_path), "-o", str(partial))[0] == 0
-    assert partial.read_bytes() == full.read_bytes()
+    for cut in (first, first + second[:25], first + second[:-1], first[:10]):
+        partial.write_bytes(cut)
+        assert run(capsys, "sweep", str(spec_path), "-o", str(partial))[0] == 0
+        assert partial.read_bytes() == full.read_bytes()
 
 
 def test_sweep_deterministic_bytes(tmp_path, capsys):
@@ -280,3 +288,46 @@ def test_json_round_trips():
     assert reports.theorem_verdict_from_dict(
         json.loads(json.dumps(reports.theorem_verdict_to_dict(verdict)))
     ) == verdict
+
+
+def test_sweep_rejects_corrupt_middle_line(tmp_path, capsys):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps({"family": "z^d+c", "d": [3], "c": ["7/2"]}))
+    corrupt = b'{"v":1,"key":"cor12:d=3\n{"v":1,"key":"cor12:d=3:c=7/2"}\n'
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_bytes(corrupt)
+    code, _, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path))
+    assert code == 2
+    assert "error" in err
+    assert out_path.read_bytes() == corrupt
+
+
+def test_primality_rounds_flag_reaches_is_prime(capsys, monkeypatch):
+    import zsig.arith as arith
+
+    seen = set()
+    real = arith.is_prime
+    monkeypatch.setattr(
+        arith, "is_prime", lambda n, *, rounds: seen.add(rounds) or real(n, rounds=rounds)
+    )
+    code, _, _ = run(
+        capsys, "zsig", "--coeffs", "1,0,1", "-N", "9", "--primality-rounds", "3", *FAST
+    )
+    assert code == 0
+    assert seen == {3}
+
+
+def test_python_dash_m_entry_points(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    for module in ("zsig", "zsig.cli"):
+        proc = subprocess.run(
+            [sys.executable, "-m", module, "orbit", "--coeffs", "1,0,1", "-N", "6"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "458330" in proc.stdout
+    proc = subprocess.run(
+        [sys.executable, "-m", "zsig", "orbit", "--coeffs", "-1,0,1", "-N", "5"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 4

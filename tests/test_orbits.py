@@ -2,14 +2,19 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
+from hypothesis import example, given, strategies as st
 
 from zsig import (
     DigitBudgetError,
     FiniteOrbitError,
+    OrbitEntry,
+    PolyQ,
+    iterate_point,
     orbit,
     parse_poly,
     wandering_entries,
 )
+from zsig.orbits import _denominator_bits_floor, decimal_digits
 from zsig.verifiers import trinomial
 
 
@@ -87,3 +92,71 @@ def test_denominator_tower_for_binomial():
     f = parse_poly("z^3+7/2")
     for entry in orbit(f, 5).entries:
         assert entry.B == 2 ** (3 ** (entry.n - 1))
+
+
+def _post_check_orbit(f, N, budget):
+    """Reference loop: evaluate every iterate, then apply the digit budget.
+
+    Returns (index of the first iterate over budget or None, entries kept).
+    """
+    entries = []
+    x = Fraction(0)
+    for n in range(1, N + 1):
+        x = f.evaluate(x)
+        if decimal_digits(x.numerator) > budget or decimal_digits(x.denominator) > budget:
+            return n, entries
+        entries.append(OrbitEntry(n, x))
+    return None, entries
+
+
+@pytest.mark.parametrize(
+    "f",
+    [trinomial(5, 2, Fraction(-3, 2)), trinomial(3, 2, Fraction(5, 2)),
+     trinomial(4, 3, Fraction(-7, 3)), parse_poly("z^3+7/2"), parse_poly("1/2,0,8"),
+     parse_poly("5/6,0,3/4,9/2")],
+)
+def test_budget_stop_matches_post_check(f):
+    for budget in list(range(1, 80)) + [150, 300, 700, 1500, 4000, 5000]:
+        stop, kept = _post_check_orbit(f, 8, budget)
+        if stop is None:
+            assert orbit(f, 8, digit_budget=budget).entries == kept
+        else:
+            with pytest.raises(DigitBudgetError, match=f"iterate {stop} ") as exc:
+                orbit(f, 8, digit_budget=budget)
+            assert exc.value.entries == kept
+        values = iterate_point(f, Fraction(0), 8, digit_budget=budget)
+        assert values == [Fraction(0)] + [e.value for e in kept]
+
+
+def test_budget_precheck_skips_the_evaluation(monkeypatch):
+    # iterate 7 of z^5+z^2-3/2 has a 4704-digit denominator: the size bound
+    # rejects it at budget 4000 before it is computed
+    f = trinomial(5, 2, Fraction(-3, 2))
+    calls = []
+    evaluate = PolyQ.evaluate
+    monkeypatch.setattr(PolyQ, "evaluate", lambda self, x: calls.append(x) or evaluate(self, x))
+    with pytest.raises(DigitBudgetError, match="iterate 7 ") as exc:
+        orbit(f, 10, digit_budget=4000)
+    assert len(exc.value.entries) == 6
+    assert len(calls) == 6
+    calls.clear()
+    assert len(iterate_point(f, Fraction(0), 10, digit_budget=4000)) == 7
+    assert len(calls) == 6
+
+
+_shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
+
+
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(min_value=-20, max_value=20), _shared_dens),
+        min_size=3, max_size=6,
+    ).filter(lambda cs: cs[-1] != 0),
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens),
+)
+# z^3 + z^2/2 + 1/2 at -5/2: the prime 2 of q is absorbed by f1_d = 2, and
+# q^d / |f1_d| overstates the denominator, so no bound may be claimed
+@example([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(-5, 2))
+def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
+    f = PolyQ(tuple(coeffs))
+    assert _denominator_bits_floor(f, x) <= f.evaluate(x).denominator.bit_length()

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, strategies as st
@@ -82,3 +83,36 @@ def test_evaluate_matches_naive_horner(coeffs, x):
     for c in reversed(coeffs):
         naive = naive * x + c
     assert f.evaluate(x) == naive
+
+
+def _horner_value(f, x):
+    """The unreduced pair (acc, m*q^d) that evaluate() brings to lowest terms."""
+    f1, m = clear_denominators(f)
+    p, q = x.numerator, x.denominator
+    acc = sum(a * p**i * q ** (f.degree - i) for i, a in enumerate(f1))
+    return acc, m * q**f.degree
+
+
+# Denominators built from the primes of the point's denominators, so the
+# coefficient denominators and x's denominator share primes.
+_shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 18, 27, 36])
+
+
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens),
+        min_size=3, max_size=6,
+    ),
+    st.integers(min_value=-9, max_value=9).filter(bool),
+    st.builds(Fraction, st.integers(min_value=-30, max_value=30), _shared_dens),
+)
+def test_evaluate_lowest_terms_chained(coeffs, lead, x):
+    coeffs[-1] = Fraction(lead, coeffs[-1].denominator)  # non-monic, nonzero leading
+    f = PolyQ(tuple(coeffs))
+    for _ in range(4):
+        acc, den = _horner_value(f, x)
+        y = f.evaluate(x)
+        assert type(y) is Fraction
+        assert y.denominator > 0 and gcd(y.numerator, y.denominator) == 1
+        assert y == Fraction(acc, den)
+        x = y

@@ -5,8 +5,10 @@ import pytest
 
 from zsig import (
     FiniteOrbitError,
+    OrbitEntry,
     check_zsigmondy_divisibility,
     cor23_inequality,
+    factor,
     orbit,
     parse_poly,
     primitive_verdict,
@@ -14,6 +16,8 @@ from zsig import (
     v_p,
     zsigmondy_set,
 )
+import zsig.zsigmondy as zmod
+from zsig.zsigmondy import rigid_law_holds, stripped_numerator, zsigmondy_report_from_entries
 from zsig.verifiers import binomial, trinomial
 from tests.conftest import LEAN, oracle_elements
 
@@ -159,3 +163,75 @@ def test_corpus_rigid_divisibility_and_elements(corpus_reports):
         entries = orbit(f, 8).entries
         for n in rep.elements:
             assert check_zsigmondy_divisibility(entries, n), (fname, n)
+
+
+def test_verdict_only_report_agrees_with_full(corpus_reports):
+    for fname, (f, rep) in corpus_reports.items():
+        if rep is None:
+            continue
+        entries = orbit(f, 8).entries
+        lean = zsigmondy_report_from_entries(entries, LEAN, witnesses=False)
+        assert lean.elements == rep.elements, fname
+        assert [v.is_unit for v in lean.per_index] == [v.is_unit for v in rep.per_index]
+        assert [v.stripped_part for v in lean.per_index] == [v.stripped_part for v in rep.per_index]
+        assert len(lean.rigid_violations) == len(rep.rigid_violations), fname
+        assert all(v.witness_primes == () for v in lean.per_index) and lean.k_table == {}
+
+
+def _pairwise_rigid(entries):
+    """gcd(A_n, A_m) = A_gcd(m,n) for all m < n, and A_n/A_m coprime to A_m
+    when m | n: the law at every prime, checked pair by pair."""
+    a = [abs(e.A) for e in entries]
+    for n in range(2, len(a) + 1):
+        for m in range(1, n):
+            if math.gcd(a[n - 1], a[m - 1]) != a[math.gcd(m, n) - 1]:
+                return False
+            if n % m == 0 and math.gcd(a[n - 1] // a[m - 1], a[m - 1]) != 1:
+                return False
+    return True
+
+
+def _hand_built(numerators):
+    return [OrbitEntry(n, Fraction(a)) for n, a in enumerate(numerators, start=1)]
+
+
+# A_2 = 2 * 3: the 3 then reappears at the odd index 3 (and its square at 4)
+BROKEN = _hand_built([2, 6, 15, 36, 7])
+
+
+def test_rigid_law_holds_matches_pairwise_check(corpus_reports):
+    checked = 0
+    for fname, (f, rep) in corpus_reports.items():
+        if rep is None:
+            continue
+        entries = orbit(f, 8).entries
+        stripped = [v.stripped_part for v in rep.per_index]
+        assert rigid_law_holds(entries, stripped) and _pairwise_rigid(entries), fname
+        checked += 1
+    assert checked > 20
+    hand_built = [_hand_built(a) for a in ([1, 4, 3, 16], [3, 5, 3], [2, 2], [5, 7, 11, 35])]
+    for entries in [BROKEN] + hand_built:
+        stripped = [stripped_numerator(entries, n) for n in range(1, len(entries) + 1)]
+        assert rigid_law_holds(entries, stripped) == _pairwise_rigid(entries), entries
+    assert not _pairwise_rigid(BROKEN)
+
+
+def test_verdict_only_report_falls_back_when_rigidity_breaks(monkeypatch):
+    full = zsigmondy_report_from_entries(BROKEN, LEAN)
+    assert full.rigid_violations  # the hand-built sequence breaks the law at p = 3
+    calls = []
+    monkeypatch.setattr(zmod, "factor", lambda m, **kw: calls.append(m) or factor(m, **kw))
+    lean = zsigmondy_report_from_entries(BROKEN, LEAN, witnesses=False)
+    assert calls  # took the factoring path
+    assert lean.elements == full.elements
+    assert len(lean.rigid_violations) == len(full.rigid_violations)
+
+
+def test_verdict_only_report_never_factors_a_rigid_sequence(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("factor called on the verdict-only path")
+
+    monkeypatch.setattr(zmod, "factor", refuse)
+    entries = orbit(parse_poly("5/2,0,1,0,1"), 8).entries
+    report = zsigmondy_report_from_entries(entries, LEAN, witnesses=False)
+    assert report.elements == [] and report.rigid_violations == []
