@@ -25,7 +25,6 @@ from .heights import (
     ingram_lower_bound,
     lemma41_lower_bound,
     local_C_v,
-    numeric_D_estimate,
     trinomial_D_lower,
     trinomial_family_lower,
 )
@@ -39,18 +38,7 @@ from .orbits import (
     wandering_entries,
 )
 from .polynomials import ParseError, PolyQ, Rational, clear_denominators, parse_poly
-from .verifiers import (
-    SweepSpec,
-    TheoremVerdict,
-    run_sweep,
-    verify,
-    verify_cor12,
-    verify_prop51,
-    verify_prop52,
-    verify_prop53,
-    verify_prop54,
-    verify_thm13,
-)
+from .verifiers import CLAIMS, SweepSpec, TheoremVerdict, run_sweep, verify
 from .zsigmondy import (
     PrimitiveVerdict,
     ZsigmondyReport,

@@ -150,6 +150,24 @@ def v_p(m: int, p: int) -> int:
     return k
 
 
+def distinct_primes(n: int) -> list[int]:
+    """Distinct primes dividing n >= 1, ascending, by trial division (meant
+    for small n such as orbit indices)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    primes = []
+    m, p = n, 2
+    while p * p <= m:
+        if m % p == 0:
+            primes.append(p)
+            while m % p == 0:
+                m //= p
+        p += 1
+    if m > 1:
+        primes.append(m)
+    return primes
+
+
 @lru_cache(maxsize=4)
 def _sieve_primes(bound: int) -> tuple[int, ...]:
     sieve = bytearray([1]) * (bound + 1)

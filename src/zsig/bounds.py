@@ -14,6 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .arith import distinct_primes
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
 from .polynomials import PolyQ
@@ -101,65 +102,30 @@ def prop31_check(
 
 def omega(n: int) -> int:
     """Number of distinct prime factors."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    count = 0
-    m, p = n, 2
-    while p * p <= m:
-        if m % p == 0:
-            count += 1
-            while m % p == 0:
-                m //= p
-        p += 1
-    return count + (1 if m > 1 else 0)
+    return len(distinct_primes(n))
 
 
 def s_d(d: int, n: int) -> int:
     """sum of d^(n/q) over distinct primes q dividing n (0 for n = 1)."""
     if d < 2 or n < 1:
         raise ValueError("requires d >= 2 and n >= 1")
-    total = 0
-    m, p = n, 2
-    primes = []
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    for q in primes:
-        total += d ** (n // q)
-    return total
+    return sum(d ** (n // q) for q in distinct_primes(n))
 
 
 def omega_inequality_audit(d: int, n_max: int) -> tuple[list[int], list[int]]:
     """Exact audit of 2*omega(n) + 1 < d^(n/2) for 2 <= n <= n_max.
 
     Returns (equality indices, strict violation indices); compared via
-    (2w+1)^2 against d^n so no real arithmetic is involved.
+    (2w+1)^2 against d^n so no real arithmetic is involved.  Only n <= 64
+    is examined: from there on 2w+1 <= 31 < d^32.
     """
     if d < 3:
         raise ValueError("audit applies to d >= 3")
+    if n_max < 0:
+        raise ValueError("n_max must be >= 0")
     equalities, violations = [], []
-    # smallest-prime-factor sieve for omega over the whole range
-    spf = list(range(n_max + 1))
-    for p in range(2, int(math.isqrt(n_max)) + 1):
-        if spf[p] == p:
-            for multiple in range(p * p, n_max + 1, p):
-                if spf[multiple] == multiple:
-                    spf[multiple] = p
-    for n in range(2, n_max + 1):
-        if n > 64:
-            break  # 2w+1 <= 31 < d^32 from here on
-        m, w = n, 0
-        while m > 1:
-            p = spf[m]
-            w += 1
-            while m % p == 0:
-                m //= p
-        lhs_sq = (2 * w + 1) ** 2
+    for n in range(2, min(n_max, 64) + 1):
+        lhs_sq = (2 * omega(n) + 1) ** 2
         rhs = d**n
         if lhs_sq == rhs:
             equalities.append(n)

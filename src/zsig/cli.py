@@ -28,7 +28,7 @@ from .heights import (
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
 from .polynomials import ParseError, PolyQ, parse_poly
-from .verifiers import SweepSpec, iter_sweep, sweep_keys, verify
+from .verifiers import CLAIMS, SweepSpec, iter_sweep, sweep_keys, verify
 from .zsigmondy import zsigmondy_set
 
 EXIT_OK = 0
@@ -345,10 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify", help="check one claim at one parameter point")
-    p_verify.add_argument(
-        "theorem",
-        choices=("cor12", "thm13", "prop51", "prop52", "prop53", "prop54", "ezsig"),
-    )
+    p_verify.add_argument("theorem", choices=(*CLAIMS, "ezsig"))
     p_verify.add_argument("--d", type=int, required=True)
     p_verify.add_argument("--e", type=int, default=None)
     p_verify.add_argument("--c", default=None, help="rational constant, e.g. -7/3")

@@ -242,39 +242,3 @@ def trinomial_family_lower(f: PolyQ) -> HeightInterval:
         raise ValueError("no family lower bound for this c range")
     return HeightInterval(lower, math.inf, "family_trinomial")
 
-
-def numeric_D_estimate(
-    f1: tuple[int, ...] | list[int],
-    f2: int,
-    *,
-    half_width: float | None = None,
-    samples: int = 4001,
-    refinements: int = 3,
-) -> float:
-    """Grid estimate (not certified) of min over t of
-    max(|f1(t)|, |f2|) / max(|t|^d, 1), including the t=infinity value
-    |lead(f1)|.  Diagnostics only."""
-    coeffs = list(f1)
-    d = len(coeffs) - 1
-    lead = abs(coeffs[-1])
-
-    def g(t: float) -> float:
-        acc = 0.0
-        for cf in reversed(coeffs):
-            acc = acc * t + cf
-        return max(abs(acc), abs(f2)) / max(abs(t) ** d, 1.0)
-
-    if half_width is None:
-        ratio = max(abs(cf) / lead for cf in coeffs)
-        half_width = 1.0 + max(2.0, 2.0 * ratio)
-    lo, hi = -half_width, half_width
-    best_t, best = 0.0, g(0.0)
-    for _ in range(refinements + 1):
-        step = (hi - lo) / (samples - 1)
-        for i in range(samples):
-            t = lo + i * step
-            val = g(t)
-            if val < best:
-                best, best_t = val, t
-        lo, hi = best_t - 2 * step, best_t + 2 * step
-    return min(best, float(lead))

@@ -1,10 +1,13 @@
 """End-to-end checkers for the family-specific Zsigmondy claims.
 
-Each verifier states a claim's hypothesis exactly (integer arithmetic, no
-floats), evaluates the certified bound chain where one exists, recomputes
-the observed Zsigmondy elements at desk scale, and reports whether the
-observation conforms.  ``consistent`` is always computed from observed data;
-an inconsistent verdict is a counterexample candidate and surfaces loudly.
+Every claim is one ``Claim`` entry in ``CLAIMS``: its family, the c-range
+that routes a grid point to it, the rest of its hypothesis, the height lower
+bound behind its index cap, and its own exact checks.  ``verify`` states the
+hypothesis exactly (integer arithmetic, no floats), evaluates the certified
+bound chain where one exists, recomputes the observed Zsigmondy elements at
+desk scale, and reports whether the observation conforms.  ``consistent`` is
+always computed from observed data; an inconsistent verdict is a
+counterexample candidate and surfaces loudly.
 
 Unit numerators are a convention wrinkle: an index with |A_n| = 1 lands in
 the computed set, which can brush against an emptiness claim (only seen at
@@ -14,14 +17,16 @@ as unit-numerator exceptions rather than inconsistencies.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .bounds import theorem1_bound
 from .config import RunConfig
 from .heights import (
+    HeightInterval,
     family_C,
     hypothesis_abs_c_exceeds,
     ingram_lower_bound,
@@ -31,7 +36,8 @@ from .orbits import DigitBudgetError, OrbitEntry, orbit
 from .polynomials import PolyQ
 from .zsigmondy import divisor_product, zsigmondy_report_from_entries
 
-_PAPER_BOUND = {"thm13": 6, "prop51": 7}
+BINOMIAL = "z^d+c"
+TRINOMIAL = "z^d+z^e+c"
 
 
 @dataclass
@@ -47,7 +53,7 @@ class TheoremVerdict:
 
 @dataclass(frozen=True)
 class SweepSpec:
-    family: str  # "z^d+c" | "z^d+z^e+c"
+    family: str  # BINOMIAL | TRINOMIAL
     d_values: tuple[int, ...]
     e_values: tuple[int, ...] = ()
     c_values: tuple[Fraction, ...] = ()
@@ -57,7 +63,7 @@ class SweepSpec:
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
         family = data["family"]
-        if family not in ("z^d+c", "z^d+z^e+c"):
+        if family not in (BINOMIAL, TRINOMIAL):
             raise ValueError(f"unknown family: {family!r}")
         cs: list[Fraction] = [Fraction(tok) for tok in data.get("c", [])]
         grid = data.get("c_grid")
@@ -95,7 +101,7 @@ class SweepSpec:
     def points(self) -> list[tuple[int, int | None, Fraction]]:
         pts = []
         for d in self.d_values:
-            if self.family == "z^d+c":
+            if self.family == BINOMIAL:
                 for c in self.c_values:
                     pts.append((d, None, c))
             else:
@@ -121,10 +127,6 @@ def trinomial(d: int, e: int, c: Fraction) -> PolyQ:
     return PolyQ(tuple(coeffs))
 
 
-def default_horizon(theorem_id: str) -> int:
-    return max(_PAPER_BOUND.get(theorem_id, 0) + 4, 10)
-
-
 def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
     """Compute orbit entries and the Zsigmondy report, degrading gracefully.
 
@@ -143,23 +145,6 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
     return orb.entries, zsigmondy_report_from_entries(orb.entries, cfg, witnesses=False), None
 
 
-def _base_details(entries: Sequence[OrbitEntry], report, error) -> dict:
-    details: dict = {"horizon_used": len(entries)}
-    if error:
-        details["error"] = error
-    if report is not None:
-        details["unit_exceptions"] = [v.n for v in report.per_index if v.is_unit]
-        details["rigid_violations"] = len(report.rigid_violations)
-    return details
-
-
-def _elements_and_units(report) -> tuple[list[int], list[int]]:
-    if report is None:
-        return [], []
-    units = [v.n for v in report.per_index if v.is_unit]
-    return list(report.elements), units
-
-
 def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int]:
     """Indices n >= 2 where |A_n| <= prod |A_(n/q)| (the screen that should
     rule every index out for the emptiness claims fails to bite)."""
@@ -170,103 +155,13 @@ def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int
     return hold
 
 
-def _bound_details(f: PolyQ, hhat_lower: float, C: float) -> dict:
-    result = theorem1_bound(f, hhat_lower, C)
-    return {
-        "hhat_lower": hhat_lower,
-        "C": C,
-        "n_max": result.n_max,
-        "n_max_floor": result.n_max_floor,
-        "bound_certified": result.certified,
-    }
-
-
-def verify_cor12(
-    d: int, c: Fraction, config: RunConfig | None = None, horizon: int | None = None
-) -> TheoremVerdict:
-    """z^d + c with d >= 3, c a non-integer rational, |c| > 2^(d/(d-1)):
-    the Zsigmondy set is empty."""
-    cfg = config or RunConfig()
-    c = Fraction(c)
-    f = binomial(d, c)
-    hypothesis = d >= 3 and c.denominator > 1 and hypothesis_abs_c_exceeds(c, d)
-    N = horizon or default_horizon("cor12")
-    entries, report, error = _observe(f, N, cfg)
-    details = _base_details(entries, report, error)
-    elements, _ = _elements_and_units(report)
-    consistent = True
-    if hypothesis and error is None:
-        interval = ingram_lower_bound(f)
-        details.update(_bound_details(f, interval.lower, family_C(c)))
-        # exact growth certificate: every computed iterate stays beyond 2
-        details["growth_verified"] = all(abs(e.value) > 2 for e in entries)
-        details["screen_inconclusive"] = _divisibility_screen_inconclusive(entries)
-        consistent = (
-            not elements
-            and details["growth_verified"]
-            and not details["screen_inconclusive"]
-        )
-    return TheoremVerdict(
-        "cor12", str(f), hypothesis, "Z(f,0) = empty", elements, consistent, details
-    )
-
-
-def verify_thm13(
-    d: int, e: int, c: Fraction, config: RunConfig | None = None, horizon: int | None = None
-) -> TheoremVerdict:
-    """z^d + z^e + c with d > e >= 2 and |c| > 2: no Zsigmondy index exceeds 6."""
-    cfg = config or RunConfig()
-    c = Fraction(c)
-    f = trinomial(d, e, c)
-    hypothesis = d > e >= 2 and abs(c) > 2
-    N = horizon or default_horizon("thm13")
-    entries, report, error = _observe(f, N, cfg)
-    details = _base_details(entries, report, error)
-    elements, _ = _elements_and_units(report)
-    consistent = True
-    if hypothesis and error is None:
-        interval = trinomial_family_lower(f)
-        details.update(_bound_details(f, interval.lower, family_C(c)))
-        # exact per-instance fact feeding the lower bound
-        fc = f.evaluate(c)
-        power = 2 if d == 3 else d - 2
-        details["growth_at_c_verified"] = abs(fc) >= abs(c) ** power
-        consistent = (
-            all(n <= 6 for n in elements)
-            and details["n_max"] < 7
-            and details["growth_at_c_verified"]
-        )
-    return TheoremVerdict(
-        "thm13", str(f), hypothesis, "every Zsigmondy index <= 6",
-        elements, consistent, details,
-    )
-
-
-def verify_prop51(
-    d: int, e: int, c: Fraction, config: RunConfig | None = None, horizon: int | None = None
-) -> TheoremVerdict:
-    """z^d + z^e + c with d > e >= 2 and 1 < c < 2: no Zsigmondy index exceeds 7."""
-    cfg = config or RunConfig()
-    c = Fraction(c)
-    f = trinomial(d, e, c)
-    hypothesis = d > e >= 2 and 1 < c < 2
-    N = horizon or default_horizon("prop51")
-    entries, report, error = _observe(f, N, cfg)
-    details = _base_details(entries, report, error)
-    elements, _ = _elements_and_units(report)
-    consistent = True
-    if hypothesis and error is None:
-        interval = trinomial_family_lower(f)
-        details.update(_bound_details(f, interval.lower, family_C(c)))
-        details["f_c_above_2c"] = f.evaluate(c) > 2 * c  # exact step behind the bound
-        consistent = (
-            all(n <= 7 for n in elements)
-            and details["n_max"] < 8
-            and details["f_c_above_2c"]
-        )
-    return TheoremVerdict(
-        "prop51", str(f), hypothesis, "every Zsigmondy index <= 7",
-        elements, consistent, details,
+def _exceeds(entry: OrbitEntry, scale: Fraction | int, base: Fraction, expo: int) -> bool:
+    """|f^n(0)| > scale * base^expo for scale, base >= 0, by cross-multiplied
+    integers: the Fraction product would normalise with gcds of operands of
+    up to ~1M bits."""
+    return (
+        abs(entry.A) * scale.denominator * base.denominator**expo
+        > entry.B * scale.numerator * base.numerator**expo
     )
 
 
@@ -274,142 +169,133 @@ def _check_sandwich(
     entries: Sequence[OrbitEntry], c_abs: Fraction, alpha: Fraction, d: int
 ) -> bool:
     """c_abs <= |f^n(0)| <= alpha^((d^(n-1)-1)/(d-1)) * c_abs, exactly."""
-    for entry in entries:
-        v = abs(entry.value)
-        if v < c_abs:
-            return False
-        expo = (d ** (entry.n - 1) - 1) // (d - 1)
-        if v > alpha**expo * c_abs:
-            return False
-    return True
+    return all(
+        abs(x.value) >= c_abs
+        and not _exceeds(x, c_abs, alpha, (d ** (x.n - 1) - 1) // (d - 1))
+        for x in entries
+    )
 
 
-def verify_prop52(
-    d: int, e: int, c: Fraction, config: RunConfig | None = None, horizon: int | None = None
-) -> TheoremVerdict:
-    """z^d + z^e + c with d > e >= 2 and 0 < c < 1: empty Zsigmondy set,
-    up to the unit-numerator convention."""
-    cfg = config or RunConfig()
-    c = Fraction(c)
-    f = trinomial(d, e, c)
-    hypothesis = d > e >= 2 and 0 < c < 1
-    N = horizon or default_horizon("prop52")
-    entries, report, error = _observe(f, N, cfg)
-    details = _base_details(entries, report, error)
-    elements, units = _elements_and_units(report)
-    consistent = True
-    if hypothesis and error is None:
-        alpha = c * c + c + 1
-        details["alpha_in_range"] = 1 < alpha < 3
-        details["sandwich_verified"] = _check_sandwich(entries, c, alpha, d)
-        details["screen_inconclusive"] = _divisibility_screen_inconclusive(entries)
-        non_unit = [n for n in elements if n not in units]
-        consistent = (
-            not non_unit
-            and details["alpha_in_range"]
-            and details["sandwich_verified"]
-            and not details["screen_inconclusive"]
+# Each claim's own exact checks: (f, d, e, c, entries) -> details in report
+# order.  Strings label a case; every boolean must hold.
+
+
+def _cor12_checks(f, d, e, c, entries) -> dict:
+    # exact growth certificate: every computed iterate stays beyond 2
+    return {"growth_verified": all(abs(x.value) > 2 for x in entries)}
+
+
+def _thm13_checks(f, d, e, c, entries) -> dict:
+    # exact per-instance fact feeding the lower bound
+    power = 2 if d == 3 else d - 2
+    return {"growth_at_c_verified": abs(f.evaluate(c)) >= abs(c) ** power}
+
+
+def _prop51_checks(f, d, e, c, entries) -> dict:
+    return {"f_c_above_2c": f.evaluate(c) > 2 * c}  # exact step behind the bound
+
+
+def _prop52_checks(f, d, e, c, entries) -> dict:
+    alpha = c * c + c + 1
+    return {
+        "alpha_in_range": 1 < alpha < 3,
+        "sandwich_verified": _check_sandwich(entries, c, alpha, d),
+    }
+
+
+def _prop53_checks(f, d, e, c, entries) -> dict:
+    if e % 2 == 1:
+        alpha = c * c + abs(c) + 1
+        return {
+            "case": "odd middle exponent",
+            "sandwich_verified": _check_sandwich(entries, abs(c), alpha, d),
+        }
+    floor = abs(c) * (1 - abs(c) ** (e - 1))
+    return {
+        "case": "even middle exponent",
+        "confinement_verified": all(c <= x.value < 0 for x in entries),
+        "lower_bound_verified": all(abs(x.value) >= floor for x in entries[1:]),
+    }
+
+
+def _prop54_checks(f, d, e, c, entries) -> dict:
+    # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1))
+    upper_ok = not any(
+        _exceeds(x, 3 ** ((d ** (x.n - 1) - 1) // (d - 1)), abs(c), d ** (x.n - 1))
+        for x in entries
+    )
+    if d % 2 == 1:
+        case = "odd degree"
+        growth_ok = all(x.value < 0 and abs(x.value) >= abs(c) for x in entries)
+    else:
+        case = "even degree and middle exponent"
+        growth_ok = all(
+            x.value > 0 and abs(x.value) >= abs(c) ** (d ** (x.n - 1))
+            for x in entries[1:]
         )
-    return TheoremVerdict(
-        "prop52", str(f), hypothesis, "Z(f,0) = empty (units reported separately)",
-        elements, consistent, details,
-    )
+    return {"upper_bound_verified": upper_ok, "case": case, "growth_verified": growth_ok}
 
 
-def verify_prop53(
-    d: int, e: int, c: Fraction, config: RunConfig | None = None, horizon: int | None = None
-) -> TheoremVerdict:
-    """z^d + z^e + c with d odd, d > e >= 2 and -1 < c < 0: empty Zsigmondy
-    set, up to the unit-numerator convention."""
-    cfg = config or RunConfig()
-    c = Fraction(c)
-    f = trinomial(d, e, c)
-    hypothesis = d % 2 == 1 and d > e >= 2 and -1 < c < 0
-    N = horizon or default_horizon("prop53")
-    entries, report, error = _observe(f, N, cfg)
-    details = _base_details(entries, report, error)
-    elements, units = _elements_and_units(report)
-    consistent = True
-    if hypothesis and error is None:
-        if e % 2 == 1:
-            details["case"] = "odd middle exponent"
-            alpha = c * c + abs(c) + 1
-            details["sandwich_verified"] = _check_sandwich(entries, abs(c), alpha, d)
-            growth_ok = details["sandwich_verified"]
-        else:
-            details["case"] = "even middle exponent"
-            confined = all(c <= entry.value < 0 for entry in entries)
-            floor = abs(c) * (1 - abs(c) ** (e - 1))
-            floored = all(abs(entry.value) >= floor for entry in entries[1:])
-            details["confinement_verified"] = confined
-            details["lower_bound_verified"] = floored
-            growth_ok = confined and floored
-        details["screen_inconclusive"] = _divisibility_screen_inconclusive(entries)
-        non_unit = [n for n in elements if n not in units]
-        consistent = not non_unit and growth_ok and not details["screen_inconclusive"]
-    return TheoremVerdict(
-        "prop53", str(f), hypothesis, "Z(f,0) = empty (units reported separately)",
-        elements, consistent, details,
-    )
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the paper.
+
+    ``in_range(c)`` routes a grid point of ``family`` to the claim and
+    ``hypothesis(d, e, c)`` is the rest of its hypothesis.  ``cap`` is the
+    largest Zsigmondy index allowed, checked together with the index bound
+    from the canonical-height lower bound ``lower``; None marks an emptiness
+    claim, checked with the divisibility screen instead.
+    """
+
+    id: str
+    family: str
+    in_range: Callable[[Fraction], bool]
+    predicted: str
+    checks: Callable[..., dict]
+    cap: int | None = None
+    lower: Callable[[PolyQ], HeightInterval] | None = None
+    hypothesis: Callable[[int, int | None, Fraction], bool] = lambda d, e, c: True
 
 
-def verify_prop54(
-    d: int, e: int, c: Fraction, config: RunConfig | None = None, horizon: int | None = None
-) -> TheoremVerdict:
-    """z^d + z^e + c with -2 < c < -1 and (d odd or e even): empty Zsigmondy
-    set, up to the unit-numerator convention."""
-    cfg = config or RunConfig()
-    c = Fraction(c)
-    f = trinomial(d, e, c)
-    hypothesis = d > e >= 2 and -2 < c < -1 and (d % 2 == 1 or e % 2 == 0)
-    N = horizon or default_horizon("prop54")
-    entries, report, error = _observe(f, N, cfg)
-    details = _base_details(entries, report, error)
-    elements, units = _elements_and_units(report)
-    consistent = True
-    if hypothesis and error is None:
-        upper_ok = True
-        for entry in entries:
-            expo = d ** (entry.n - 1)
-            cap = Fraction(3) ** ((expo - 1) // (d - 1)) * abs(c) ** expo
-            if abs(entry.value) > cap:
-                upper_ok = False
-                break
-        details["upper_bound_verified"] = upper_ok
-        if d % 2 == 1:
-            details["case"] = "odd degree"
-            growth_ok = all(
-                entry.value < 0 and abs(entry.value) >= abs(c) for entry in entries
-            )
-        else:
-            details["case"] = "even degree and middle exponent"
-            growth_ok = all(
-                entry.value > 0 and abs(entry.value) >= abs(c) ** (d ** (entry.n - 1))
-                for entry in entries[1:]
-            )
-        details["growth_verified"] = growth_ok
-        details["screen_inconclusive"] = _divisibility_screen_inconclusive(entries)
-        non_unit = [n for n in elements if n not in units]
-        consistent = (
-            not non_unit
-            and growth_ok
-            and upper_ok
-            and not details["screen_inconclusive"]
-        )
-    return TheoremVerdict(
-        "prop54", str(f), hypothesis, "Z(f,0) = empty (units reported separately)",
-        elements, consistent, details,
-    )
+_EMPTY_UP_TO_UNITS = "Z(f,0) = empty (units reported separately)"
+
+CLAIMS: dict[str, Claim] = {claim.id: claim for claim in (
+    # Cor 1.2: z^d + c with d >= 3, c a non-integer rational,
+    # |c| > 2^(d/(d-1)): the Zsigmondy set is empty.
+    Claim(
+        "cor12", BINOMIAL, lambda c: True, "Z(f,0) = empty", _cor12_checks,
+        lower=ingram_lower_bound,
+        hypothesis=lambda d, e, c: (
+            d >= 3 and c.denominator > 1 and hypothesis_abs_c_exceeds(c, d)
+        ),
+    ),
+    # Thm 1.3: z^d + z^e + c with |c| > 2: no Zsigmondy index exceeds 6.
+    Claim(
+        "thm13", TRINOMIAL, lambda c: abs(c) > 2, "every Zsigmondy index <= 6",
+        _thm13_checks, cap=6, lower=trinomial_family_lower,
+    ),
+    # Prop 5.1: 1 < c < 2: no Zsigmondy index exceeds 7.
+    Claim(
+        "prop51", TRINOMIAL, lambda c: 1 < c < 2, "every Zsigmondy index <= 7",
+        _prop51_checks, cap=7, lower=trinomial_family_lower,
+    ),
+    # Props 5.2-5.4: empty Zsigmondy set, up to the unit-numerator convention,
+    # for 0 < c < 1; for -1 < c < 0 with d odd; for -2 < c < -1 with d odd
+    # or e even.
+    Claim("prop52", TRINOMIAL, lambda c: 0 < c < 1, _EMPTY_UP_TO_UNITS, _prop52_checks),
+    Claim(
+        "prop53", TRINOMIAL, lambda c: -1 < c < 0, _EMPTY_UP_TO_UNITS, _prop53_checks,
+        hypothesis=lambda d, e, c: d % 2 == 1,
+    ),
+    Claim(
+        "prop54", TRINOMIAL, lambda c: -2 < c < -1, _EMPTY_UP_TO_UNITS, _prop54_checks,
+        hypothesis=lambda d, e, c: d % 2 == 1 or e % 2 == 0,
+    ),
+)}
 
 
-_VERIFIERS = {
-    "cor12": verify_cor12,
-    "thm13": verify_thm13,
-    "prop51": verify_prop51,
-    "prop52": verify_prop52,
-    "prop53": verify_prop53,
-    "prop54": verify_prop54,
-}
+def default_horizon(theorem_id: str) -> int:
+    return max((CLAIMS[theorem_id].cap or 0) + 4, 10)
 
 
 def verify(
@@ -420,31 +306,67 @@ def verify(
     config: RunConfig | None = None,
     horizon: int | None = None,
 ) -> TheoremVerdict:
-    if theorem_id not in _VERIFIERS:
+    """Check claim ``theorem_id`` at one point (``e`` is ignored for cor12)."""
+    claim = CLAIMS.get(theorem_id)
+    if claim is None:
         raise ValueError(f"unknown theorem id: {theorem_id!r}")
-    if theorem_id == "cor12":
-        return verify_cor12(d, c, config, horizon)
-    if e is None:
+    if claim.family == TRINOMIAL and e is None:
         raise ValueError(f"{theorem_id} requires a middle exponent e")
-    return _VERIFIERS[theorem_id](d, e, c, config, horizon)
+    cfg = config or RunConfig()
+    c = Fraction(c)
+    # trinomial() rejects e outside 2 <= e < d, so hypotheses never repeat it
+    f = binomial(d, c) if claim.family == BINOMIAL else trinomial(d, e, c)
+    hypothesis = claim.in_range(c) and claim.hypothesis(d, e, c)
+    entries, report, error = _observe(f, horizon or default_horizon(theorem_id), cfg)
+    details: dict = {"horizon_used": len(entries)}
+    if error:
+        details["error"] = error
+    elements: list[int] = []
+    if report is not None:
+        elements = list(report.elements)
+        details["unit_exceptions"] = [v.n for v in report.per_index if v.is_unit]
+        details["rigid_violations"] = len(report.rigid_violations)
+    consistent = True
+    if hypothesis and error is None:
+        if claim.lower is not None:
+            hhat_lower, C = claim.lower(f).lower, family_C(c)
+            bound = theorem1_bound(f, hhat_lower, C)
+            details.update(
+                hhat_lower=hhat_lower, C=C, n_max=bound.n_max,
+                n_max_floor=bound.n_max_floor, bound_certified=bound.certified,
+            )
+        checks = claim.checks(f, d, e, c, entries)
+        details.update(checks)
+        consistent = all(v for v in checks.values() if isinstance(v, bool))
+        if claim.cap is None:
+            details["screen_inconclusive"] = _divisibility_screen_inconclusive(entries)
+            # Only unit indices may sit in the set.  For cor12 this is the same
+            # as demanding an empty set: growth_verified (|f^n(0)| > 2) forces
+            # |A_n| >= 3, so no unit index occurs whenever it holds.
+            consistent = (
+                consistent
+                and all(n in details["unit_exceptions"] for n in elements)
+                and not details["screen_inconclusive"]
+            )
+        else:
+            consistent = (
+                consistent
+                and all(n <= claim.cap for n in elements)
+                and details["n_max"] < claim.cap + 1
+            )
+    return TheoremVerdict(
+        theorem_id, str(f), hypothesis, claim.predicted, elements, consistent, details
+    )
 
 
 def classify_point(d: int, e: int | None, c: Fraction) -> str | None:
     """Pick the applicable claim id for a grid point, or None if no claim
     covers this c range."""
-    if e is None:
-        return "cor12"
-    if abs(c) > 2:
-        return "thm13"
-    if 1 < c < 2:
-        return "prop51"
-    if 0 < c < 1:
-        return "prop52"
-    if -1 < c < 0:
-        return "prop53"
-    if -2 < c < -1:
-        return "prop54"
-    return None
+    family = BINOMIAL if e is None else TRINOMIAL
+    return next(
+        (cl.id for cl in CLAIMS.values() if cl.family == family and cl.in_range(c)),
+        None,
+    )
 
 
 def point_key(theorem_id: str, d: int, e: int | None, c: Fraction) -> str:
@@ -481,8 +403,10 @@ def iter_sweep(
         (d, e, str(c), spec.horizon, cfg)
         for d, e, c in (spec.points() if points is None else points)
     ]
-    if cfg.workers > 1 and len(tasks) > 1:
-        with ProcessPoolExecutor(max_workers=cfg.workers) as pool:
+    # fork starts every worker at once: never more than points or CPUs
+    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_point, tasks)
     else:
         for task in tasks:

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
 
-from .arith import factor, v_p
+from .arith import distinct_primes, factor, v_p
 from .config import RunConfig
 from .orbits import OrbitEntry, wandering_entries
 from .polynomials import PolyQ
@@ -182,7 +182,7 @@ def verify_rigid_divisibility(
 def divisor_product(entries: Sequence[OrbitEntry], n: int) -> int:
     """prod of A_(n/q) over distinct primes q | n (empty product = 1)."""
     prod = 1
-    for q in _distinct_primes(n):
+    for q in distinct_primes(n):
         prod *= entries[n // q - 1].A
     return abs(prod)
 
@@ -209,21 +209,7 @@ def cor23_inequality(entries: Sequence[OrbitEntry], n: int) -> tuple[float, floa
         raise ValueError("inequality applies to n >= 2")
     lhs = math.log(abs(entries[n - 1].A))
     rhs = 0.0
-    for q in _distinct_primes(n):
+    for q in distinct_primes(n):
         rhs += math.log(abs(entries[n // q - 1].A))
     return lhs, rhs, lhs <= rhs
 
-
-def _distinct_primes(n: int) -> list[int]:
-    primes = []
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            primes.append(p)
-            while m % p == 0:
-                m //= p
-        p += 1
-    if m > 1:
-        primes.append(m)
-    return primes

@@ -25,12 +25,7 @@ from zsig import (
     parse_poly,
     theorem1_bound,
     trinomial_D_lower,
-    verify_cor12,
-    verify_prop51,
-    verify_prop52,
-    verify_prop53,
-    verify_prop54,
-    verify_thm13,
+    verify,
     zsigmondy_set,
 )
 from zsig.cli import main
@@ -178,7 +173,7 @@ def test_criterion_05_cor12_reproduction():
     assert abs(res.n_max - expected) <= 1e-6
     assert 5.0 <= res.n_max < 6.0
     assert res.n_max_floor == 5
-    verdict = verify_cor12(3, c, LEAN, horizon=8)
+    verdict = verify("cor12", 3, c, None, LEAN, horizon=8)
     assert verdict.hypothesis_ok and verdict.consistent
     assert verdict.observed_elements == []
     _passed(5, f"n_max = {res.n_max:.6f} -> n <= 5, observed set empty")
@@ -190,13 +185,13 @@ def test_criterion_06_thm13_reproduction(tmp_path, capsys):
     ]
     assert points
     for d, e, c in points:
-        v = verify_thm13(d, e, c, LEAN, horizon=8)
+        v = verify("thm13", d, c, e, LEAN, horizon=8)
         assert v.hypothesis_ok, (d, e, c)
         assert v.details["n_max"] < 7, (d, e, c)
         assert all(n <= 6 for n in v.observed_elements), (d, e, c)
         assert v.consistent, (d, e, c)
     # one deep check at the default horizon
-    v = verify_thm13(4, 2, F(5, 2), LEAN)
+    v = verify("thm13", 4, F(5, 2), 2, LEAN)
     assert v.details["horizon_used"] == 10 and v.consistent
     # the same grid through the CLI sweep must exit 0
     spec = {
@@ -228,7 +223,7 @@ def test_criterion_07_small_c_propositions():
     ]
     checked = other_units = 0
     for d, e, c in prop51_points:
-        v = verify_prop51(d, e, c, lean, horizon=8)
+        v = verify("prop51", d, c, e, lean, horizon=8)
         assert v.hypothesis_ok and v.consistent, (d, e, c)
         checked += 1
     results["<= 7 for 1<c<2"] = checked
@@ -240,7 +235,7 @@ def test_criterion_07_small_c_propositions():
     ]
     unit_hits = 0
     for d, e, c in prop52_points:
-        v = verify_prop52(d, e, c, lean, horizon=8)
+        v = verify("prop52", d, c, e, lean, horizon=8)
         assert v.hypothesis_ok and v.consistent, (d, e, c)
         assert v.details["sandwich_verified"], (d, e, c)
         units = v.details["unit_exceptions"]
@@ -257,7 +252,7 @@ def test_criterion_07_small_c_propositions():
         for c in (F(-1, 2), F(-2, 3), F(-3, 4), F(-1, 3), F(-4, 5))
     ]
     for d, e, c in prop53_points:
-        v = verify_prop53(d, e, c, lean, horizon=8)
+        v = verify("prop53", d, c, e, lean, horizon=8)
         assert v.hypothesis_ok and v.consistent, (d, e, c)
         units = v.details["unit_exceptions"]
         if abs(c.numerator) == 1:
@@ -273,7 +268,7 @@ def test_criterion_07_small_c_propositions():
         for c in (F(-3, 2), F(-4, 3), F(-5, 4), F(-7, 5), F(-8, 5))
     ]
     for d, e, c in prop54_points:
-        v = verify_prop54(d, e, c, lean, horizon=8)
+        v = verify("prop54", d, c, e, lean, horizon=8)
         assert v.hypothesis_ok and v.consistent, (d, e, c)
         assert v.details["upper_bound_verified"], (d, e, c)
         assert v.details["unit_exceptions"] == [], (d, e, c)

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from zsig import factor, is_prime, v_p
-from zsig.arith import trial_division
+from zsig.arith import distinct_primes, trial_division
 
 
 def _sieve(n):
@@ -75,6 +75,17 @@ def test_v_p_examples():
 )
 def test_v_p_additive(a, b, p):
     assert v_p(a * b, p) == v_p(a, p) + v_p(b, p)
+
+
+@given(st.integers(min_value=1, max_value=10**5))
+def test_distinct_primes_matches_sympy(n):
+    assert distinct_primes(n) == sorted(sympy.primefactors(n))
+
+
+def test_distinct_primes_rejects_nonpositive():
+    for n in (0, -6):
+        with pytest.raises(ValueError):
+            distinct_primes(n)
 
 
 def test_factor_examples():

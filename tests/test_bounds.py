@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -122,6 +123,36 @@ def test_omega_inequality_boundary():
     for d in (4, 5):
         assert omega_inequality_check(d, 10_000)
         assert omega_inequality_audit(d, 10_000) == ([], [])
+
+
+def test_omega_inequality_audit_small_memory():
+    # only n <= 64 is examined, so a huge n_max must not allocate O(n_max)
+    tracemalloc.start()
+    try:
+        result = omega_inequality_audit(3, 10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert result == ([2], [])
+    assert peak < 1_000_000
+
+
+def test_omega_inequality_audit_outputs():
+    def brute_omega(n):
+        return sum(1 for q in range(2, n + 1) if n % q == 0 and all(q % r for r in range(2, q)))
+
+    for d in range(3, 7):
+        for n_max in (0, 1, 2, 3, 5, 64, 65, 100, 10**6):
+            ns = range(2, min(n_max, 64) + 1)
+            expected = (
+                [n for n in ns if (2 * brute_omega(n) + 1) ** 2 == d**n],
+                [n for n in ns if (2 * brute_omega(n) + 1) ** 2 > d**n],
+            )
+            got = omega_inequality_audit(d, n_max)
+            assert got == expected
+            assert got == (([2], []) if d == 3 and n_max >= 2 else ([], []))
+    with pytest.raises(ValueError):
+        omega_inequality_audit(3, -1)
 
 
 def test_theorem1_bound_reproduces_worked_value():

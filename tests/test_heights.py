@@ -12,7 +12,6 @@ from zsig import (
     ingram_lower_bound,
     lemma41_lower_bound,
     local_C_v,
-    numeric_D_estimate,
     parse_poly,
     trinomial_D_lower,
     trinomial_family_lower,
@@ -161,15 +160,6 @@ def test_family_lower_bound_cases():
     )
     with pytest.raises(ValueError):
         trinomial_family_lower(trinomial(3, 2, Fraction(1, 2)))
-
-
-def test_numeric_D_estimate():
-    assert numeric_D_estimate((1, 0, 1), 1) == pytest.approx(1.0, abs=1e-6)
-    est = numeric_D_estimate((7, 0, 0, 2), 2)
-    assert est >= 8 / 343
-    assert est == pytest.approx(4 / 9, rel=1e-4)  # true interior minimum
-    # t = infinity limit value |lead| caps the estimate
-    assert numeric_D_estimate((5, 0, 1), 1) <= 1.0
 
 
 def test_functional_equation_consistency():

@@ -1,24 +1,24 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
-from zsig import (
-    RunConfig,
-    run_sweep,
-    verify,
-    verify_cor12,
-    verify_prop51,
-    verify_prop52,
-    verify_prop53,
-    verify_prop54,
-    verify_thm13,
+from zsig import RunConfig, run_sweep, verify, verifiers
+from zsig.cli import build_parser
+from zsig.orbits import OrbitEntry
+from zsig.verifiers import (
+    CLAIMS,
+    SweepSpec,
+    classify_point,
+    default_horizon,
+    point_key,
+    sweep_keys,
 )
-from zsig.verifiers import SweepSpec, classify_point, point_key, sweep_keys
 from tests.conftest import LEAN
 
 
 def test_cor12_reproduction():
-    v = verify_cor12(3, Fraction(7, 2), LEAN)
+    v = verify("cor12", 3, Fraction(7, 2), None, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.observed_elements == []
     assert v.details["n_max_floor"] == 5
@@ -26,16 +26,16 @@ def test_cor12_reproduction():
 
 
 def test_cor12_hypothesis_failures():
-    v = verify_cor12(3, Fraction(5, 2), LEAN)
+    v = verify("cor12", 3, Fraction(5, 2), None, LEAN)
     assert not v.hypothesis_ok and v.consistent
-    v = verify_cor12(4, Fraction(9, 4), LEAN)
+    v = verify("cor12", 4, Fraction(9, 4), None, LEAN)
     assert not v.hypothesis_ok  # (9/4)^3 = 729/64 < 16
-    v = verify_cor12(3, Fraction(7), LEAN)
+    v = verify("cor12", 3, Fraction(7), None, LEAN)
     assert not v.hypothesis_ok  # integer constant excluded
 
 
 def test_thm13_reproduction():
-    v = verify_thm13(4, 2, Fraction(5, 2), LEAN)
+    v = verify("thm13", 4, Fraction(5, 2), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.details["n_max"] < 7
     report_units = v.details["unit_exceptions"]
@@ -45,12 +45,12 @@ def test_thm13_reproduction():
 
 
 def test_thm13_negative_c():
-    v = verify_thm13(3, 2, Fraction(-7, 3), LEAN)
+    v = verify("thm13", 3, Fraction(-7, 3), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
 
 
 def test_thm13_d5_case_split():
-    v = verify_thm13(5, 3, Fraction(21, 8), LEAN)
+    v = verify("thm13", 5, Fraction(21, 8), 3, LEAN)
     assert v.hypothesis_ok and v.consistent
     import math
 
@@ -58,14 +58,14 @@ def test_thm13_d5_case_split():
 
 
 def test_prop51_examples():
-    assert verify_prop51(3, 2, Fraction(3, 2), LEAN).consistent
-    assert verify_prop51(4, 3, Fraction(5, 3), LEAN).consistent
-    v = verify_prop51(3, 2, Fraction(1), LEAN)
+    assert verify("prop51", 3, Fraction(3, 2), 2, LEAN).consistent
+    assert verify("prop51", 4, Fraction(5, 3), 3, LEAN).consistent
+    v = verify("prop51", 3, Fraction(1), 2, LEAN)
     assert not v.hypothesis_ok
 
 
 def test_prop52_unit_exception():
-    v = verify_prop52(3, 2, Fraction(1, 2), LEAN)
+    v = verify("prop52", 3, Fraction(1, 2), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.observed_elements == [1]  # A_1 = 1, the unit-numerator exception
     assert v.details["unit_exceptions"] == [1]
@@ -74,32 +74,32 @@ def test_prop52_unit_exception():
 
 
 def test_prop52_sandwich():
-    v = verify_prop52(4, 2, Fraction(2, 3), LEAN)
+    v = verify("prop52", 4, Fraction(2, 3), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.details["sandwich_verified"]
     assert v.details["alpha_in_range"]
 
 
 def test_prop53_cases():
-    v = verify_prop53(3, 2, Fraction(-2, 3), LEAN)
+    v = verify("prop53", 3, Fraction(-2, 3), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.details["case"] == "even middle exponent"
     assert v.details["confinement_verified"] and v.details["lower_bound_verified"]
-    v = verify_prop53(5, 3, Fraction(-1, 2), LEAN)
+    v = verify("prop53", 5, Fraction(-1, 2), 3, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.details["case"] == "odd middle exponent"
-    assert not verify_prop53(4, 2, Fraction(-1, 2), LEAN).hypothesis_ok
+    assert not verify("prop53", 4, Fraction(-1, 2), 2, LEAN).hypothesis_ok
 
 
 def test_prop54_cases():
-    v = verify_prop54(3, 2, Fraction(-3, 2), LEAN)
+    v = verify("prop54", 3, Fraction(-3, 2), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.details["case"] == "odd degree"
-    v = verify_prop54(4, 2, Fraction(-5, 4), LEAN)
+    v = verify("prop54", 4, Fraction(-5, 4), 2, LEAN)
     assert v.hypothesis_ok and v.consistent
     assert v.details["case"] == "even degree and middle exponent"
     assert v.details["upper_bound_verified"]
-    assert not verify_prop54(4, 3, Fraction(-3, 2), LEAN).hypothesis_ok
+    assert not verify("prop54", 4, Fraction(-3, 2), 3, LEAN).hypothesis_ok
 
 
 def test_verify_dispatcher():
@@ -204,3 +204,60 @@ def test_run_sweep_parallel_matches_serial():
 def test_point_key_format():
     assert point_key("cor12", 3, None, Fraction(7, 2)) == "cor12:d=3:c=7/2"
     assert point_key("thm13", 4, 2, Fraction(-5, 2)) == "thm13:d=4:e=2:c=-5/2"
+
+
+def test_claim_table_drives_routing_and_cli():
+    assert list(CLAIMS) == ["cor12", "thm13", "prop51", "prop52", "prop53", "prop54"]
+    assert {k: default_horizon(k) for k in CLAIMS} == {
+        "cor12": 10, "thm13": 10, "prop51": 11, "prop52": 10, "prop53": 10, "prop54": 10,
+    }
+    parser = build_parser()
+    for theorem_id in (*CLAIMS, "ezsig"):
+        assert parser.parse_args(["verify", theorem_id, "--d", "3"]).theorem == theorem_id
+    # cor12 is a binomial claim and ignores a middle exponent
+    assert verify("cor12", 3, Fraction(7, 2), 2, LEAN, horizon=4).polynomial == "z^3 + 7/2"
+
+
+_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=50)
+
+
+@given(
+    st.fractions(max_denominator=10**6).filter(lambda x: x != 0),
+    st.one_of(_nonneg, st.integers(min_value=0, max_value=3**20)),
+    _nonneg,
+    st.integers(min_value=0, max_value=40),
+)
+def test_exceeds_matches_fraction_form(value, scale, base, expo):
+    entry = OrbitEntry(1, value)
+    assert verifiers._exceeds(entry, scale, base, expo) == (
+        abs(value) > Fraction(scale) * base**expo
+    )
+
+
+@pytest.mark.parametrize(
+    "workers, n_points, cpus, expected",
+    [(64, 3, 8, [3]), (64, 6, 4, [4]), (2, 6, 8, [2]), (64, 6, None, []), (64, 1, 8, [])],
+)
+def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected):
+    created = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(verifiers, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verifiers.os, "cpu_count", lambda: cpus)
+    cs = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"][:n_points]
+    spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": cs, "horizon": 3})
+    verdicts = run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=workers))
+    assert created == expected
+    assert verdicts == run_sweep(spec, LEAN)
