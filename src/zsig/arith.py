@@ -14,7 +14,7 @@ from functools import lru_cache
 from itertools import compress
 from math import gcd, isqrt
 
-from .config import DEFAULT_PRIMALITY_ROUNDS, DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND
+from .config import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND
 
 # Below this, the fixed Miller-Rabin base set is a proven primality test.
 DETERMINISTIC_MR_LIMIT = 3_317_044_064_679_887_385_961_981
@@ -113,8 +113,12 @@ def _strong_lucas_prp(n: int) -> bool:
     return False
 
 
-def is_prime(m: int, *, rounds: int = DEFAULT_PRIMALITY_ROUNDS) -> bool:
-    """Primality test: deterministic below 3.3e24, Miller-Rabin+Lucas beyond."""
+def is_prime(m: int) -> bool:
+    """Primality test: deterministic below 3.3e24, Baillie-PSW beyond.
+
+    Baillie-PSW is a base-2 Miller-Rabin test followed by the strong Lucas
+    test; no composite is known to pass both.
+    """
     if m < 1:
         raise ValueError("is_prime expects a positive integer")
     if m == 1:
@@ -131,11 +135,7 @@ def is_prime(m: int, *, rounds: int = DEFAULT_PRIMALITY_ROUNDS) -> bool:
         for limit, bases in _MR_STAGES:
             if m < limit:
                 return not any(_mr_witness(a, d, s, m) for a in bases)
-    rng = random.Random(m % (1 << 61))
-    for _ in range(rounds):
-        if _mr_witness(rng.randrange(2, m - 1), d, s, m):
-            return False
-    return _strong_lucas_prp(m)
+    return not _mr_witness(2, d, s, m) and _strong_lucas_prp(m)
 
 
 def v_p(m: int, p: int) -> int:
@@ -259,7 +259,7 @@ def _prime_check_cost(n: int) -> int:
     return n.bit_length() * words * words
 
 
-def _budgeted_is_prime(n: int, budget: int, rounds: int) -> tuple[bool | None, int]:
+def _budgeted_is_prime(n: int, budget: int) -> tuple[bool | None, int]:
     """is_prime unless a single test would dwarf the remaining budget.
 
     Returns (verdict or None when skipped, work charged).  Small operands are
@@ -268,7 +268,7 @@ def _budgeted_is_prime(n: int, budget: int, rounds: int) -> tuple[bool | None, i
     cost = _prime_check_cost(n)
     if n.bit_length() > _PRIME_CHECK_FLOOR_BITS and cost > budget:
         return None, 0
-    return is_prime(n, rounds=rounds), cost
+    return is_prime(n), cost
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
@@ -343,7 +343,6 @@ def factor(
     trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
     seed: int = 0,
-    rounds: int = DEFAULT_PRIMALITY_ROUNDS,
 ) -> FactorReport:
     """Trial division then budgeted Brent rho; never fails, may leave a cofactor."""
     if m < 1:
@@ -358,7 +357,7 @@ def factor(
         n = pending.pop()
         if n == 1:
             continue
-        verdict, spent = _budgeted_is_prime(n, budget, rounds)
+        verdict, spent = _budgeted_is_prime(n, budget)
         budget -= spent
         if verdict is None:
             unresolved.append((n, False))

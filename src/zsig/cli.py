@@ -300,7 +300,6 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--digit-budget", type=int, default=None)
     parser.add_argument("--trial-bound", type=int, default=None)
     parser.add_argument("--rho-budget", type=int, default=None)
-    parser.add_argument("--primality-rounds", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=None)
 
@@ -363,6 +362,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    # Decimal strings are the output format for big integers; clear the
+    # interpreter's int->str guard for every size the digit budget allows.
+    if hasattr(sys, "set_int_max_str_digits"):
+        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 400_000))
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _merge_negative_values(argv)
     parser = build_parser()
@@ -375,7 +378,6 @@ def main(argv: list[str] | None = None) -> int:
             digit_budget=args.digit_budget,
             factor_trial_bound=args.trial_bound,
             factor_rho_budget=args.rho_budget,
-            primality_rounds=args.primality_rounds,
             workers=args.workers,
             seed=args.seed,
             output_format=args.format,

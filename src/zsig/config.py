@@ -7,31 +7,33 @@ batch code (tests, sweeps) passes explicit values instead.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 # Numerators grow roughly like d^n digits; this keeps d=2, N~18 runs in range.
 DEFAULT_DIGIT_BUDGET = 200_000
 DEFAULT_TRIAL_BOUND = 1_000_000
 DEFAULT_RHO_BUDGET = 100_000_000
-DEFAULT_PRIMALITY_ROUNDS = 64
 
 _ENV_PREFIX = "ZSIG_"
 
 
 @dataclass(frozen=True)
 class RunConfig:
+    """The knobs.  Every field is also read from ``ZSIG_<FIELD>`` in the
+    environment (``ZSIG_FORMAT`` for ``output_format``).  Every integer field
+    may be pinned in a sweep spec's budgets and, except ``seed``, must be
+    positive."""
+
     digit_budget: int = DEFAULT_DIGIT_BUDGET
     factor_trial_bound: int = DEFAULT_TRIAL_BOUND
     factor_rho_budget: int = DEFAULT_RHO_BUDGET
-    primality_rounds: int = DEFAULT_PRIMALITY_ROUNDS
     workers: int = 1
     output_format: str = "text"
     seed: int = 0
 
     def __post_init__(self) -> None:
-        for name in ("digit_budget", "factor_trial_bound", "factor_rho_budget",
-                     "primality_rounds", "workers"):
-            if getattr(self, name) <= 0:
+        for name in INT_KNOBS:
+            if name != "seed" and getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format: {self.output_format!r}")
@@ -41,22 +43,15 @@ class RunConfig:
         return replace(self, **kwargs) if kwargs else self
 
 
+INT_KNOBS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, int))
+
+
 def config_from_env(base: RunConfig | None = None) -> RunConfig:
     """Build a RunConfig with ZSIG_* environment overrides applied."""
-    cfg = base or RunConfig()
     overrides = {}
-    for field, env in (
-        ("digit_budget", "DIGIT_BUDGET"),
-        ("factor_trial_bound", "FACTOR_TRIAL_BOUND"),
-        ("factor_rho_budget", "FACTOR_RHO_BUDGET"),
-        ("primality_rounds", "PRIMALITY_ROUNDS"),
-        ("workers", "WORKERS"),
-        ("seed", "SEED"),
-    ):
-        raw = os.environ.get(_ENV_PREFIX + env)
+    for f in fields(RunConfig):
+        name = "FORMAT" if f.name == "output_format" else f.name.upper()
+        raw = os.environ.get(_ENV_PREFIX + name)
         if raw is not None:
-            overrides[field] = int(raw)
-    fmt = os.environ.get(_ENV_PREFIX + "FORMAT")
-    if fmt is not None:
-        overrides["output_format"] = fmt
-    return cfg.with_overrides(**overrides)
+            overrides[f.name] = type(f.default)(raw)  # int(raw), or the format string
+    return (base or RunConfig()).with_overrides(**overrides)

@@ -11,9 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Iterable, Union
-
-Rational = Fraction
+from typing import Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -53,10 +51,6 @@ class PolyQ:
             raise ParseError("degree must be at least 2")
         if self.coeffs[-1] == 0:
             raise ParseError("leading coefficient must be nonzero")
-
-    @classmethod
-    def from_coeffs(cls, coeffs: Iterable[RationalLike]) -> "PolyQ":
-        return cls(tuple(_as_fraction(c) for c in coeffs))
 
     @property
     def degree(self) -> int:

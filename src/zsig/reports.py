@@ -1,30 +1,18 @@
-"""Lossless dict/JSON views of every report type.
+"""JSON views of the report types the CLI prints.
 
 Big integers serialize as decimal strings (they exceed native JSON number
-ranges); floats serialize natively so values round-trip bit-exact.  Every
-``*_to_dict`` has a ``*_from_dict`` inverse and the pair is an identity.
+ranges); floats serialize natively so values keep every bit.  Decimal strings
+past 4300 digits need a raised ``sys.set_int_max_str_digits``, which
+``cli.main`` sets and library callers set themselves.
 """
 
 from __future__ import annotations
 
-import sys
-from fractions import Fraction
-
-# Decimal strings are the wire format for big integers; make sure the
-# interpreter's int->str guard clears the digit budget this package allows.
-if hasattr(sys, "set_int_max_str_digits"):
-    sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 400_000))
-
-from .arith import FactorReport
-from .bounds import BoundResult, SignSets
+from .bounds import BoundResult
 from .heights import GlobalC, HeightInterval
 from .orbits import Orbit, OrbitEntry, decimal_digits
 from .verifiers import TheoremVerdict
-from .zsigmondy import PrimitiveVerdict, RigidViolation, ZsigmondyReport
-
-
-def fraction_str(x: Fraction) -> str:
-    return str(x)
+from .zsigmondy import PrimitiveVerdict, ZsigmondyReport
 
 
 def entry_to_dict(entry: OrbitEntry) -> dict:
@@ -37,10 +25,6 @@ def entry_to_dict(entry: OrbitEntry) -> dict:
     }
 
 
-def entry_from_dict(data: dict) -> OrbitEntry:
-    return OrbitEntry(data["n"], Fraction(int(data["A"]), int(data["B"])))
-
-
 def orbit_to_dict(orb: Orbit) -> dict:
     return {
         "kind": orb.kind,
@@ -51,16 +35,6 @@ def orbit_to_dict(orb: Orbit) -> dict:
     }
 
 
-def orbit_from_dict(data: dict) -> Orbit:
-    return Orbit(
-        kind=data["kind"],
-        entries=[entry_from_dict(e) for e in data["entries"]],
-        tail=data["tail"],
-        period=data["period"],
-        step=data["step"],
-    )
-
-
 def verdict_to_dict(v: PrimitiveVerdict) -> dict:
     return {
         "n": v.n,
@@ -69,16 +43,6 @@ def verdict_to_dict(v: PrimitiveVerdict) -> dict:
         "witness_primes": [str(p) for p in v.witness_primes],
         "is_unit": v.is_unit,
     }
-
-
-def verdict_from_dict(data: dict) -> PrimitiveVerdict:
-    return PrimitiveVerdict(
-        data["n"],
-        data["has_primitive"],
-        int(data["stripped_part"]),
-        tuple(int(p) for p in data["witness_primes"]),
-        data["is_unit"],
-    )
 
 
 def zsig_report_to_dict(report: ZsigmondyReport) -> dict:
@@ -94,19 +58,6 @@ def zsig_report_to_dict(report: ZsigmondyReport) -> dict:
     }
 
 
-def zsig_report_from_dict(data: dict) -> ZsigmondyReport:
-    return ZsigmondyReport(
-        horizon=data["horizon"],
-        elements=list(data["elements"]),
-        per_index=[verdict_from_dict(v) for v in data["per_index"]],
-        k_table={int(p): k for p, k in data["k_table"].items()},
-        rigid_violations=[
-            RigidViolation(int(v["prime"]), v["n"], v["observed"], v["expected"])
-            for v in data["rigid_violations"]
-        ],
-    )
-
-
 def interval_to_dict(interval: HeightInterval) -> dict:
     return {
         "lower": interval.lower,
@@ -116,30 +67,12 @@ def interval_to_dict(interval: HeightInterval) -> dict:
     }
 
 
-def interval_from_dict(data: dict) -> HeightInterval:
-    upper = data["upper"]
-    return HeightInterval(
-        data["lower"],
-        float("inf") if upper is None else upper,
-        data["method"],
-        data["iterations"],
-    )
-
-
 def global_c_to_dict(gc: GlobalC) -> dict:
     return {
         "archimedean_logCv": gc.archimedean_logCv,
         "nonarch_contribs": {str(p): v for p, v in sorted(gc.nonarch_contribs.items())},
         "total_C": gc.total_C,
     }
-
-
-def global_c_from_dict(data: dict) -> GlobalC:
-    return GlobalC(
-        data["archimedean_logCv"],
-        {int(p): v for p, v in data["nonarch_contribs"].items()},
-        data["total_C"],
-    )
 
 
 def bound_to_dict(b: BoundResult) -> dict:
@@ -152,32 +85,6 @@ def bound_to_dict(b: BoundResult) -> dict:
     }
 
 
-def bound_from_dict(data: dict) -> BoundResult:
-    return BoundResult(
-        data["n_max"], data["n_max_floor"], data["hhat_lower_used"],
-        data["C_used"], data["certified"],
-    )
-
-
-def sign_sets_to_dict(s: SignSets) -> dict:
-    return {
-        "P_plus": sorted(s.P_plus),
-        "P_minus": sorted(s.P_minus),
-        "N_plus": sorted(s.N_plus),
-        "N_minus": sorted(s.N_minus),
-        "n_plus": s.n_plus,
-        "n_minus": s.n_minus,
-    }
-
-
-def sign_sets_from_dict(data: dict) -> SignSets:
-    return SignSets(
-        frozenset(data["P_plus"]), frozenset(data["P_minus"]),
-        frozenset(data["N_plus"]), frozenset(data["N_minus"]),
-        data["n_plus"], data["n_minus"],
-    )
-
-
 def theorem_verdict_to_dict(v: TheoremVerdict) -> dict:
     return {
         "theorem_id": v.theorem_id,
@@ -188,33 +95,3 @@ def theorem_verdict_to_dict(v: TheoremVerdict) -> dict:
         "consistent": v.consistent,
         "details": v.details,
     }
-
-
-def theorem_verdict_from_dict(data: dict) -> TheoremVerdict:
-    return TheoremVerdict(
-        data["theorem_id"],
-        data["polynomial"],
-        data["hypothesis_ok"],
-        data["predicted"],
-        list(data["observed_elements"]),
-        data["consistent"],
-        dict(data["details"]),
-    )
-
-
-def factor_report_to_dict(report: FactorReport) -> dict:
-    return {
-        "input": str(report.input),
-        "factored": [[str(p), e] for p, e in report.factored],
-        "cofactor": str(report.cofactor),
-        "cofactor_status": report.cofactor_status,
-    }
-
-
-def factor_report_from_dict(data: dict) -> FactorReport:
-    return FactorReport(
-        int(data["input"]),
-        tuple((int(p), e) for p, e in data["factored"]),
-        int(data["cofactor"]),
-        data["cofactor_status"],
-    )

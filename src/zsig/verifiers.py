@@ -24,7 +24,7 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 from .bounds import theorem1_bound
-from .config import RunConfig
+from .config import INT_KNOBS, RunConfig
 from .heights import (
     HeightInterval,
     family_C,
@@ -58,7 +58,7 @@ class SweepSpec:
     e_values: tuple[int, ...] = ()
     c_values: tuple[Fraction, ...] = ()
     horizon: int | None = None
-    budgets: tuple[tuple[str, int], ...] = ()  # RunConfig field overrides
+    budgets: tuple[tuple[str, int], ...] = ()  # integer RunConfig field overrides
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -77,13 +77,9 @@ class SweepSpec:
                     frac = Fraction(num, den)
                     if frac.numerator == num and frac.denominator == den:
                         cs.append(frac)  # lowest-terms entries only, no dupes
-        allowed = {
-            "digit_budget", "factor_trial_bound", "factor_rho_budget",
-            "primality_rounds", "workers", "seed",
-        }
         budgets = []
         for key, value in data.get("budgets", {}).items():
-            if key not in allowed:
+            if key not in INT_KNOBS:
                 raise ValueError(f"unknown budget field: {key!r}")
             budgets.append((key, int(value)))
         return cls(

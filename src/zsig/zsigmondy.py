@@ -81,7 +81,6 @@ def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[tuple[int, ...], lis
         trial_bound=cfg.factor_trial_bound,
         rho_budget=cfg.factor_rho_budget,
         seed=cfg.seed,
-        rounds=cfg.primality_rounds,
     )
     primes = [p for p, _ in report.factored]
     small_primes = [p for p in primes if p <= cfg.factor_trial_bound]

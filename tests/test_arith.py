@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, strategies as st
 
 from zsig import factor, is_prime, v_p
-from zsig.arith import distinct_primes, trial_division
+from zsig.arith import DETERMINISTIC_MR_LIMIT, _mr_witness, distinct_primes, trial_division
 
 
 def _sieve(n):
@@ -49,6 +49,41 @@ def test_is_prime_large():
     assert is_prime(m)
     assert not is_prime(m - 2)
     assert not is_prime(m + 2)
+
+
+def _odd_part(m):
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    return d, s
+
+
+@pytest.mark.parametrize("k", [13682706, 13683550, 13689270])
+def test_is_prime_lucas_half_rejects_base2_pseudoprimes(k):
+    # Chernick numbers (6k+1)(12k+1)(18k+1) just above the deterministic
+    # range that are strong pseudoprimes to base 2: only the Lucas test of
+    # Baillie-PSW can reject them
+    primes = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    assert all(sympy.isprime(p) for p in primes)
+    m = primes[0] * primes[1] * primes[2]
+    assert m > DETERMINISTIC_MR_LIMIT
+    assert not _mr_witness(2, *_odd_part(m), m)
+    assert not is_prime(m)
+
+
+def test_is_prime_beyond_deterministic_range_vs_sympy():
+    rng = random.Random(5)
+    cases = [rng.randrange(DETERMINISTIC_MR_LIMIT, 2**512) | 1 for _ in range(200)]
+    cases += [sympy.nextprime(rng.randrange(DETERMINISTIC_MR_LIMIT, 2**512)) for _ in range(20)]
+    for _ in range(40):
+        bits = rng.randrange(42, 256)
+        p = sympy.nextprime(rng.randrange(2 ** (bits - 1), 2**bits))
+        q = sympy.nextprime(rng.randrange(DETERMINISTIC_MR_LIMIT >> (bits - 1), 2 ** (512 - bits)))
+        cases.append(p * q)
+    for m in cases:
+        assert m > DETERMINISTIC_MR_LIMIT
+        assert is_prime(m) == sympy.isprime(m), m
 
 
 @pytest.mark.exhaustive
@@ -156,19 +191,3 @@ def test_trial_division_across_prime_blocks():
             for p, e in chosen.items():
                 m *= p**e
             assert trial_division(m, bound) == (chosen, big)
-
-
-def test_factor_passes_primality_rounds(monkeypatch):
-    import zsig.arith as arith
-
-    seen = []
-    real = arith.is_prime
-    monkeypatch.setattr(
-        arith, "is_prime", lambda n, *, rounds: seen.append(rounds) or real(n, rounds=rounds)
-    )
-    m = 3 * (2**127 - 1)  # a cofactor past the deterministic Miller-Rabin range
-    assert factor(m, rounds=5).factored == ((3, 1),)
-    assert seen == [5]
-    seen.clear()
-    factor(m)
-    assert seen == [64]

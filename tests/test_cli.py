@@ -2,8 +2,11 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
+
+import pytest
 
 from zsig import reports
 from zsig.cli import main
@@ -244,50 +247,62 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
-def test_json_round_trips():
+def _covers_fields(obj, data, **renamed):
+    """Every dataclass field of obj is a key of data (or of its renamed keys)."""
+    return all(set(renamed.get(f.name, (f.name,))) <= data.keys() for f in fields(obj))
+
+
+def test_json_encoders_are_complete():
     from zsig import (
         canonical_height_interval,
-        compute_sign_sets,
-        factor,
         global_C,
         orbit,
         parse_poly,
         theorem1_bound,
         zsigmondy_set,
     )
+    from zsig.zsigmondy import RigidViolation
+
+    def encode(to_dict, obj):
+        return json.loads(json.dumps(to_dict(obj)))
 
     f = parse_poly("z^3+7/2")
     orb = orbit(f, 5)
-    assert reports.orbit_from_dict(json.loads(json.dumps(reports.orbit_to_dict(orb)))) == orb
+    data = encode(reports.orbit_to_dict, orb)
+    assert _covers_fields(orb, data)
+    for entry, d in zip(orb.entries, data["entries"], strict=True):
+        assert _covers_fields(entry, d, value=("A", "B"))
+        assert (d["n"], int(d["A"]), int(d["B"])) == (entry.n, entry.A, entry.B)
 
     rep = zsigmondy_set(f, 5, LEAN)
-    round_tripped = reports.zsig_report_from_dict(
-        json.loads(json.dumps(reports.zsig_report_to_dict(rep)))
-    )
-    assert round_tripped == rep
+    rep.rigid_violations.append(RigidViolation(2**89 - 1, 4, 1, 2))
+    data = encode(reports.zsig_report_to_dict, rep)
+    assert _covers_fields(rep, data)
+    assert any(v.witness_primes for v in rep.per_index)
+    for v, d in zip(rep.per_index, data["per_index"], strict=True):
+        assert _covers_fields(v, d)
+        assert int(d["stripped_part"]) == v.stripped_part
+        assert tuple(int(p) for p in d["witness_primes"]) == v.witness_primes
+    assert {int(p): k for p, k in data["k_table"].items()} == rep.k_table
+    [violation] = data["rigid_violations"]
+    assert _covers_fields(rep.rigid_violations[0], violation)
+    assert int(violation["prime"]) == 2**89 - 1
 
     iv = canonical_height_interval(f, Fraction(7, 2), 4)
-    assert reports.interval_from_dict(json.loads(json.dumps(reports.interval_to_dict(iv)))) == iv
+    assert _covers_fields(iv, encode(reports.interval_to_dict, iv))
 
     gc = global_C(f)
-    assert reports.global_c_from_dict(json.loads(json.dumps(reports.global_c_to_dict(gc)))) == gc
+    data = encode(reports.global_c_to_dict, gc)
+    assert _covers_fields(gc, data)
+    assert gc.nonarch_contribs
+    assert {int(p): v for p, v in data["nonarch_contribs"].items()} == gc.nonarch_contribs
 
     br = theorem1_bound(f, 0.5, 1.0)
-    assert reports.bound_from_dict(json.loads(json.dumps(reports.bound_to_dict(br)))) == br
-
-    ss = compute_sign_sets(parse_poly("z^3-2z^2+3"))
-    assert reports.sign_sets_from_dict(json.loads(json.dumps(reports.sign_sets_to_dict(ss)))) == ss
-
-    fr = factor(765)
-    assert reports.factor_report_from_dict(
-        json.loads(json.dumps(reports.factor_report_to_dict(fr)))
-    ) == fr
+    assert _covers_fields(br, encode(reports.bound_to_dict, br))
 
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [3], "c": ["7/2"], "horizon": 6})
     verdict = run_sweep(spec, LEAN)[0]
-    assert reports.theorem_verdict_from_dict(
-        json.loads(json.dumps(reports.theorem_verdict_to_dict(verdict)))
-    ) == verdict
+    assert _covers_fields(verdict, encode(reports.theorem_verdict_to_dict, verdict))
 
 
 def test_sweep_rejects_corrupt_middle_line(tmp_path, capsys):
@@ -302,19 +317,16 @@ def test_sweep_rejects_corrupt_middle_line(tmp_path, capsys):
     assert out_path.read_bytes() == corrupt
 
 
-def test_primality_rounds_flag_reaches_is_prime(capsys, monkeypatch):
-    import zsig.arith as arith
-
-    seen = set()
-    real = arith.is_prime
-    monkeypatch.setattr(
-        arith, "is_prime", lambda n, *, rounds: seen.add(rounds) or real(n, rounds=rounds)
-    )
-    code, _, _ = run(
-        capsys, "zsig", "--coeffs", "1,0,1", "-N", "9", "--primality-rounds", "3", *FAST
-    )
-    assert code == 0
-    assert seen == {3}
+def test_removed_primality_rounds_is_a_usage_error(tmp_path, capsys):
+    code, _, _ = run(capsys, "zsig", "--coeffs", "1,0,1", "-N", "5", "--primality-rounds", "3")
+    assert code == 2
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(
+        {"family": "z^d+c", "d": [3], "c": ["7/2"], "budgets": {"primality_rounds": 3}}
+    ))
+    code, _, err = run(capsys, "sweep", str(spec_path), "-o", str(tmp_path / "out.jsonl"))
+    assert code == 2
+    assert "primality_rounds" in err
 
 
 def test_python_dash_m_entry_points(tmp_path):
@@ -331,3 +343,36 @@ def test_python_dash_m_entry_points(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 4
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit before 3.11"
+)
+def test_import_leaves_int_str_limit_alone(tmp_path):
+    # the CLI raises the interpreter's int->str digit limit; importing the
+    # package must not
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    code = (
+        "import sys\n"
+        "default = sys.get_int_max_str_digits()\n"
+        "import zsig, zsig.reports, zsig.cli\n"
+        "assert sys.get_int_max_str_digits() == default, sys.get_int_max_str_digits()\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+
+
+def test_fresh_process_prints_a_long_numerator(tmp_path):
+    # B_15 = 2^16384 has 4933 digits, past the interpreter's default limit
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-m", "zsig", "orbit", "--coeffs", "1/2,0,1", "-N", "15",
+         "--format", "json"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    last = json.loads(proc.stdout)["orbit"]["entries"][-1]
+    assert last["n"] == 15 and int(last["B"]) == 2**16384

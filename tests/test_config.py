@@ -1,6 +1,10 @@
+from dataclasses import fields
+
 import pytest
 
 from zsig import RunConfig, config_from_env
+from zsig.config import INT_KNOBS
+from zsig.verifiers import SweepSpec
 
 
 def test_defaults():
@@ -8,7 +12,6 @@ def test_defaults():
     assert cfg.digit_budget == 200_000
     assert cfg.factor_trial_bound == 1_000_000
     assert cfg.factor_rho_budget == 100_000_000
-    assert cfg.primality_rounds == 64
     assert cfg.seed == 0
     assert cfg.output_format == "text"
 
@@ -35,3 +38,31 @@ def test_env_overrides(monkeypatch):
     assert cfg.seed == 11
     assert cfg.workers == 2
     assert cfg.output_format == "json"
+
+
+def test_knob_lists_come_from_the_fields(monkeypatch):
+    names = [f.name for f in fields(RunConfig)]
+    assert names == [
+        "digit_budget", "factor_trial_bound", "factor_rho_budget",
+        "workers", "output_format", "seed",
+    ]
+    assert INT_KNOBS == tuple(n for n in names if n != "output_format")
+    spec = {"family": "z^d+c", "d": [3], "c": ["7/2"]}
+    for name in INT_KNOBS:
+        # every integer field is a ZSIG_<FIELD> variable and a sweep budget
+        monkeypatch.setenv("ZSIG_" + name.upper(), "7")
+        assert getattr(config_from_env(), name) == 7
+        monkeypatch.delenv("ZSIG_" + name.upper())
+        budgets = SweepSpec.from_dict({**spec, "budgets": {name: 7}}).budgets
+        assert budgets == ((name, 7),)
+        # and every one but the seed must be positive
+        if name == "seed":
+            assert RunConfig(seed=-1).seed == -1
+        else:
+            with pytest.raises(ValueError, match=name):
+                RunConfig(**{name: 0})
+    for name in ("output_format", "primality_rounds"):
+        with pytest.raises(ValueError, match="unknown budget field"):
+            SweepSpec.from_dict({**spec, "budgets": {name: 1}})
+    monkeypatch.setenv("ZSIG_PRIMALITY_ROUNDS", "0")
+    assert config_from_env() == RunConfig()
