@@ -1,9 +1,11 @@
-"""Byte-for-byte regression test of sweep JSONL and ``zsig verify`` output.
+"""Byte-for-byte regression test of sweep JSONL and CLI output.
 
 The fixtures under ``tests/data/`` pin every claim (both cases of prop53 and
 prop54), failed hypotheses, unclassified points, finite orbits, digit-budget
-stops and the text/json/csv renderers.  Regenerate them only when an output
-change is intended:
+stops and the text/json/csv renderers of ``verify``, ``orbit``, ``zsig`` and
+``bound`` (witness primality, and per-place constants at several
+denominator primes).  Regenerate them only when an output change is
+intended:
 
     PYTHONPATH=src python -m tests.test_golden
 """
@@ -83,6 +85,29 @@ VERIFY_ARGV = [
     ["verify", "ezsig", "--d", "3", "--n-max", "-1"],
 ]
 
+_CLI_COMMANDS = [
+    ["orbit", "--coeffs", "1,0,1", "-N", "6"],
+    ["orbit", "--coeffs", "5/2,0,0,1", "-N", "4"],
+    ["zsig", "--coeffs", "1,0,1", "-N", "6", "--rho-budget", "200000"],
+    ["zsig", "--coeffs", "7/2,0,0,1", "-N", "6", "--rho-budget", "200000"],
+    ["zsig", "--coeffs", "-7/3,0,1,1", "-N", "8", "--rho-budget", "200000"],
+    ["zsig", "--coeffs", "3,0,1", "-N", "8", "--rho-budget", "200000"],
+    ["bound", "--coeffs", "7/2,0,0,1", "--hhat", "ingram"],
+    ["bound", "--coeffs", "5/2,0,1,0,1", "--hhat", "family"],
+    ["bound", "--coeffs", "7/6,0,5/3,2/5", "--hhat", "telescope"],
+    ["bound", "--coeffs", "1,0,1", "--hhat", "telescope"],
+]
+CLI_ARGV = [
+    [*command, "--format", fmt]
+    for command in _CLI_COMMANDS
+    for fmt in ("text", "json", "csv")
+] + [
+    ["orbit", "--coeffs", "-1,0,1", "-N", "4"],
+    ["orbit", "--coeffs", "5/2,0,0,1", "-N", "6", "--digit-budget", "30"],
+    ["zsig", "--coeffs", "1,1,1", "-N", "4"],
+    ["zsig", "--coeffs", "-2,0,1", "-N", "4"],
+]
+
 
 def _run(argv: list[str]) -> tuple[int, str]:
     out = io.StringIO()
@@ -99,9 +124,9 @@ def sweep_bytes(name: str, workdir: Path) -> bytes:
     return out_path.read_bytes()
 
 
-def verify_cases() -> list[dict]:
+def cli_cases(argvs: list[list[str]]) -> list[dict]:
     cases = []
-    for argv in VERIFY_ARGV:
+    for argv in argvs:
         code, out = _run(argv)
         cases.append({"argv": argv, "exit": code, "stdout": out})
     return cases
@@ -120,11 +145,19 @@ def test_sweep_bytes_match_golden(name, tmp_path):
     assert sweep_bytes(name, tmp_path) == expected
 
 
-def test_verify_output_matches_golden():
-    expected = json.loads((DATA / "golden_verify.json").read_text())
-    assert [case["argv"] for case in expected] == VERIFY_ARGV
-    for got, want in zip(verify_cases(), expected):
+def _assert_matches(fixture: str, argvs: list[list[str]]) -> None:
+    expected = json.loads((DATA / fixture).read_text())
+    assert [case["argv"] for case in expected] == argvs
+    for got, want in zip(cli_cases(argvs), expected):
         assert got == want, want["argv"]
+
+
+def test_verify_output_matches_golden():
+    _assert_matches("golden_verify.json", VERIFY_ARGV)
+
+
+def test_cli_output_matches_golden():
+    _assert_matches("golden_cli.json", CLI_ARGV)
 
 
 def record() -> None:
@@ -132,7 +165,8 @@ def record() -> None:
     with tempfile.TemporaryDirectory() as tmp:
         for name in SWEEPS:
             (DATA / f"golden_sweep_{name}.jsonl").write_bytes(sweep_bytes(name, Path(tmp)))
-    (DATA / "golden_verify.json").write_text(json.dumps(verify_cases(), indent=1) + "\n")
+    for fixture, argvs in (("golden_verify.json", VERIFY_ARGV), ("golden_cli.json", CLI_ARGV)):
+        (DATA / fixture).write_text(json.dumps(cli_cases(argvs), indent=1) + "\n")
 
 
 if __name__ == "__main__":
