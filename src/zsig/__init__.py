@@ -9,9 +9,7 @@ from .bounds import (
     compute_sign_sets,
     omega,
     omega_inequality_audit,
-    omega_inequality_check,
     prop31_check,
-    s_d,
     theorem1_bound,
 )
 from .config import RunConfig, config_from_env
@@ -43,8 +41,6 @@ from .zsigmondy import (
     PrimitiveVerdict,
     ZsigmondyReport,
     check_zsigmondy_divisibility,
-    cor23_inequality,
-    primitive_verdict,
     verify_rigid_divisibility,
     zsigmondy_set,
 )

@@ -16,26 +16,12 @@ from math import gcd, isqrt
 
 from .config import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND
 
-# Below this, the fixed Miller-Rabin base set is a proven primality test.
+# The first 13 primes as Miller-Rabin bases prove primality below this bound,
+# psi_13 (Sorenson & Webster 2015).
 DETERMINISTIC_MR_LIMIT = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
-
-# Verified base sets for deterministic Miller-Rabin at increasing thresholds.
-_MR_STAGES = (
-    (341_531, (9345883071009581737,)),
-    (1_050_535_501, (336781006125, 9639812373923155)),
-    (350_269_456_337, (4230279247111683200, 14694767155120705706, 16641139526367750375)),
-    (55_245_642_489_451, (2, 141889084524735, 1199124725622454117, 11096072698276303650)),
-    (7_999_252_175_582_851,
-     (2, 4130806001517, 149795463772692060, 186635894390467037, 3967304179347715805)),
-    (585_226_005_592_931_977,
-     (2, 123635709730000, 9233062284813009, 43835965440333360,
-      761179012939631437, 1263739024124850375)),
-    (18_446_744_073_709_551_616, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
-    (318_665_857_834_031_151_167_461, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)),
-    (DETERMINISTIC_MR_LIMIT, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)),
-)
+_MR_BASES = _SMALL_PRIMES[:13]
 
 
 def _mr_witness(a: int, d: int, s: int, n: int) -> bool:
@@ -132,9 +118,7 @@ def is_prime(m: int) -> bool:
         d //= 2
         s += 1
     if m < DETERMINISTIC_MR_LIMIT:
-        for limit, bases in _MR_STAGES:
-            if m < limit:
-                return not any(_mr_witness(a, d, s, m) for a in bases)
+        return not any(_mr_witness(a, d, s, m) for a in _MR_BASES)
     return not _mr_witness(2, d, s, m) and _strong_lucas_prp(m)
 
 

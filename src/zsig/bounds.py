@@ -105,13 +105,6 @@ def omega(n: int) -> int:
     return len(distinct_primes(n))
 
 
-def s_d(d: int, n: int) -> int:
-    """sum of d^(n/q) over distinct primes q dividing n (0 for n = 1)."""
-    if d < 2 or n < 1:
-        raise ValueError("requires d >= 2 and n >= 1")
-    return sum(d ** (n // q) for q in distinct_primes(n))
-
-
 def omega_inequality_audit(d: int, n_max: int) -> tuple[list[int], list[int]]:
     """Exact audit of 2*omega(n) + 1 < d^(n/2) for 2 <= n <= n_max.
 
@@ -132,12 +125,6 @@ def omega_inequality_audit(d: int, n_max: int) -> tuple[list[int], list[int]]:
         elif lhs_sq > rhs:
             violations.append(n)
     return equalities, violations
-
-
-def omega_inequality_check(d: int, n_max: int) -> bool:
-    """True iff 2*omega(n) + 1 < d^(n/2) strictly for every 2 <= n <= n_max."""
-    equalities, violations = omega_inequality_audit(d, n_max)
-    return not equalities and not violations
 
 
 @dataclass(frozen=True)

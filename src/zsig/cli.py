@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import sys
-from fractions import Fraction
 from pathlib import Path
 
 from . import reports
@@ -27,7 +26,7 @@ from .heights import (
     trinomial_family_lower,
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
-from .polynomials import ParseError, PolyQ, parse_poly
+from .polynomials import ParseError, PolyQ, parse_poly, parse_rational
 from .verifiers import CLAIMS, SweepSpec, iter_sweep, sweep_keys, verify
 from .zsigmondy import zsigmondy_set
 
@@ -245,47 +244,53 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         print("error: --c is required", file=sys.stderr)
         return EXIT_PARSE
     verdict = verify(
-        args.theorem, args.d, Fraction(args.c), args.e, cfg, horizon=args.N
+        args.theorem, args.d, parse_rational(args.c), args.e, cfg, horizon=args.N
     )
     _print_verdict(verdict, cfg.output_format)
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
+
+
+def _sweep_records(text: str) -> list[dict]:
+    """The records of a sweep file's complete lines; ValueError on a malformed one."""
+    records = []
+    for line in text.splitlines():
+        if not line.strip():
+            continue
+        record = json.loads(line)
+        if not (
+            isinstance(record, dict)
+            and isinstance(record.get("key"), str)
+            and isinstance(record.get("consistent"), bool)
+        ):
+            raise ValueError(f"malformed sweep record: {_elide(line)}")
+        records.append(record)
+    return records
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     spec_data = json.loads(Path(args.spec).read_text())
     spec = SweepSpec.from_dict(spec_data)
     out = Path(args.out)
-    done: set[str] = set()
-    if out.exists():
-        data = out.read_bytes()
-        complete = data.rfind(b"\n") + 1
-        if complete < len(data):
-            # a run killed mid-write leaves an unterminated last line: drop it
-            # so the point is recomputed and the file stays line-aligned
-            with out.open("r+b") as handle:
-                handle.truncate(complete)
-        for line in data[:complete].decode().splitlines():
-            if line.strip():
-                done.add(json.loads(line)["key"])
+    data = out.read_bytes() if out.exists() else b""
+    complete = data.rfind(b"\n") + 1
+    done = {record["key"] for record in _sweep_records(data[:complete].decode())}
+    if complete < len(data):
+        # a run killed mid-write leaves an unterminated last line: drop it
+        # so the point is recomputed and the file stays line-aligned
+        with out.open("r+b") as handle:
+            handle.truncate(complete)
     points = spec.points()
     keys = sweep_keys(spec)
     todo = [(pt, key) for pt, key in zip(points, keys) if key not in done]
-    if todo:
-        # stream one line per verdict so an interrupted run resumes cleanly
-        with out.open("a") as handle:
-            verdicts = iter_sweep(spec, cfg, points=[pt for pt, _ in todo])
-            for (_, key), verdict in zip(todo, verdicts):
-                record = {"v": 1, "key": key}
-                record.update(reports.theorem_verdict_to_dict(verdict))
-                handle.write(_dump_json(record) + "\n")
-                handle.flush()
-    inconsistent = []
-    for line in out.read_text().splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if not record["consistent"]:
-            inconsistent.append(record["key"])
+    # stream one line per verdict so an interrupted run resumes cleanly
+    with out.open("a") as handle:
+        verdicts = iter_sweep(spec, cfg, points=[pt for pt, _ in todo])
+        for (_, key), verdict in zip(todo, verdicts):
+            record = {"v": 1, "key": key}
+            record.update(reports.theorem_verdict_to_dict(verdict))
+            handle.write(_dump_json(record) + "\n")
+            handle.flush()
+    inconsistent = [r["key"] for r in _sweep_records(out.read_text()) if not r["consistent"]]
     print(f"sweep complete: {len(done) + len(todo)} points in {out}")
     if inconsistent:
         print("INCONSISTENT VERDICTS (counterexample candidates):", file=sys.stderr)
@@ -392,7 +397,7 @@ def main(argv: list[str] | None = None) -> int:
     except FiniteOrbitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FINITE_ORBIT
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
 

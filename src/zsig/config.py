@@ -47,11 +47,18 @@ INT_KNOBS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, int
 
 
 def config_from_env(base: RunConfig | None = None) -> RunConfig:
-    """Build a RunConfig with ZSIG_* environment overrides applied."""
-    overrides = {}
-    for f in fields(RunConfig):
-        name = "FORMAT" if f.name == "output_format" else f.name.upper()
-        raw = os.environ.get(_ENV_PREFIX + name)
-        if raw is not None:
-            overrides[f.name] = type(f.default)(raw)  # int(raw), or the format string
+    """Build a RunConfig with ZSIG_* environment overrides applied; any other
+    ZSIG_* variable is a misspelt knob and raises ValueError."""
+    knobs = {
+        _ENV_PREFIX + ("FORMAT" if f.name == "output_format" else f.name.upper()): f
+        for f in fields(RunConfig)
+    }
+    unknown = sorted(k for k in os.environ if k.startswith(_ENV_PREFIX) and k not in knobs)
+    if unknown:
+        raise ValueError(f"unknown environment variable: {', '.join(unknown)}")
+    overrides = {
+        f.name: type(f.default)(os.environ[name])  # int(raw), or the format string
+        for name, f in knobs.items()
+        if name in os.environ
+    }
     return (base or RunConfig()).with_overrides(**overrides)

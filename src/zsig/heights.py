@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor
+from .arith import factor, v_p
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
 from .polynomials import PolyQ, clear_denominators
@@ -48,17 +48,7 @@ class HeightInterval:
 
 
 def _vp_fraction(x: Fraction, p: int) -> int:
-    if x == 0:
-        raise ValueError("valuation of 0 undefined")
-    v = 0
-    num, den = abs(x.numerator), x.denominator
-    while num % p == 0:
-        num //= p
-        v += 1
-    while den % p == 0:
-        den //= p
-        v -= 1
-    return v
+    return v_p(x.numerator, p) - v_p(x.denominator, p)
 
 
 def local_C_v(f: PolyQ, place: int | None) -> float:

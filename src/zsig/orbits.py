@@ -57,10 +57,6 @@ class OrbitEntry:
         return self.value.denominator
 
     @property
-    def abs_A(self) -> int:
-        return abs(self.value.numerator)
-
-    @property
     def is_unit(self) -> bool:
         return abs(self.value.numerator) == 1
 

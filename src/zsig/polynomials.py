@@ -29,7 +29,7 @@ class ParseError(ValueError):
     """Malformed polynomial text or coefficients violating the shape contract."""
 
 
-def _as_fraction(value: RationalLike) -> Fraction:
+def parse_rational(value: RationalLike) -> Fraction:
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:
@@ -99,9 +99,6 @@ class PolyQ:
             t = gcd(gcd(acc, shared), den)
         return _coprime_fraction(acc, den)
 
-    def __call__(self, x: Fraction) -> Fraction:
-        return self.evaluate(x)
-
     def __str__(self) -> str:
         parts = []
         for i in range(self.degree, -1, -1):
@@ -167,7 +164,7 @@ def _parse_symbolic(text: str) -> list[Fraction]:
             coeff = Fraction(sign)
             exp = int(m.group("exp2") or 1)
         else:
-            coeff = sign * _as_fraction(m.group("coeff"))
+            coeff = sign * parse_rational(m.group("coeff"))
             if m.group("var1") is not None:
                 exp = int(m.group("exp1") or 1)
             else:
@@ -184,7 +181,7 @@ def parse_poly(spec: str) -> PolyQ:
     if not text:
         raise ParseError("empty polynomial")
     if "z" not in text:
-        coeffs = [_as_fraction(tok.strip()) for tok in text.split(",")]
+        coeffs = [parse_rational(tok.strip()) for tok in text.split(",")]
     else:
         coeffs = _parse_symbolic(text)
     if len(coeffs) >= 1 and coeffs[-1] == 0:

@@ -33,7 +33,7 @@ from .heights import (
     trinomial_family_lower,
 )
 from .orbits import DigitBudgetError, OrbitEntry, orbit
-from .polynomials import PolyQ
+from .polynomials import PolyQ, parse_rational
 from .zsigmondy import divisor_product, zsigmondy_report_from_entries
 
 BINOMIAL = "z^d+c"
@@ -62,33 +62,53 @@ class SweepSpec:
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
-        family = data["family"]
+        """The spec of a parsed JSON object; a malformed one raises ValueError."""
+        if not isinstance(data, dict):
+            raise ValueError("sweep spec must be a JSON object")
+        family = data.get("family")
         if family not in (BINOMIAL, TRINOMIAL):
             raise ValueError(f"unknown family: {family!r}")
-        cs: list[Fraction] = [Fraction(tok) for tok in data.get("c", [])]
+        d_values = _spec_list(data, "d", None)
+        if any(d < 2 for d in d_values):
+            raise ValueError("every d must be >= 2")
+        cs = [parse_rational(tok) for tok in _spec_list(data, "c", [], ints=False)]
         grid = data.get("c_grid")
         if grid:
-            num_lo, num_hi = grid["num"]
-            den_lo, den_hi = grid["den"]
-            for den in range(den_lo, den_hi + 1):
-                for num in range(num_lo, num_hi + 1):
+            try:
+                (num_lo, num_hi), (den_lo, den_hi) = grid["num"], grid["den"]
+                dens, nums = range(den_lo, den_hi + 1), range(num_lo, num_hi + 1)
+            except (TypeError, KeyError, ValueError) as exc:
+                raise ValueError(f"c_grid needs integer ranges num and den: {grid!r}") from exc
+            if den_lo < 1:
+                raise ValueError("c_grid denominators must be positive")
+            for den in dens:
+                for num in nums:
                     if num == 0:
                         continue
                     frac = Fraction(num, den)
                     if frac.numerator == num and frac.denominator == den:
                         cs.append(frac)  # lowest-terms entries only, no dupes
-        budgets = []
-        for key, value in data.get("budgets", {}).items():
+        raw_budgets = data.get("budgets", {})
+        if not isinstance(raw_budgets, dict):
+            raise ValueError("budgets must be a JSON object")
+        budgets = {}
+        for key, value in raw_budgets.items():
             if key not in INT_KNOBS:
                 raise ValueError(f"unknown budget field: {key!r}")
-            budgets.append((key, int(value)))
+            if not isinstance(value, (int, str)):
+                raise ValueError(f"budget {key} must be an integer")
+            budgets[key] = int(value)
+        RunConfig(**budgets)  # positivity, checked before any output is written
+        horizon = data.get("horizon")
+        if horizon is not None and (type(horizon) is not int or horizon < 1):
+            raise ValueError(f"horizon must be a positive integer: {horizon!r}")
         return cls(
             family=family,
-            d_values=tuple(data["d"]),
-            e_values=tuple(data.get("e", [])),
+            d_values=tuple(d_values),
+            e_values=tuple(_spec_list(data, "e", [])),
             c_values=tuple(cs),
-            horizon=data.get("horizon"),
-            budgets=tuple(sorted(budgets)),
+            horizon=horizon,
+            budgets=tuple(sorted(budgets.items())),
         )
 
     def apply_budgets(self, config: RunConfig) -> RunConfig:
@@ -107,6 +127,13 @@ class SweepSpec:
                     for c in self.c_values:
                         pts.append((d, e, c))
         return pts
+
+
+def _spec_list(data: dict, key: str, default: list | None, ints: bool = True) -> list:
+    value = data.get(key, default)
+    if not isinstance(value, list) or ints and any(type(v) is not int for v in value):
+        raise ValueError(f"{key} must be a JSON list of {'integers' if ints else 'rationals'}")
+    return value
 
 
 def binomial(d: int, c: Fraction) -> PolyQ:
@@ -313,7 +340,9 @@ def verify(
     # trinomial() rejects e outside 2 <= e < d, so hypotheses never repeat it
     f = binomial(d, c) if claim.family == BINOMIAL else trinomial(d, e, c)
     hypothesis = claim.in_range(c) and claim.hypothesis(d, e, c)
-    entries, report, error = _observe(f, horizon or default_horizon(theorem_id), cfg)
+    if horizon is None:
+        horizon = default_horizon(theorem_id)
+    entries, report, error = _observe(f, horizon, cfg)
     details: dict = {"horizon_used": len(entries)}
     if error:
         details["error"] = error

@@ -10,7 +10,6 @@ without witnesses certifies rigid divisibility without factoring at all.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Sequence
@@ -59,17 +58,6 @@ def stripped_numerator(entries: Sequence[OrbitEntry], n: int) -> int:
             r //= g
             g = gcd(r, am)
     return r
-
-
-def primitive_verdict(
-    entries: Sequence[OrbitEntry], n: int, config: RunConfig | None = None
-) -> PrimitiveVerdict:
-    """Decide whether A_n has a prime divisor not dividing any earlier A_m."""
-    if not 1 <= n <= len(entries):
-        raise ValueError(f"index {n} outside computed orbit (1..{len(entries)})")
-    stripped = stripped_numerator(entries, n)
-    witnesses, _ = _witness_primes(stripped, config or RunConfig())
-    return PrimitiveVerdict(n, stripped > 1, stripped, witnesses, entries[n - 1].is_unit)
 
 
 def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[tuple[int, ...], list[int]]:
@@ -196,19 +184,3 @@ def check_zsigmondy_divisibility(entries: Sequence[OrbitEntry], n: int) -> bool:
     if prod == 0:
         return an == 0
     return prod % an == 0
-
-
-def cor23_inequality(entries: Sequence[OrbitEntry], n: int) -> tuple[float, float, bool]:
-    """Log form of the divisibility law: (log|A_n|, sum log|A_(n/q)|, lhs<=rhs).
-
-    A failing inequality proves the index has a primitive prime divisor; the
-    emptiness verifiers screen with it.
-    """
-    if n < 2:
-        raise ValueError("inequality applies to n >= 2")
-    lhs = math.log(abs(entries[n - 1].A))
-    rhs = 0.0
-    for q in distinct_primes(n):
-        rhs += math.log(abs(entries[n // q - 1].A))
-    return lhs, rhs, lhs <= rhs
-

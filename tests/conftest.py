@@ -29,7 +29,7 @@ def oracle_elements(entries, digit_cap=40):
     """
     decided = {}
     for n in range(1, len(entries) + 1):
-        an = entries[n - 1].abs_A
+        an = abs(entries[n - 1].A)
         if an == 1:
             decided[n] = True
             continue

@@ -72,6 +72,34 @@ def test_is_prime_lucas_half_rejects_base2_pseudoprimes(k):
     assert not is_prime(m)
 
 
+# psi_k, the smallest strong pseudoprime to all of the first k prime bases
+# (psi_8 = psi_7, psi_11 = psi_10 = psi_9).  psi_13 is DETERMINISTIC_MR_LIMIT
+# itself, decided by the Baillie-PSW branch.
+_PSI = {
+    1: 2047,
+    2: 1373653,
+    3: 25326001,
+    4: 3215031751,
+    5: 2152302898747,
+    6: 3474749660383,
+    7: 341550071728321,
+    9: 3825123056546413051,
+    12: 318665857834031151167461,
+    13: 3317044064679887385961981,
+}
+
+
+@pytest.mark.parametrize("k, m", sorted(_PSI.items()))
+def test_is_prime_rejects_smallest_strong_pseudoprimes(k, m):
+    # every base below the k-th prime is fooled, so dropping any of the 13
+    # bases would let psi_12 through as a prime
+    bases = list(sympy.primerange(2, sympy.prime(k) + 1))
+    assert len(bases) == k
+    assert not any(_mr_witness(a, *_odd_part(m), m) for a in bases)
+    assert not is_prime(m)
+    assert (m < DETERMINISTIC_MR_LIMIT) == (k < 13)
+
+
 def test_is_prime_beyond_deterministic_range_vs_sympy():
     rng = random.Random(5)
     cases = [rng.randrange(DETERMINISTIC_MR_LIMIT, 2**512) | 1 for _ in range(200)]

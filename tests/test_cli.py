@@ -317,6 +317,95 @@ def test_sweep_rejects_corrupt_middle_line(tmp_path, capsys):
     assert out_path.read_bytes() == corrupt
 
 
+_GOOD_SPEC = {"family": "z^d+c", "d": [3], "c": ["7/2", "5/2"], "horizon": 6}
+# one complete record and a torn one: a resume would truncate the tail
+_PARTIAL = b'{"v":1,"key":"cor12:d=3:c=7/2","consistent":true}\n{"v":1,"ke'
+
+
+def _usage_error(capsys, argv, out_path, before):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    if before is None:
+        assert not out_path.exists()
+    else:
+        assert out_path.read_bytes() == before
+
+
+@pytest.mark.parametrize("spec", [
+    [_GOOD_SPEC],
+    {"family": "z^d+c", "c": ["7/2"]},
+    {**_GOOD_SPEC, "d": 3},
+    {**_GOOD_SPEC, "d": [1]},
+    {**_GOOD_SPEC, "c": ["1/0"]},
+    {**_GOOD_SPEC, "c_grid": {"num": [1, 3], "den": [0, 2]}},
+    {**_GOOD_SPEC, "c_grid": {"num": [1, 3]}},
+    {**_GOOD_SPEC, "budgets": []},
+    {**_GOOD_SPEC, "budgets": {"digit_budget": 0}},
+    {**_GOOD_SPEC, "horizon": "8"},
+    {**_GOOD_SPEC, "horizon": 0},
+    {**_GOOD_SPEC, "horizon": -1},
+    {"d": [3], "c": ["7/2"]},
+])
+def test_sweep_rejects_malformed_spec(tmp_path, capsys, spec):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "results.jsonl"
+    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, None)
+    out_path.write_bytes(_PARTIAL)
+    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, _PARTIAL)
+
+
+@pytest.mark.parametrize("line", [
+    b"[1]", b"{}", b'{"key":"cor12:d=3:c=5/2"}', b'{"key":7,"consistent":true}',
+    b'{"key":"cor12:d=3:c=5/2","consistent":"no"}', b'"cor12:d=3:c=5/2"',
+])
+def test_sweep_rejects_malformed_resume_record(tmp_path, capsys, line):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(_GOOD_SPEC))
+    out_path = tmp_path / "results.jsonl"
+    before = line + b"\n" + _PARTIAL
+    out_path.write_bytes(before)
+    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, before)
+
+
+def test_sweep_missing_spec_or_directory_output(tmp_path, capsys):
+    spec_path = tmp_path / "grid.json"
+    out_path = tmp_path / "results.jsonl"
+    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, None)
+    spec_path.write_text(json.dumps(_GOOD_SPEC))
+    code, _, err = run(capsys, "sweep", str(spec_path), "-o", str(tmp_path))
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
+
+
+def test_verify_zero_denominator_is_a_usage_error(capsys):
+    code, _, err = run(capsys, "verify", "cor12", "--d", "3", "--c", "1/0")
+    assert code == 2
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "cor12", "--d", "3", "--c", "7/2", "-N", "0"],
+    ["verify", "thm13", "--d", "4", "--e", "2", "--c", "5/2", "-N", "-1"],
+    ["orbit", "--coeffs", "1,0,1", "-N", "0"],
+    ["orbit", "--coeffs", "1,0,1", "-N", "-1"],
+])
+def test_nonpositive_horizon_is_a_usage_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == "" and err.startswith("error: ")
+
+
+def test_unknown_env_variable_is_a_usage_error(capsys, monkeypatch):
+    monkeypatch.setenv("ZSIG_RHO_BUDGET", "5")
+    monkeypatch.setenv("ZSIG_PRIMALITY_ROUNDS", "3")
+    code, out, err = run(capsys, "verify", "cor12", "--d", "3", "--c", "7/2", *FAST)
+    assert code == 2 and out == ""
+    assert err == "error: unknown environment variable: ZSIG_PRIMALITY_ROUNDS, ZSIG_RHO_BUDGET\n"
+
+
 def test_removed_primality_rounds_is_a_usage_error(tmp_path, capsys):
     code, _, _ = run(capsys, "zsig", "--coeffs", "1,0,1", "-N", "5", "--primality-rounds", "3")
     assert code == 2

@@ -64,5 +64,7 @@ def test_knob_lists_come_from_the_fields(monkeypatch):
     for name in ("output_format", "primality_rounds"):
         with pytest.raises(ValueError, match="unknown budget field"):
             SweepSpec.from_dict({**spec, "budgets": {name: 1}})
+    # a misspelt or removed knob is an error, not a silent default
     monkeypatch.setenv("ZSIG_PRIMALITY_ROUNDS", "0")
-    assert config_from_env() == RunConfig()
+    with pytest.raises(ValueError, match="ZSIG_PRIMALITY_ROUNDS"):
+        config_from_env()

@@ -55,7 +55,7 @@ def test_digit_budget():
     with pytest.raises(DigitBudgetError) as exc:
         orbit(f, 30, digit_budget=50)
     assert exc.value.entries  # partial results preserved
-    assert all(len(str(e.abs_A)) <= 50 for e in exc.value.entries)
+    assert all(len(str(abs(e.A))) <= 50 for e in exc.value.entries)
 
 
 def test_entries_reduced_and_composable():

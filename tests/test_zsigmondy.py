@@ -7,11 +7,9 @@ from zsig import (
     FiniteOrbitError,
     OrbitEntry,
     check_zsigmondy_divisibility,
-    cor23_inequality,
     factor,
     orbit,
     parse_poly,
-    primitive_verdict,
     verify_rigid_divisibility,
     v_p,
     zsigmondy_set,
@@ -25,37 +23,39 @@ Z2P1 = orbit(parse_poly("1,0,1"), 6).entries
 
 
 def test_primitive_verdict_stripping():
-    v = primitive_verdict(Z2P1, 4, LEAN)
+    v = zsigmondy_report_from_entries(Z2P1, LEAN).per_index[4 - 1]
     assert v.stripped_part == 13
     assert v.has_primitive
     assert v.witness_primes == (13,)
 
 
 def test_primitive_verdict_unit():
-    v = primitive_verdict(Z2P1, 1, LEAN)
+    v = zsigmondy_report_from_entries(Z2P1, LEAN).per_index[1 - 1]
     assert v.is_unit and not v.has_primitive
     assert v.stripped_part == 1
 
 
 def test_primitive_verdict_strips_shared_factor():
     entries = orbit(parse_poly("5/2,0,0,1"), 2).entries
-    v = primitive_verdict(entries, 2, LEAN)
+    v = zsigmondy_report_from_entries(entries, LEAN).per_index[2 - 1]
     assert v.stripped_part == 29  # 145 = 5 * 29, the 5 is shared with A_1
     assert v.has_primitive
 
 
 def test_stripped_part_divides_numerator():
     entries = orbit(parse_poly("3,0,1"), 7).entries
+    report = zsigmondy_report_from_entries(entries, LEAN)
     for n in range(1, 8):
-        v = primitive_verdict(entries, n, LEAN)
-        assert entries[n - 1].abs_A % v.stripped_part == 0
+        v = report.per_index[n - 1]
+        assert abs(entries[n - 1].A) % v.stripped_part == 0
 
 
 def test_witness_primes_are_primitive():
     for text in ("3,0,1", "5/2,0,0,1", "7/2,0,0,1"):
         entries = orbit(parse_poly(text), 7).entries
+        report = zsigmondy_report_from_entries(entries, LEAN)
         for n in range(1, 8):
-            v = primitive_verdict(entries, n, LEAN)
+            v = report.per_index[n - 1]
             for p in v.witness_primes:
                 assert entries[n - 1].A % p == 0, (text, n, p)
                 assert all(entries[m - 1].A % p != 0 for m in range(1, n)), (text, n, p)
@@ -106,18 +106,6 @@ def test_divisibility_law_at_unit_index():
 def test_divisibility_law_fails_off_elements():
     # A_2 = 2 does not divide A_1 = 1
     assert not check_zsigmondy_divisibility(Z2P1, 2)
-
-
-def test_cor23_examples():
-    lhs, rhs, holds = cor23_inequality(Z2P1, 4)
-    assert math.isclose(lhs, math.log(26))
-    assert math.isclose(rhs, math.log(2))
-    assert not holds
-    lhs, rhs, holds = cor23_inequality(Z2P1, 2)
-    assert math.isclose(lhs, math.log(2)) and rhs == 0.0 and not holds
-    lhs, rhs, holds = cor23_inequality(Z2P1, 6)
-    assert math.isclose(rhs, math.log(10))
-    assert not holds
 
 
 CORPUS = (
