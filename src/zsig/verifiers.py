@@ -131,7 +131,7 @@ class SweepSpec:
 
 def _spec_list(data: dict, key: str, default: list | None, ints: bool = True) -> list:
     value = data.get(key, default)
-    if not isinstance(value, list) or ints and any(type(v) is not int for v in value):
+    if not isinstance(value, list) or (ints and any(type(v) is not int for v in value)):
         raise ValueError(f"{key} must be a JSON list of {'integers' if ints else 'rationals'}")
     return value
 

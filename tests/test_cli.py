@@ -322,10 +322,15 @@ _GOOD_SPEC = {"family": "z^d+c", "d": [3], "c": ["7/2", "5/2"], "horizon": 6}
 _PARTIAL = b'{"v":1,"key":"cor12:d=3:c=7/2","consistent":true}\n{"v":1,"ke'
 
 
-def _usage_error(capsys, argv, out_path, before):
-    code, _, err = run(capsys, *argv)
-    assert code == 2
+def _assert_usage_error(capsys, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def _assert_sweep_usage_error(capsys, spec_path, out_path, before):
+    """Exit 2 and the output file as it was (``before`` None: never created)."""
+    _assert_usage_error(capsys, "sweep", str(spec_path), "-o", str(out_path))
     if before is None:
         assert not out_path.exists()
     else:
@@ -351,9 +356,9 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, spec):
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(json.dumps(spec))
     out_path = tmp_path / "results.jsonl"
-    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, None)
+    _assert_sweep_usage_error(capsys, spec_path, out_path, None)
     out_path.write_bytes(_PARTIAL)
-    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, _PARTIAL)
+    _assert_sweep_usage_error(capsys, spec_path, out_path, _PARTIAL)
 
 
 @pytest.mark.parametrize("line", [
@@ -364,38 +369,27 @@ def test_sweep_rejects_malformed_resume_record(tmp_path, capsys, line):
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(json.dumps(_GOOD_SPEC))
     out_path = tmp_path / "results.jsonl"
-    before = line + b"\n" + _PARTIAL
-    out_path.write_bytes(before)
-    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, before)
+    out_path.write_bytes(line + b"\n" + _PARTIAL)
+    _assert_sweep_usage_error(capsys, spec_path, out_path, line + b"\n" + _PARTIAL)
 
 
 def test_sweep_missing_spec_or_directory_output(tmp_path, capsys):
     spec_path = tmp_path / "grid.json"
-    out_path = tmp_path / "results.jsonl"
-    _usage_error(capsys, ["sweep", str(spec_path), "-o", str(out_path)], out_path, None)
+    _assert_sweep_usage_error(capsys, spec_path, tmp_path / "results.jsonl", None)
     spec_path.write_text(json.dumps(_GOOD_SPEC))
-    code, _, err = run(capsys, "sweep", str(spec_path), "-o", str(tmp_path))
-    assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    _assert_usage_error(capsys, "sweep", str(spec_path), "-o", str(tmp_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
 
-def test_verify_zero_denominator_is_a_usage_error(capsys):
-    code, _, err = run(capsys, "verify", "cor12", "--d", "3", "--c", "1/0")
-    assert code == 2
-    assert len(err.splitlines()) == 1 and err.startswith("error: ")
-
-
 @pytest.mark.parametrize("argv", [
+    ["verify", "cor12", "--d", "3", "--c", "1/0"],
     ["verify", "cor12", "--d", "3", "--c", "7/2", "-N", "0"],
     ["verify", "thm13", "--d", "4", "--e", "2", "--c", "5/2", "-N", "-1"],
     ["orbit", "--coeffs", "1,0,1", "-N", "0"],
     ["orbit", "--coeffs", "1,0,1", "-N", "-1"],
 ])
-def test_nonpositive_horizon_is_a_usage_error(capsys, argv):
-    code, out, err = run(capsys, *argv)
-    assert code == 2
-    assert out == "" and err.startswith("error: ")
+def test_zero_denominator_or_nonpositive_horizon_is_a_usage_error(capsys, argv):
+    _assert_usage_error(capsys, *argv)
 
 
 def test_unknown_env_variable_is_a_usage_error(capsys, monkeypatch):
