@@ -33,7 +33,7 @@ from .heights import (
     trinomial_family_lower,
 )
 from .orbits import DigitBudgetError, OrbitEntry, orbit
-from .polynomials import PolyQ, parse_rational
+from .polynomials import PolyQ, clear_denominators, parse_rational
 from .zsigmondy import divisor_product, zsigmondy_report_from_entries
 
 BINOMIAL = "z^d+c"
@@ -162,10 +162,14 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
         entries = exc.entries
         if not entries:
             return [], None, "digit budget exhausted before the first iterate"
-        return entries, zsigmondy_report_from_entries(entries, cfg, witnesses=False), None
-    if not orb.wandering:
-        return orb.entries, None, f"finite orbit: {orb.describe_cycle()}"
-    return orb.entries, zsigmondy_report_from_entries(orb.entries, cfg, witnesses=False), None
+    else:
+        if not orb.wandering:
+            return orb.entries, None, f"finite orbit: {orb.describe_cycle()}"
+        entries = orb.entries
+    report = zsigmondy_report_from_entries(
+        entries, cfg, witnesses=False, denominator_lcm=clear_denominators(f)[1]
+    )
+    return entries, report, None
 
 
 def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int]:

@@ -6,6 +6,16 @@ with an earlier numerator.  That gcd-stripping never factors the huge A_n,
 so it stays exact at any size; factorization only decorates the verdicts
 with explicit witness primes where the budget allows, and a report built
 without witnesses certifies rigid divisibility without factoring at all.
+
+Strong divisibility (Rice 2007; Ingram-Silverman 2009) keeps the strip
+short.  Let L be the lcm of the coefficient denominators of f and p a prime
+not dividing L, with v = v_p(A_m) > 0.  Then f^m(0) = 0 mod p^v, so
+f^n(0) = f^(n-m)(0) mod p^v, and Euclid's algorithm on the indices gives
+min(v_p(A_n), v_p(A_m)) = v_p(A_gcd(n,m)).  A prime of A_n that is not in
+L and divides an earlier A_m therefore divides A_(n/q) for some prime q | n.
+The primes of L obey no such law, so the strip of A_n runs against |A_(n/q)|
+for the omega(n) primes q | n plus the small gcd(A_m, L) for each m < n.
+Without a polynomial (L = 0) the second list is every earlier |A_m|.
 """
 
 from __future__ import annotations
@@ -17,7 +27,7 @@ from typing import Sequence
 from .arith import distinct_primes, factor, v_p
 from .config import RunConfig
 from .orbits import OrbitEntry, wandering_entries
-from .polynomials import PolyQ
+from .polynomials import PolyQ, clear_denominators
 
 
 @dataclass(frozen=True)
@@ -46,24 +56,28 @@ class RigidViolation:
     expected: int
 
 
-def stripped_numerator(entries: Sequence[OrbitEntry], n: int) -> int:
-    """|A_n| with every prime occurring in some earlier A_m divided out fully."""
+def stripped_numerator(entries: Sequence[OrbitEntry], n: int, denominator_lcm: int = 0) -> int:
+    """|A_n| with every prime occurring in some earlier A_m divided out fully.
+
+    ``denominator_lcm`` is L of the module docstring; 0 means no polynomial
+    is known, and since gcd(A_m, 0) = |A_m| the strip is then against every
+    earlier numerator.
+    """
     r = abs(entries[n - 1].A)
-    for m in range(1, n):
-        am = abs(entries[m - 1].A)
-        if am <= 1:
-            continue
-        g = gcd(r, am)
+    moduli = [entries[n // q - 1].A for q in distinct_primes(n)]
+    moduli += [gcd(e.A, denominator_lcm) for e in entries[: n - 1]]
+    for modulus in moduli:
+        g = gcd(r, modulus)
         while g > 1:
             r //= g
-            g = gcd(r, am)
+            g = gcd(r, g)  # every prime r still shares with the modulus divides g
     return r
 
 
-def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[tuple[int, ...], list[int]]:
-    """(sorted witness primes, primes found by trial division) of a stripped part."""
+def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[int, ...]:
+    """Sorted witness primes of a stripped part, as far as the budgets reach."""
     if stripped <= 1:
-        return (), []
+        return ()
     report = factor(
         stripped,
         trial_bound=cfg.factor_trial_bound,
@@ -71,10 +85,9 @@ def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[tuple[int, ...], lis
         seed=cfg.seed,
     )
     primes = [p for p, _ in report.factored]
-    small_primes = [p for p in primes if p <= cfg.factor_trial_bound]
     if report.cofactor_status == "probable_prime":
         primes.append(report.cofactor)
-    return tuple(sorted(primes)), small_primes
+    return tuple(sorted(primes))
 
 
 def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> ZsigmondyReport:
@@ -87,13 +100,21 @@ def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> Zsigmond
         raise ValueError("Zsigmondy computations require a zero linear coefficient")
     cfg = config or RunConfig()
     entries = wandering_entries(f, N, digit_budget=cfg.digit_budget)
-    return zsigmondy_report_from_entries(entries, cfg)
+    return zsigmondy_report_from_entries(entries, cfg, denominator_lcm=clear_denominators(f)[1])
 
 
 def zsigmondy_report_from_entries(
-    entries: Sequence[OrbitEntry], config: RunConfig | None = None, *, witnesses: bool = True
+    entries: Sequence[OrbitEntry],
+    config: RunConfig | None = None,
+    *,
+    witnesses: bool = True,
+    denominator_lcm: int = 0,
 ) -> ZsigmondyReport:
     """Per-index verdicts, elements and rigid-divisibility violations.
+
+    ``denominator_lcm`` is the lcm of the coefficient denominators of the
+    polynomial the entries come from, or 0 when no polynomial is known; it
+    shortens the strip and names the primes the valuation law exempts.
 
     With ``witnesses=False`` no stripped part is factored: witness lists and
     the k(p) table stay empty, and ``rigid_law_holds`` certifies the
@@ -102,26 +123,19 @@ def zsigmondy_report_from_entries(
     """
     cfg = config or RunConfig()
     N = len(entries)
-    stripped = [stripped_numerator(entries, n) for n in range(1, N + 1)]
+    stripped = [stripped_numerator(entries, n, denominator_lcm) for n in range(1, N + 1)]
     factoring = witnesses or not rigid_law_holds(entries, stripped)
     per_index: list[PrimitiveVerdict] = []
-    discovered: set[int] = set()
-    # Every prime's first appearance sits inside that index's stripped part,
-    # so the stripped-part factorizations surface all small primes of all A_n.
-    for n, s in enumerate(stripped, start=1):
-        primes, small = _witness_primes(s, cfg) if factoring else ((), [])
-        per_index.append(PrimitiveVerdict(n, s > 1, s, primes, entries[n - 1].is_unit))
-        discovered.update(small)
-        discovered.update(primes)
-    elements = [v.n for v in per_index if not v.has_primitive]
     k_table: dict[int, int] = {}
-    for p in sorted(discovered):
-        for entry in entries:
-            if entry.A % p == 0:
-                k_table[p] = entry.n
-                break
+    for n, s in enumerate(stripped, start=1):
+        primes = _witness_primes(s, cfg) if factoring else ()
+        per_index.append(PrimitiveVerdict(n, s > 1, s, primes, entries[n - 1].is_unit))
+        # S_n is coprime to every earlier A_m, so a prime found in it first divides A_n
+        k_table.update(dict.fromkeys(primes, n))
+    elements = [v.n for v in per_index if not v.has_primitive]
+    k_table = dict(sorted(k_table.items()))
     report = ZsigmondyReport(N, elements, per_index, k_table)
-    report.rigid_violations = verify_rigid_divisibility(entries, k_table)
+    report.rigid_violations = verify_rigid_divisibility(entries, k_table, denominator_lcm)
     return report
 
 
@@ -146,16 +160,22 @@ def rigid_law_holds(entries: Sequence[OrbitEntry], stripped: Sequence[int]) -> b
 
 
 def verify_rigid_divisibility(
-    entries: Sequence[OrbitEntry], k_table: dict[int, int]
+    entries: Sequence[OrbitEntry], k_table: dict[int, int], denominator_lcm: int = 0
 ) -> list[RigidViolation]:
     """Check the valuation law: v_p(A_n) equals v_p(A_k(p)) when k(p) | n, else 0.
 
-    Primes dividing any denominator B_m are excluded; the law is asserted only
-    for numerator primes.  An empty result means the law held everywhere.
+    The law holds only for primes not dividing a coefficient denominator of
+    f, so the primes of ``denominator_lcm`` are excluded; with 0 (no
+    polynomial known) the primes dividing any B_m are.  An empty result
+    means the law held everywhere else.
     """
     violations: list[RigidViolation] = []
     for p, k in sorted(k_table.items()):
-        if any(e.B % p == 0 for e in entries):
+        if denominator_lcm:
+            exempt = denominator_lcm % p == 0
+        else:
+            exempt = any(e.B % p == 0 for e in entries)
+        if exempt:
             continue
         base = v_p(entries[k - 1].A, p)
         for e in entries:

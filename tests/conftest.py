@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 import sympy
@@ -18,6 +19,24 @@ def lean_config() -> RunConfig:
 
 def frac(s) -> Fraction:
     return Fraction(s)
+
+
+def full_strip(entries, n):
+    """|A_n| stripped, to full multiplicity, against every earlier |A_m|.
+
+    The definition of the stripped part, with n - 1 gcds of full-size
+    operands: the reference for ``zsigmondy.stripped_numerator``.
+    """
+    r = abs(entries[n - 1].A)
+    for m in range(1, n):
+        am = abs(entries[m - 1].A)
+        if am <= 1:
+            continue
+        g = gcd(r, am)
+        while g > 1:
+            r //= g
+            g = gcd(r, am)
+    return r
 
 
 def oracle_elements(entries, digit_cap=40):

@@ -2,11 +2,15 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from zsig import (
+    DigitBudgetError,
     FiniteOrbitError,
     OrbitEntry,
+    PolyQ,
     check_zsigmondy_divisibility,
+    clear_denominators,
     factor,
     orbit,
     parse_poly,
@@ -17,7 +21,7 @@ from zsig import (
 import zsig.zsigmondy as zmod
 from zsig.zsigmondy import rigid_law_holds, stripped_numerator, zsigmondy_report_from_entries
 from zsig.verifiers import binomial, trinomial
-from tests.conftest import LEAN, oracle_elements
+from tests.conftest import LEAN, full_strip, oracle_elements
 
 Z2P1 = orbit(parse_poly("1,0,1"), 6).entries
 
@@ -185,6 +189,7 @@ def _hand_built(numerators):
 
 # A_2 = 2 * 3: the 3 then reappears at the odd index 3 (and its square at 4)
 BROKEN = _hand_built([2, 6, 15, 36, 7])
+HAND_BUILT = [_hand_built(a) for a in ([1, 4, 3, 16], [3, 5, 3], [2, 2], [5, 7, 11, 35])]
 
 
 def test_rigid_law_holds_matches_pairwise_check(corpus_reports):
@@ -197,8 +202,7 @@ def test_rigid_law_holds_matches_pairwise_check(corpus_reports):
         assert rigid_law_holds(entries, stripped) and _pairwise_rigid(entries), fname
         checked += 1
     assert checked > 20
-    hand_built = [_hand_built(a) for a in ([1, 4, 3, 16], [3, 5, 3], [2, 2], [5, 7, 11, 35])]
-    for entries in [BROKEN] + hand_built:
+    for entries in [BROKEN] + HAND_BUILT:
         stripped = [stripped_numerator(entries, n) for n in range(1, len(entries) + 1)]
         assert rigid_law_holds(entries, stripped) == _pairwise_rigid(entries), entries
     assert not _pairwise_rigid(BROKEN)
@@ -223,3 +227,66 @@ def test_verdict_only_report_never_factors_a_rigid_sequence(monkeypatch):
     entries = orbit(parse_poly("5/2,0,1,0,1"), 8).entries
     report = zsigmondy_report_from_entries(entries, LEAN, witnesses=False)
     assert report.elements == [] and report.rigid_violations == []
+
+
+def test_default_strip_is_the_full_strip():
+    # no polynomial known (L = 0): hand-built sequences obey no strong
+    # divisibility, so every earlier numerator must take part
+    for entries in [BROKEN] + HAND_BUILT:
+        for n in range(1, len(entries) + 1):
+            assert stripped_numerator(entries, n) == full_strip(entries, n), (entries, n)
+
+
+def _orbit_prefix(f, horizon, digit_budget):
+    try:
+        entries = orbit(f, horizon, digit_budget=digit_budget).entries
+    except DigitBudgetError as exc:
+        entries = exc.entries
+    return [e for e in entries if e.A != 0]  # a return to 0 ends the orbit
+
+
+# Denominators rich in 2 and 3, so denominator primes meet the numerators.
+_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12])
+_coeff = st.builds(Fraction, st.integers(min_value=-12, max_value=12), _dens)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(_coeff, min_size=2, max_size=4)
+    .filter(lambda cs: cs[-1] != 0 and any(c.denominator > 1 for c in cs)),
+    st.integers(min_value=1, max_value=7),
+)
+def test_strip_matches_full_strip(coeffs, horizon):
+    f = PolyQ((coeffs[0], Fraction(0), *coeffs[1:]))
+    L = clear_denominators(f)[1]
+    entries = _orbit_prefix(f, horizon, digit_budget=400)
+    for n in range(1, len(entries) + 1):
+        assert stripped_numerator(entries, n, L) == full_strip(entries, n), (str(f), n)
+
+
+@pytest.mark.parametrize("coeffs", ["1/3,0,1/2,5/6", "1,0,5/2,3/2,-2"])
+def test_strip_needs_the_denominator_term(coeffs):
+    # A_5 shares the denominator prime 2 with A_2 or A_3, which no A_(5/q)
+    # holds: only the gcd(A_m, L) moduli strip it
+    f = parse_poly(coeffs)
+    entries = orbit(f, 5).entries
+    L = clear_denominators(f)[1]
+    assert stripped_numerator(entries, 5, L) == full_strip(entries, 5)
+    assert stripped_numerator(entries, 5, 1) != full_strip(entries, 5)
+
+
+@pytest.mark.parametrize("coeffs", ["1/3,0,1/2,5/6", "1,0,5/2,3/2,-2"])
+def test_denominator_primes_are_exempt_from_the_rigidity_law(coeffs):
+    # L is 6 and 2, but no B_m is even: the law fails at the denominator
+    # prime 2, and that is no violation
+    f = parse_poly(coeffs)
+    L = clear_denominators(f)[1]
+    entries = orbit(f, 5).entries
+    assert all(e.B % 2 for e in entries)
+    report = zsigmondy_set(f, 5, LEAN)
+    assert 2 in report.k_table and report.rigid_violations == []
+    lean = zsigmondy_report_from_entries(entries, LEAN, witnesses=False, denominator_lcm=L)
+    assert lean.rigid_violations == []
+    # without the polynomial only the primes of the B_m are exempt
+    bare = zsigmondy_report_from_entries(entries, LEAN)
+    assert {v.prime for v in bare.rigid_violations} == {2}
