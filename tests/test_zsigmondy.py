@@ -242,7 +242,7 @@ def _orbit_prefix(f, horizon, digit_budget):
         entries = orbit(f, horizon, digit_budget=digit_budget).entries
     except DigitBudgetError as exc:
         entries = exc.entries
-    return [e for e in entries if e.A != 0]  # a return to 0 ends the orbit
+    return [e for e in entries if e.A != 0]  # the zero that ends an orbit has no stripped part
 
 
 # Denominators rich in 2 and 3, so denominator primes meet the numerators.
