@@ -3,18 +3,18 @@
 Numerators of orbit sequences routinely reach thousands of digits, so trial
 division works through gcds with precomputed prime-block products, and the
 Pollard rho stage is charged against a work budget that scales with operand
-size.  Everything here is deterministic for fixed (input, budget, seed).
+size.  Everything here is deterministic for fixed (input, budget).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cache
 from itertools import compress
 from math import gcd, isqrt
 
-from .config import DEFAULT_RHO_BUDGET, DEFAULT_TRIAL_BOUND
+from .config import DEFAULT_RHO_BUDGET
 
 # The first 13 primes as Miller-Rabin bases prove primality below this bound,
 # psi_13 (Sorenson & Webster 2015).
@@ -152,17 +152,8 @@ def distinct_primes(n: int) -> list[int]:
     return primes
 
 
-@lru_cache(maxsize=4)
-def _sieve_primes(bound: int) -> tuple[int, ...]:
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * ((bound - start) // p + 1)
-    return tuple(compress(range(bound + 1), sieve))
-
-
+# Trial division strips every prime up to this bound.
+TRIAL_BOUND = 1_000_000
 # Primes per block product (about 80k bits near 10^6).  The gcds against all
 # blocks together cost what one gcd against the full primorial did, and the
 # first call no longer pays for building that 1.44M-bit product.
@@ -179,38 +170,36 @@ def _product(nums: tuple[int, ...]) -> int:
     return nums[0] if nums else 1
 
 
-@lru_cache(maxsize=4)
-def _prime_blocks(bound: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Consecutive runs of the primes <= bound, each with its product."""
-    primes = _sieve_primes(bound)
+def _sieve_primes(bound: int) -> tuple[int, ...]:
+    # a separate call, so the 1 MB sieve is freed before the products grow
+    sieve = bytearray([1]) * (bound + 1)
+    sieve[:2] = b"\x00\x00"
+    for p in range(2, isqrt(bound) + 1):
+        if sieve[p]:
+            start = p * p
+            sieve[start::p] = b"\x00" * ((bound - start) // p + 1)
+    return tuple(compress(range(bound + 1), sieve))
+
+
+@cache
+def _prime_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Consecutive runs of the primes <= TRIAL_BOUND, each with its product;
+    built on the first call, so only processes that factor pay for it."""
+    primes = _sieve_primes(TRIAL_BOUND)
     runs = (primes[i:i + _BLOCK_PRIMES] for i in range(0, len(primes), _BLOCK_PRIMES))
     return tuple((run, _product(run)) for run in runs)
 
 
-def trial_division(m: int, bound: int = DEFAULT_TRIAL_BOUND) -> tuple[dict[int, int], int]:
-    """Strip all prime factors <= bound from m; return ({p: e}, remaining)."""
+def trial_division(m: int) -> tuple[dict[int, int], int]:
+    """Strip all prime factors <= TRIAL_BOUND from m; return ({p: e}, remaining)."""
     if m < 1:
         raise ValueError("trial_division expects a positive integer")
     found: dict[int, int] = {}
     if m == 1:
         return found, 1
-    if m.bit_length() <= 64:
-        for p in _sieve_primes(bound):
-            if p * p > m:
-                break
-            if m % p == 0:
-                e = 0
-                while m % p == 0:
-                    m //= p
-                    e += 1
-                found[p] = e
-        if 1 < m <= bound:
-            found[m] = found.get(m, 0) + 1
-            m = 1
-        return found, m
     # one gcd per block product finds the squarefree product of the block's
     # prime divisors; scanning that small product is then cheap
-    for primes, block in _prime_blocks(bound):
+    for primes, block in _prime_blocks():
         g = gcd(m, block)
         if g == 1:
             continue
@@ -324,16 +313,14 @@ class FactorReport:
 def factor(
     m: int,
     *,
-    trial_bound: int = DEFAULT_TRIAL_BOUND,
     rho_budget: int = DEFAULT_RHO_BUDGET,
-    seed: int = 0,
 ) -> FactorReport:
     """Trial division then budgeted Brent rho; never fails, may leave a cofactor."""
     if m < 1:
         raise ValueError("factor expects a positive integer")
     if m == 1:
         return FactorReport(1, (), 1, "one")
-    found, rest = trial_division(m, trial_bound)
+    found, rest = trial_division(m)
     budget = rho_budget
     pending = [rest] if rest > 1 else []
     unresolved: list[tuple[int, bool]] = []  # (value, known probable prime)
@@ -355,7 +342,7 @@ def factor(
         if budget <= 0:
             unresolved.append((n, False))
             continue
-        rng = random.Random((n % (1 << 61)) ^ seed)
+        rng = random.Random(n % (1 << 61))
         divisor, spent = _brent_rho(n, budget, rng)
         budget -= spent
         if divisor is None:

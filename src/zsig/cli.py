@@ -303,10 +303,8 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--format", choices=("text", "json", "csv"), default=None)
     parser.add_argument("--digit-budget", type=int, default=None)
-    parser.add_argument("--trial-bound", type=int, default=None)
     parser.add_argument("--rho-budget", type=int, default=None)
     parser.add_argument("--workers", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=None)
 
 
 def _add_poly_args(parser: argparse.ArgumentParser) -> None:
@@ -381,10 +379,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         cfg = config_from_env().with_overrides(
             digit_budget=args.digit_budget,
-            factor_trial_bound=args.trial_bound,
             factor_rho_budget=args.rho_budget,
             workers=args.workers,
-            seed=args.seed,
             output_format=args.format,
         )
         return args.func(args, cfg)

@@ -1,7 +1,8 @@
-"""Run-wide knobs: budgets, output format, RNG seed.
+"""Run-wide knobs: budgets, workers, output format.
 
 Every budget has a conservative default so interactive runs stay desk-scale;
-batch code (tests, sweeps) passes explicit values instead.
+batch code (tests, sweeps) passes explicit values instead.  Results are
+deterministic for fixed (input, budget).
 """
 
 from __future__ import annotations
@@ -11,7 +12,6 @@ from dataclasses import dataclass, fields, replace
 
 # Numerators grow roughly like d^n digits; this keeps d=2, N~18 runs in range.
 DEFAULT_DIGIT_BUDGET = 200_000
-DEFAULT_TRIAL_BOUND = 1_000_000
 DEFAULT_RHO_BUDGET = 100_000_000
 
 _ENV_PREFIX = "ZSIG_"
@@ -21,19 +21,16 @@ _ENV_PREFIX = "ZSIG_"
 class RunConfig:
     """The knobs.  Every field is also read from ``ZSIG_<FIELD>`` in the
     environment (``ZSIG_FORMAT`` for ``output_format``).  Every integer field
-    may be pinned in a sweep spec's budgets and, except ``seed``, must be
-    positive."""
+    may be pinned in a sweep spec's budgets and must be positive."""
 
     digit_budget: int = DEFAULT_DIGIT_BUDGET
-    factor_trial_bound: int = DEFAULT_TRIAL_BOUND
     factor_rho_budget: int = DEFAULT_RHO_BUDGET
     workers: int = 1
     output_format: str = "text"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         for name in INT_KNOBS:
-            if name != "seed" and getattr(self, name) <= 0:
+            if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
         if self.output_format not in ("json", "csv", "text"):
             raise ValueError(f"unknown output format: {self.output_format!r}")

@@ -21,7 +21,7 @@ Without a polynomial (L = 0) the second list is every earlier |A_m|.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd
+from math import gcd, lcm
 from typing import Sequence
 
 from .arith import distinct_primes, factor, v_p
@@ -67,10 +67,16 @@ def stripped_numerator(entries: Sequence[OrbitEntry], n: int, denominator_lcm: i
     moduli = [entries[n // q - 1].A for q in distinct_primes(n)]
     moduli += [gcd(e.A, denominator_lcm) for e in entries[: n - 1]]
     for modulus in moduli:
-        g = gcd(r, modulus)
-        while g > 1:
-            r //= g
-            g = gcd(r, g)  # every prime r still shares with the modulus divides g
+        r = _strip(r, modulus)
+    return r
+
+
+def _strip(r: int, modulus: int) -> int:
+    """r > 0 with every prime it shares with modulus divided out fully."""
+    g = gcd(r, modulus)
+    while g > 1:
+        r //= g
+        g = gcd(r, g)  # every prime r still shares with the modulus divides g
     return r
 
 
@@ -78,12 +84,7 @@ def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[int, ...]:
     """Sorted witness primes of a stripped part, as far as the budgets reach."""
     if stripped <= 1:
         return ()
-    report = factor(
-        stripped,
-        trial_bound=cfg.factor_trial_bound,
-        rho_budget=cfg.factor_rho_budget,
-        seed=cfg.seed,
-    )
+    report = factor(stripped, rho_budget=cfg.factor_rho_budget)
     primes = [p for p, _ in report.factored]
     if report.cofactor_status == "probable_prime":
         primes.append(report.cofactor)
@@ -114,17 +115,22 @@ def zsigmondy_report_from_entries(
 
     ``denominator_lcm`` is the lcm of the coefficient denominators of the
     polynomial the entries come from, or 0 when no polynomial is known; it
-    shortens the strip and names the primes the valuation law exempts.
+    shortens the strip and names the primes the valuation law exempts (the
+    primes of some B_m when it is 0).  A zero numerator, where the orbit
+    returns to 0, has no stripped part and raises ValueError.
 
     With ``witnesses=False`` no stripped part is factored: witness lists and
     the k(p) table stay empty, and ``rigid_law_holds`` certifies the
-    valuation law at every prime at once.  Only if it fails does the report
+    valuation law at every non-exempt prime at once.  Only if it fails does the report
     take the factoring path, so ``rigid_violations`` is the same either way.
     """
+    if any(e.A == 0 for e in entries):
+        raise ValueError("a zero numerator has no stripped part: the orbit returns to 0")
     cfg = config or RunConfig()
     N = len(entries)
+    exempt = denominator_lcm or lcm(*(e.B for e in entries))
     stripped = [stripped_numerator(entries, n, denominator_lcm) for n in range(1, N + 1)]
-    factoring = witnesses or not rigid_law_holds(entries, stripped)
+    factoring = witnesses or not rigid_law_holds(entries, stripped, exempt)
     per_index: list[PrimitiveVerdict] = []
     k_table: dict[int, int] = {}
     for n, s in enumerate(stripped, start=1):
@@ -135,47 +141,47 @@ def zsigmondy_report_from_entries(
     elements = [v.n for v in per_index if not v.has_primitive]
     k_table = dict(sorted(k_table.items()))
     report = ZsigmondyReport(N, elements, per_index, k_table)
-    report.rigid_violations = verify_rigid_divisibility(entries, k_table, denominator_lcm)
+    report.rigid_violations = verify_rigid_divisibility(entries, k_table, exempt)
     return report
 
 
-def rigid_law_holds(entries: Sequence[OrbitEntry], stripped: Sequence[int]) -> bool:
-    """Whether |A_n| = prod of the stripped parts S_k over k | n, for every n.
+def rigid_law_holds(
+    entries: Sequence[OrbitEntry], stripped: Sequence[int], exempt: int = 1
+) -> bool:
+    """Whether |A_n| = prod of the stripped parts S_k over k | n, for every n,
+    once the primes of ``exempt`` are divided out of both sides.
 
-    That identity is the rigid-divisibility valuation law at every prime at
-    once, denominator primes included.  S_k is the product of p^v_p(A_k)
-    over the primes p first dividing A_k (k(p) = k), so the product over
-    k | n is the product of p^v_p(A_k(p)) over the primes with k(p) | n; it
-    equals |A_n| exactly when v_p(A_n) = v_p(A_k(p)) if k(p) | n and 0
-    otherwise.  One product per index replaces factoring anything.
+    That identity is the rigid-divisibility valuation law at every other
+    prime at once.  S_k is the product of p^v_p(A_k) over the primes p
+    first dividing A_k (k(p) = k), so the product over k | n is the product
+    of p^v_p(A_k(p)) over the primes with k(p) | n; it equals |A_n| exactly
+    when v_p(A_n) = v_p(A_k(p)) if k(p) | n and 0 otherwise.  One product
+    per index replaces factoring anything.
     """
+    cores = [_strip(s, exempt) for s in stripped]
     for n in range(1, len(entries) + 1):
         product = 1
         for k in range(1, n + 1):
             if n % k == 0:
-                product *= stripped[k - 1]
-        if product != abs(entries[n - 1].A):
+                product *= cores[k - 1]
+        if product != _strip(abs(entries[n - 1].A), exempt):
             return False
     return True
 
 
 def verify_rigid_divisibility(
-    entries: Sequence[OrbitEntry], k_table: dict[int, int], denominator_lcm: int = 0
+    entries: Sequence[OrbitEntry], k_table: dict[int, int], exempt: int = 1
 ) -> list[RigidViolation]:
     """Check the valuation law: v_p(A_n) equals v_p(A_k(p)) when k(p) | n, else 0.
 
     The law holds only for primes not dividing a coefficient denominator of
-    f, so the primes of ``denominator_lcm`` are excluded; with 0 (no
-    polynomial known) the primes dividing any B_m are.  An empty result
-    means the law held everywhere else.
+    f, so the primes of ``exempt`` are skipped; the report passes the lcm
+    of the coefficient denominators, or of the B_m when no polynomial is
+    known.  An empty result means the law held at every other prime.
     """
     violations: list[RigidViolation] = []
     for p, k in sorted(k_table.items()):
-        if denominator_lcm:
-            exempt = denominator_lcm % p == 0
-        else:
-            exempt = any(e.B % p == 0 for e in entries)
-        if exempt:
+        if exempt % p == 0:
             continue
         base = v_p(entries[k - 1].A, p)
         for e in entries:

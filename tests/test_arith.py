@@ -2,10 +2,16 @@ import random
 
 import pytest
 import sympy
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zsig import factor, is_prime, v_p
-from zsig.arith import DETERMINISTIC_MR_LIMIT, _mr_witness, distinct_primes, trial_division
+from zsig.arith import (
+    DETERMINISTIC_MR_LIMIT,
+    TRIAL_BOUND,
+    _mr_witness,
+    distinct_primes,
+    trial_division,
+)
 
 
 def _sieve(n):
@@ -182,10 +188,14 @@ def test_factor_matches_sympy_when_complete():
 
 
 def test_factor_deterministic():
-    m = 2**64 + 1
-    a = factor(m, rho_budget=10**6, seed=7)
-    b = factor(m, rho_budget=10**6, seed=7)
-    assert a == b
+    # rho runs on the 120-bit cofactor; its seed depends on that number
+    # alone, not on the global random state
+    m = 1_000_000_007 * 998_244_353 * (2**61 - 1)
+    random.seed(1)
+    a = factor(m, rho_budget=10**6)
+    random.seed(2)
+    b = factor(m, rho_budget=10**6)
+    assert a == b and a.reconstruct() == m
 
 
 def test_factor_budget_exhaustion_reports_cofactor():
@@ -211,11 +221,36 @@ def test_trial_division_huge_input():
 def test_trial_division_across_prime_blocks():
     rng = random.Random(3)
     small = list(sympy.primerange(2, 10**6))
-    for bound in (10**6, 5000):
-        for _ in range(10):
-            chosen = {p: rng.randint(1, 3) for p in rng.sample(small, 6) if p <= bound}
-            big = sympy.nextprime(2**80 + rng.randrange(2**40))
-            m = big
-            for p, e in chosen.items():
-                m *= p**e
-            assert trial_division(m, bound) == (chosen, big)
+    for _ in range(10):
+        chosen = {p: rng.randint(1, 3) for p in rng.sample(small, 6)}
+        big = sympy.nextprime(2**80 + rng.randrange(2**40))
+        m = big
+        for p, e in chosen.items():
+            m *= p**e
+        assert trial_division(m) == (chosen, big)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(min_value=1, max_value=2**64 - 1),
+    st.lists(st.integers(min_value=TRIAL_BOUND, max_value=2**80), max_size=2),
+)
+@example(1, [])
+@example(999_983, [])
+@example(999_983**2, [])
+@example(1_000_003 * 1_000_033, [])
+@example(1, [TRIAL_BOUND, 2**70])
+def test_trial_division_matches_sympy(small, rough_starts):
+    # m is a <= 64-bit part times primes above the bound, so both sizes of
+    # input take the one block path; sympy factors the small part
+    factors = sympy.factorint(small)
+    m = small
+    for start in rough_starts:
+        p = sympy.nextprime(start)
+        factors[p] = factors.get(p, 0) + 1
+        m *= p
+    rest = 1
+    for p, e in factors.items():
+        if p > TRIAL_BOUND:
+            rest *= p**e
+    assert trial_division(m) == ({p: e for p, e in factors.items() if p <= TRIAL_BOUND}, rest)

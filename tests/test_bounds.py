@@ -7,6 +7,7 @@ import pytest
 from zsig import (
     PolyQ,
     check_condition3,
+    clear_denominators,
     compute_sign_sets,
     family_C,
     global_height,
@@ -15,10 +16,11 @@ from zsig import (
     parse_poly,
     prop31_check,
     theorem1_bound,
-    zsigmondy_set,
+    wandering_entries,
 )
 from zsig.bounds import growth_certificate
 from zsig.verifiers import binomial, trinomial
+from zsig.zsigmondy import zsigmondy_report_from_entries
 from tests.conftest import LEAN
 
 
@@ -206,5 +208,10 @@ def test_certified_bound_contains_observed_elements():
     for f, hhat in cases:
         res = theorem1_bound(f, hhat, family_C(f.constant))
         assert res.certified, str(f)
-        rep = zsigmondy_set(f, res.n_max_floor + 4, LEAN)
+        # the elements do not depend on witnesses (see
+        # test_verdict_only_report_agrees_with_full), so none are listed
+        entries = wandering_entries(f, res.n_max_floor + 4, digit_budget=LEAN.digit_budget)
+        rep = zsigmondy_report_from_entries(
+            entries, LEAN, witnesses=False, denominator_lcm=clear_denominators(f)[1]
+        )
         assert all(n <= res.n_max_floor for n in rep.elements), str(f)

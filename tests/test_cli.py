@@ -400,16 +400,26 @@ def test_unknown_env_variable_is_a_usage_error(capsys, monkeypatch):
     assert err == "error: unknown environment variable: ZSIG_PRIMALITY_ROUNDS, ZSIG_RHO_BUDGET\n"
 
 
-def test_removed_primality_rounds_is_a_usage_error(tmp_path, capsys):
-    code, _, _ = run(capsys, "zsig", "--coeffs", "1,0,1", "-N", "5", "--primality-rounds", "3")
-    assert code == 2
+@pytest.mark.parametrize("how, knob", [
+    ("flag", "--primality-rounds"), ("flag", "--trial-bound"), ("flag", "--seed"),
+    ("env", "ZSIG_PRIMALITY_ROUNDS"), ("env", "ZSIG_FACTOR_TRIAL_BOUND"), ("env", "ZSIG_SEED"),
+    ("budget", "primality_rounds"), ("budget", "factor_trial_bound"), ("budget", "seed"),
+])
+def test_removed_knobs_are_usage_errors(tmp_path, capsys, monkeypatch, how, knob):
+    spec, flags = dict(_GOOD_SPEC), []
+    if how == "flag":
+        flags = [knob, "5"]
+    elif how == "env":
+        monkeypatch.setenv(knob, "5")
+    else:
+        spec["budgets"] = {knob: 5}
     spec_path = tmp_path / "grid.json"
-    spec_path.write_text(json.dumps(
-        {"family": "z^d+c", "d": [3], "c": ["7/2"], "budgets": {"primality_rounds": 3}}
-    ))
-    code, _, err = run(capsys, "sweep", str(spec_path), "-o", str(tmp_path / "out.jsonl"))
-    assert code == 2
-    assert "primality_rounds" in err
+    spec_path.write_text(json.dumps(spec))
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_bytes(_PARTIAL)
+    code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path), *flags)
+    assert code == 2 and out == "" and knob in err
+    assert out_path.read_bytes() == _PARTIAL
 
 
 def test_python_dash_m_entry_points(tmp_path):

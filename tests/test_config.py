@@ -10,9 +10,8 @@ from zsig.verifiers import SweepSpec
 def test_defaults():
     cfg = RunConfig()
     assert cfg.digit_budget == 200_000
-    assert cfg.factor_trial_bound == 1_000_000
     assert cfg.factor_rho_budget == 100_000_000
-    assert cfg.seed == 0
+    assert cfg.workers == 1
     assert cfg.output_format == "text"
 
 
@@ -26,26 +25,23 @@ def test_validation():
 
 
 def test_with_overrides_ignores_none():
-    cfg = RunConfig().with_overrides(seed=None, workers=3)
-    assert cfg.workers == 3 and cfg.seed == 0
+    cfg = RunConfig().with_overrides(digit_budget=None, workers=3)
+    assert cfg.workers == 3 and cfg.digit_budget == 200_000
 
 
 def test_env_overrides(monkeypatch):
-    monkeypatch.setenv("ZSIG_SEED", "11")
+    monkeypatch.setenv("ZSIG_FACTOR_RHO_BUDGET", "11")
     monkeypatch.setenv("ZSIG_WORKERS", "2")
     monkeypatch.setenv("ZSIG_FORMAT", "json")
     cfg = config_from_env()
-    assert cfg.seed == 11
+    assert cfg.factor_rho_budget == 11
     assert cfg.workers == 2
     assert cfg.output_format == "json"
 
 
 def test_knob_lists_come_from_the_fields(monkeypatch):
     names = [f.name for f in fields(RunConfig)]
-    assert names == [
-        "digit_budget", "factor_trial_bound", "factor_rho_budget",
-        "workers", "output_format", "seed",
-    ]
+    assert names == ["digit_budget", "factor_rho_budget", "workers", "output_format"]
     assert INT_KNOBS == tuple(n for n in names if n != "output_format")
     spec = {"family": "z^d+c", "d": [3], "c": ["7/2"]}
     for name in INT_KNOBS:
@@ -55,13 +51,10 @@ def test_knob_lists_come_from_the_fields(monkeypatch):
         monkeypatch.delenv("ZSIG_" + name.upper())
         budgets = SweepSpec.from_dict({**spec, "budgets": {name: 7}}).budgets
         assert budgets == ((name, 7),)
-        # and every one but the seed must be positive
-        if name == "seed":
-            assert RunConfig(seed=-1).seed == -1
-        else:
-            with pytest.raises(ValueError, match=name):
-                RunConfig(**{name: 0})
-    for name in ("output_format", "primality_rounds"):
+        # and every one must be positive
+        with pytest.raises(ValueError, match=name):
+            RunConfig(**{name: 0})
+    for name in ("output_format", "primality_rounds", "factor_trial_bound", "seed"):
         with pytest.raises(ValueError, match="unknown budget field"):
             SweepSpec.from_dict({**spec, "budgets": {name: 1}})
     # a misspelt or removed knob is an error, not a silent default

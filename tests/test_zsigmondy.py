@@ -16,6 +16,7 @@ from zsig import (
     parse_poly,
     verify_rigid_divisibility,
     v_p,
+    wandering_entries,
     zsigmondy_set,
 )
 import zsig.zsigmondy as zmod
@@ -219,14 +220,37 @@ def test_verdict_only_report_falls_back_when_rigidity_breaks(monkeypatch):
     assert len(lean.rigid_violations) == len(full.rigid_violations)
 
 
-def test_verdict_only_report_never_factors_a_rigid_sequence(monkeypatch):
-    def refuse(*args, **kwargs):
-        raise AssertionError("factor called on the verdict-only path")
+def _refuse_factor(*args, **kwargs):
+    raise AssertionError("factor called on the verdict-only path")
 
-    monkeypatch.setattr(zmod, "factor", refuse)
+
+def test_verdict_only_report_never_factors_a_rigid_sequence(monkeypatch):
+    monkeypatch.setattr(zmod, "factor", _refuse_factor)
     entries = orbit(parse_poly("5/2,0,1,0,1"), 8).entries
     report = zsigmondy_report_from_entries(entries, LEAN, witnesses=False)
     assert report.elements == [] and report.rigid_violations == []
+
+
+def test_verdict_only_report_strips_the_exempt_primes(monkeypatch):
+    # L = 6 and the denominator prime 2 divides some numerators, so |A_n| is
+    # not prod S_k at 2; with the primes of L divided out of both sides the
+    # identity holds and nothing is factored
+    f = parse_poly("1/3,0,1/2,5/6")
+    entries = wandering_entries(f, 6)
+    expected = zsigmondy_set(f, 6, LEAN).elements
+    monkeypatch.setattr(zmod, "factor", _refuse_factor)
+    report = zsigmondy_report_from_entries(
+        entries, LEAN, witnesses=False, denominator_lcm=clear_denominators(f)[1]
+    )
+    assert report.rigid_violations == [] and report.elements == expected
+
+
+def test_report_rejects_a_zero_numerator():
+    # the orbit of z^3/4 - z^2 + 2 is 2, 0, ...: stripping a zero never ends
+    entries = orbit(parse_poly("2,0,-1,1/4"), 4).entries
+    assert [e.A for e in entries] == [2, 0]
+    with pytest.raises(ValueError, match="zero numerator"):
+        zsigmondy_report_from_entries(entries, LEAN)
 
 
 def test_default_strip_is_the_full_strip():
