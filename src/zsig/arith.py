@@ -182,12 +182,17 @@ def _sieve_primes(bound: int) -> tuple[int, ...]:
 
 
 @cache
-def _prime_blocks() -> tuple[tuple[tuple[int, ...], int], ...]:
-    """Consecutive runs of the primes <= TRIAL_BOUND, each with its product;
-    built on the first call, so only processes that factor pay for it."""
+def _prime_runs() -> tuple[tuple[int, ...], ...]:
+    """Consecutive runs of _BLOCK_PRIMES primes <= TRIAL_BOUND; built on the
+    first call, so only processes that factor pay for the sieve."""
     primes = _sieve_primes(TRIAL_BOUND)
-    runs = (primes[i:i + _BLOCK_PRIMES] for i in range(0, len(primes), _BLOCK_PRIMES))
-    return tuple((run, _product(run)) for run in runs)
+    return tuple(primes[i:i + _BLOCK_PRIMES] for i in range(0, len(primes), _BLOCK_PRIMES))
+
+
+@cache
+def _block_product(i: int) -> int:
+    """The product of run i, built the first time trial division reaches it."""
+    return _product(_prime_runs()[i])
 
 
 def trial_division(m: int) -> tuple[dict[int, int], int]:
@@ -199,8 +204,8 @@ def trial_division(m: int) -> tuple[dict[int, int], int]:
         return found, 1
     # one gcd per block product finds the squarefree product of the block's
     # prime divisors; scanning that small product is then cheap
-    for primes, block in _prime_blocks():
-        g = gcd(m, block)
+    for i, primes in enumerate(_prime_runs()):
+        g = gcd(m, _block_product(i))
         if g == 1:
             continue
         for p in primes:
@@ -213,6 +218,8 @@ def trial_division(m: int) -> tuple[dict[int, int], int]:
                 g //= p
                 if g == 1:
                     break
+        if m == 1:
+            break
     return found, m
 
 

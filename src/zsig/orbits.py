@@ -118,13 +118,44 @@ def _denominator_bits_floor(f: PolyQ, x: Fraction) -> int:
     return f.degree * (q.bit_length() - 1) - lead.bit_length() + 1
 
 
+def _numerator_bits_floor(f: PolyQ, x: Fraction, den_floor: int) -> int:
+    """A lower bound on the bit length of the numerator of f(x), from sizes.
+
+    Write f = f1/m, x = p/q, d = deg f and S = sum_(i<d) |f1_i|.  When S = 0,
+    or |p| >= q and |f1_d| |p| >= 2qS, the tail is small next to the leading
+    term: |sum_(i<d) f1_i x^i| <= S |x|^(d-1) <= |f1_d| |x|^d / 2, so
+    |f(x)| >= |f1_d| |x|^d / (2m).  The lowest-terms numerator is |f(x)| times
+    the denominator, which is at least 2^(den_floor-1) (and at least 1), with
+    ``den_floor`` from ``_denominator_bits_floor``.  Bounding each log2 by bit
+    lengths (log2 |a| >= bits(a) - 1 and log2 a < bits(a)) gives
+    log2 |numerator| > R for the integer R below, so the bit length is at
+    least R + 1.  Otherwise the bound is 0.
+    """
+    f1, m = clear_denominators(f)
+    lead = abs(f1[-1])
+    p, q = abs(x.numerator), x.denominator
+    tail = sum(abs(a) for a in f1[:-1])
+    if p == 0 or (tail and (p < q or lead * p < 2 * q * tail)):
+        return 0
+    d = f.degree
+    return (
+        lead.bit_length() + d * (p.bit_length() - 1) - d * q.bit_length()
+        - m.bit_length() + max(den_floor - 1, 0) - 1
+    )
+
+
 def _step(f: PolyQ, x: Fraction, budget: int) -> Fraction | None:
     """f(x), or None when it outgrows the digit budget.
 
-    Iterates whose denominator bound alone breaks the budget are rejected
-    before the costly evaluation runs.
+    Iterates whose denominator or numerator bound breaks the budget are
+    rejected before the costly evaluation runs.  Both bounds are at most the
+    true bit lengths and ``_digits_for_bits`` is monotone, so the early
+    rejection is exactly the decision the post-check would make.
     """
-    if _digits_for_bits(_denominator_bits_floor(f, x)) > budget:
+    den_floor = _denominator_bits_floor(f, x)
+    if _digits_for_bits(den_floor) > budget or (
+        _digits_for_bits(_numerator_bits_floor(f, x, den_floor)) > budget
+    ):
         return None
     y = f.evaluate(x)
     if decimal_digits(y.numerator) > budget or decimal_digits(y.denominator) > budget:

@@ -21,6 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import prod
 from typing import Callable, Sequence
 
 from .bounds import theorem1_bound
@@ -182,14 +183,81 @@ def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int
     return hold
 
 
+# Mantissa width of the size brackets in _compare_abs.  Each rounding moves
+# a bound by at most a relative 2^(1 - _MANTISSA_BITS), so the brackets of
+# a^k are about k * 2^-92 wide: only near-ties reach the exact fallback.
+_MANTISSA_BITS = 96
+
+
+def _round(m: int, s: int, up: bool) -> tuple[int, int]:
+    """m * 2^s cut to _MANTISSA_BITS bits, rounded down (or up when ``up``)."""
+    extra = m.bit_length() - _MANTISSA_BITS
+    if extra <= 0:
+        return m, s
+    return (-(-m >> extra) if up else m >> extra), s + extra
+
+
+def _power_bracket(powers: Sequence[tuple[int, int]], up: bool) -> tuple[int, int]:
+    """(m, s) with m * 2^s <= prod(a^k) (>= when ``up``) for integers a >= 0.
+
+    Square-and-multiply on truncated mantissas: every operand is
+    nonnegative, so rounding each product down (up) keeps a lower (upper)
+    bound, and a^k is never built.
+    """
+    m, s = 1, 0
+    for a, k in powers:
+        am, as_ = _round(a, 0, up)
+        pm, ps = 1, 0
+        for bit in bin(k)[2:]:
+            pm, ps = _round(pm * pm, 2 * ps, up)
+            if bit == "1":
+                pm, ps = _round(pm * am, ps + as_, up)
+        m, s = _round(m * pm, s + ps, up)
+    return m, s
+
+
+def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """m1 * 2^s1 < m2 * 2^s2, without shifting by more than the mantissa width."""
+    (m1, s1), (m2, s2) = x, y
+    if not m1 or not m2:
+        return not m1 and m2 > 0
+    top1, top2 = m1.bit_length() + s1, m2.bit_length() + s2
+    if top1 != top2:
+        return top1 < top2
+    # equal top bits: the shifts differ by less than _MANTISSA_BITS
+    low = min(s1, s2)
+    return m1 << (s1 - low) < m2 << (s2 - low)
+
+
+def _power_product(powers: Sequence[tuple[int, int]]) -> int:
+    return prod(a**k for a, k in powers)
+
+
+def _compare_abs(x: Fraction, powers: Sequence[tuple[Fraction | int, int]]) -> int:
+    """The sign of |x| - prod(b^k for b, k in powers), for rationals b >= 0.
+
+    Cross-multiplied, this compares two products of integer powers: |A| times
+    the base denominators against B times the base numerators.  Each side is
+    first bracketed by ``_power_bracket``; disjoint brackets decide the sign
+    with ~96-bit integers.  Overlapping ones (a tie, or sides closer than the
+    brackets' width) fall back to the exact integer products, so the answer
+    is always exact and no float is involved.
+    """
+    lhs = [(abs(x.numerator), 1)] + [(b.denominator, k) for b, k in powers]
+    rhs = [(x.denominator, 1)] + [(b.numerator, k) for b, k in powers]
+    if _below(_power_bracket(lhs, True), _power_bracket(rhs, False)):
+        return -1
+    if _below(_power_bracket(rhs, True), _power_bracket(lhs, False)):
+        return 1
+    left, right = _power_product(lhs), _power_product(rhs)
+    return (left > right) - (left < right)
+
+
 def _exceeds(entry: OrbitEntry, scale: Fraction | int, base: Fraction, expo: int) -> bool:
-    """|f^n(0)| > scale * base^expo for scale, base >= 0, by cross-multiplied
-    integers: the Fraction product would normalise with gcds of operands of
-    up to ~1M bits."""
-    return (
-        abs(entry.A) * scale.denominator * base.denominator**expo
-        > entry.B * scale.numerator * base.numerator**expo
-    )
+    """|f^n(0)| > scale * base^expo for scale, base >= 0, decided by
+    ``_compare_abs``: the Fraction product would normalise with gcds of
+    operands of up to ~1M bits."""
+    return _compare_abs(entry.value, ((scale, 1), (base, expo))) > 0
 
 
 def _check_sandwich(
@@ -246,9 +314,10 @@ def _prop53_checks(f, d, e, c, entries) -> dict:
 
 
 def _prop54_checks(f, d, e, c, entries) -> dict:
-    # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1))
-    upper_ok = not any(
-        _exceeds(x, 3 ** ((d ** (x.n - 1) - 1) // (d - 1)), abs(c), d ** (x.n - 1))
+    # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1)); 3^k is never built
+    upper_ok = all(
+        _compare_abs(x.value, ((3, (d ** (x.n - 1) - 1) // (d - 1)), (abs(c), d ** (x.n - 1))))
+        <= 0
         for x in entries
     )
     if d % 2 == 1:
@@ -257,7 +326,7 @@ def _prop54_checks(f, d, e, c, entries) -> dict:
     else:
         case = "even degree and middle exponent"
         growth_ok = all(
-            x.value > 0 and abs(x.value) >= abs(c) ** (d ** (x.n - 1))
+            x.value > 0 and _compare_abs(x.value, ((abs(c), d ** (x.n - 1)),)) >= 0
             for x in entries[1:]
         )
     return {"upper_bound_verified": upper_ok, "case": case, "growth_verified": growth_ok}

@@ -4,7 +4,7 @@ import pytest
 import sympy
 from hypothesis import example, given, settings, strategies as st
 
-from zsig import factor, is_prime, v_p
+from zsig import arith, factor, is_prime, v_p
 from zsig.arith import (
     DETERMINISTIC_MR_LIMIT,
     TRIAL_BOUND,
@@ -216,6 +216,13 @@ def test_trial_division_huge_input():
     for p, e in found.items():
         acc *= p**e
     assert acc == m
+
+
+def test_trial_division_builds_only_the_blocks_it_reaches():
+    # 3^45 is done after the first block, so no later product is built
+    arith._block_product.cache_clear()
+    assert trial_division(3**45) == ({3: 45}, 1)
+    assert arith._block_product.cache_info().currsize == 1
 
 
 def test_trial_division_across_prime_blocks():

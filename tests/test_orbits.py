@@ -14,7 +14,8 @@ from zsig import (
     parse_poly,
     wandering_entries,
 )
-from zsig.orbits import _denominator_bits_floor, decimal_digits
+from zsig.config import DEFAULT_DIGIT_BUDGET
+from zsig.orbits import _denominator_bits_floor, _numerator_bits_floor, decimal_digits
 from zsig.verifiers import trinomial
 
 
@@ -144,6 +145,25 @@ def test_budget_precheck_skips_the_evaluation(monkeypatch):
     assert len(calls) == 6
 
 
+def test_numerator_bound_skips_the_evaluation(monkeypatch):
+    # iterate 9 of z^5+z^2+5/2 has a 390625-bit denominator, inside the
+    # default budget, over a 917k-bit numerator: the numerator bound alone
+    # rejects it before it is computed
+    f = trinomial(5, 2, Fraction(5, 2))
+    stop, kept = _post_check_orbit(f, 10, DEFAULT_DIGIT_BUDGET)
+    assert stop == 9
+    calls = []
+    evaluate = PolyQ.evaluate
+    monkeypatch.setattr(PolyQ, "evaluate", lambda self, x: calls.append(x) or evaluate(self, x))
+    with pytest.raises(DigitBudgetError, match="iterate 9 ") as exc:
+        orbit(f, 10)
+    assert exc.value.entries == kept
+    assert len(calls) == len(kept)
+    calls.clear()
+    assert iterate_point(f, Fraction(0), 10) == [Fraction(0)] + [e.value for e in kept]
+    assert len(calls) == len(kept)
+
+
 _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
 
 
@@ -160,3 +180,24 @@ _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
 def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
     f = PolyQ(tuple(coeffs))
     assert _denominator_bits_floor(f, x) <= f.evaluate(x).denominator.bit_length()
+
+
+@given(
+    st.lists(
+        st.builds(Fraction, st.integers(min_value=-20, max_value=20), _shared_dens),
+        min_size=3, max_size=6,
+    ).filter(lambda cs: cs[-1] != 0),
+    st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens),
+)
+# -9/4 z^3: no lower terms, so the bound holds at any x, |x| < 1 included
+@example([Fraction(0), Fraction(0), Fraction(0), Fraction(-9, 4)], Fraction(3, 8))
+# 512 z^3 - 124 at 5/8: |f1_d| |p| >= 2qS holds but |x| < 1, and f(x) = 1 is
+# far below |f1_d| |x|^d / (2m) = 125/2, so no bound may be claimed (the
+# formula would give 2 bits)
+@example([Fraction(-124), Fraction(0), Fraction(0), Fraction(512)], Fraction(5, 8))
+# the coefficient denominators 2 and 4 share the prime 2 with q = 4
+@example([Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 2)], Fraction(81, 4))
+def test_numerator_bits_floor_is_a_lower_bound(coeffs, x):
+    f = PolyQ(tuple(coeffs))
+    floor = _numerator_bits_floor(f, x, _denominator_bits_floor(f, x))
+    assert floor <= f.evaluate(x).numerator.bit_length()

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from zsig import RunConfig, run_sweep, verify, verifiers
 from zsig.cli import build_parser
@@ -232,6 +232,44 @@ def test_exceeds_matches_fraction_form(value, scale, base, expo):
     assert verifiers._exceeds(entry, scale, base, expo) == (
         abs(value) > Fraction(scale) * base**expo
     )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(
+        lambda b: b != 1
+    ),
+    st.one_of(
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.integers(min_value=1, max_value=3**20),
+    ),
+    st.integers(min_value=99_990, max_value=100_010),
+    st.sampled_from([-1, 0, 1]),
+    st.booleans(),
+)
+@example(Fraction(3, 2), 1, 100_000, 0, False)
+@example(Fraction(2, 3), Fraction(7, 5), 100_001, -1, True)
+def test_exceeds_falls_back_on_near_ties(base, scale, expo, ulp, negative):
+    # |value| and scale * base^expo are equal, or one unit apart in the larger
+    # of a numerator and a denominator of ~300k bits: the brackets overlap
+    # and only the exact products decide
+    target = Fraction(scale) * base**expo
+    n, d = target.numerator, target.denominator
+    value = Fraction(n + ulp, d) if n > d else Fraction(n, d + ulp)
+    value = -value if negative else value
+    calls = []
+    exact = verifiers._power_product
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifiers, "_power_product", lambda powers: calls.append(1) or exact(powers))
+        assert verifiers._exceeds(OrbitEntry(1, value), scale, base, expo) == (
+            abs(value) > Fraction(scale) * base**expo
+        )
+        assert calls
+        calls.clear()
+        # a factor of 2 apart, the brackets alone decide
+        assert verifiers._exceeds(OrbitEntry(1, 2 * target), scale, base, expo)
+        assert not verifiers._exceeds(OrbitEntry(1, target / 2), scale, base, expo)
+        assert not calls
 
 
 @pytest.mark.parametrize(
