@@ -27,7 +27,7 @@ from .heights import (
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
 from .polynomials import ParseError, PolyQ, parse_poly, parse_rational
-from .verifiers import CLAIMS, SweepSpec, iter_sweep, sweep_keys, verify
+from .verifiers import CLAIMS, SweepSpec, iter_sweep, verify
 from .zsigmondy import zsigmondy_set
 
 EXIT_OK = 0
@@ -250,8 +250,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
-def _sweep_records(text: str) -> list[dict]:
-    """The records of a sweep file's complete lines; ValueError on a malformed one."""
+def _sweep_records(text: str) -> list[tuple[str, bool]]:
+    """(key, consistent) of each record on a sweep file's complete lines;
+    ValueError on a malformed one."""
     records = []
     for line in text.splitlines():
         if not line.strip():
@@ -263,7 +264,7 @@ def _sweep_records(text: str) -> list[dict]:
             and isinstance(record.get("consistent"), bool)
         ):
             raise ValueError(f"malformed sweep record: {_elide(line)}")
-        records.append(record)
+        records.append((record["key"], record["consistent"]))
     return records
 
 
@@ -273,25 +274,26 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     out = Path(args.out)
     data = out.read_bytes() if out.exists() else b""
     complete = data.rfind(b"\n") + 1
-    done = {record["key"] for record in _sweep_records(data[:complete].decode())}
+    records = _sweep_records(data[:complete].decode())
+    done = {key for key, _ in records}
+    inconsistent = [key for key, consistent in records if not consistent]
     if complete < len(data):
         # a run killed mid-write leaves an unterminated last line: drop it
         # so the point is recomputed and the file stays line-aligned
         with out.open("r+b") as handle:
             handle.truncate(complete)
-    points = spec.points()
-    keys = sweep_keys(spec)
-    todo = [(pt, key) for pt, key in zip(points, keys) if key not in done]
+    written = 0
     # stream one line per verdict so an interrupted run resumes cleanly
     with out.open("a") as handle:
-        verdicts = iter_sweep(spec, cfg, points=[pt for pt, _ in todo])
-        for (_, key), verdict in zip(todo, verdicts):
+        for key, verdict in iter_sweep(spec, cfg, done):
             record = {"v": 1, "key": key}
             record.update(reports.theorem_verdict_to_dict(verdict))
             handle.write(_dump_json(record) + "\n")
             handle.flush()
-    inconsistent = [r["key"] for r in _sweep_records(out.read_text()) if not r["consistent"]]
-    print(f"sweep complete: {len(done) + len(todo)} points in {out}")
+            written += 1
+            if not verdict.consistent:
+                inconsistent.append(key)
+    print(f"sweep complete: {len(done) + written} points in {out}")
     if inconsistent:
         print("INCONSISTENT VERDICTS (counterexample candidates):", file=sys.stderr)
         for key in inconsistent:
@@ -366,7 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     # Decimal strings are the output format for big integers; clear the
-    # interpreter's int->str guard for every size the digit budget allows.
+    # interpreter's int->str guard for every size the digit budget allows
+    # (400,000 digits while parsing, the budget once it is known).
     if hasattr(sys, "set_int_max_str_digits"):
         sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 400_000))
     argv = list(sys.argv[1:] if argv is None else argv)
@@ -383,6 +386,8 @@ def main(argv: list[str] | None = None) -> int:
             workers=args.workers,
             output_format=args.format,
         )
+        if hasattr(sys, "set_int_max_str_digits"):
+            sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), cfg.digit_budget))
         return args.func(args, cfg)
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)

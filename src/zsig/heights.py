@@ -142,10 +142,10 @@ def canonical_height_interval(
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
     N = len(values) - 1
     h_N = global_height(values[N])
-    scale = float(d**N)
+    scale = d**N  # exact: float(d**N) overflows, the quotients only underflow
     return HeightInterval(
-        lower=max(0.0, (h_N - slack) / scale),
-        upper=(h_N + slack) / scale,
+        lower=max(0.0, float(Fraction(h_N - slack) / scale)),
+        upper=float(Fraction(h_N + slack) / scale),
         method="telescoped",
         iterations=N,
     )
@@ -179,7 +179,7 @@ def lemma41_lower_bound(
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
     i = len(values) - 1
     h_i = global_height(values[i])
-    lower = (h_i - (math.log(R) - log_D) / (d - 1)) / float(d**i)
+    lower = float(Fraction(h_i - (math.log(R) - log_D) / (d - 1)) / d**i)
     return HeightInterval(max(0.0, lower), math.inf, "lemma41", iterations=i)
 
 

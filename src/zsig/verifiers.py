@@ -22,7 +22,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import prod
-from typing import Callable, Sequence
+from typing import Callable, Container, Sequence
 
 from .bounds import theorem1_bound
 from .config import INT_KNOBS, RunConfig
@@ -111,9 +111,6 @@ class SweepSpec:
             horizon=horizon,
             budgets=tuple(sorted(budgets.items())),
         )
-
-    def apply_budgets(self, config: RunConfig) -> RunConfig:
-        return config.with_overrides(**dict(self.budgets))
 
     def points(self) -> list[tuple[int, int | None, Fraction]]:
         pts = []
@@ -472,58 +469,48 @@ def point_key(theorem_id: str, d: int, e: int | None, c: Fraction) -> str:
     return f"{theorem_id}:d={d}{middle}:c={c}"
 
 
-def _run_point(args) -> TheoremVerdict:
-    d, e, c_str, horizon, cfg = args
-    c = Fraction(c_str)
-    theorem_id = classify_point(d, e, c)
+def _run_point(args) -> tuple[str, TheoremVerdict]:
+    key, theorem_id, d, e, c, horizon, cfg = args
     if theorem_id is None:
         f = binomial(d, c) if e is None else trinomial(d, e, c)
-        return TheoremVerdict(
+        return key, TheoremVerdict(
             "unclassified", str(f), False,
             "no claim covers this parameter range", [], True,
-            {"d": d, "e": e, "c": c_str},
+            {"d": d, "e": e, "c": str(c)},
         )
-    return verify(theorem_id, d, c, e, cfg, horizon)
+    return key, verify(theorem_id, d, c, e, cfg, horizon)
 
 
 def iter_sweep(
-    spec: SweepSpec,
-    config: RunConfig | None = None,
-    points: Sequence[tuple[int, int | None, Fraction]] | None = None,
+    spec: SweepSpec, config: RunConfig | None = None, done: Container[str] = frozenset()
 ):
-    """Yield verdicts in grid order as they complete.
+    """Yield ``(key, verdict)`` in grid order as the verdicts complete.
 
-    ``points`` restricts the run to a subset (resume support).  Per-point
-    failures are captured inside the verdicts, never aborting the sweep.
+    Each grid point is classified and keyed once, here; a point whose key is
+    in ``done`` is skipped (resume support).  The serial path computes one
+    point per verdict taken.  Per-point failures are captured inside the
+    verdicts, never aborting the sweep.
     """
-    cfg = spec.apply_budgets(config or RunConfig())
-    tasks = [
-        (d, e, str(c), spec.horizon, cfg)
-        for d, e, c in (spec.points() if points is None else points)
-    ]
+    cfg = (config or RunConfig()).with_overrides(**dict(spec.budgets))
+    points = spec.points()
+
+    def tasks():
+        for d, e, c in points:
+            theorem_id = classify_point(d, e, c)
+            key = point_key(theorem_id or "unclassified", d, e, c)
+            if key not in done:
+                yield key, theorem_id, d, e, c, spec.horizon, cfg
+
     # fork starts every worker at once: never more than points or CPUs
-    workers = min(cfg.workers, len(tasks), os.cpu_count() or 1)
+    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_point, tasks)
+            yield from pool.map(_run_point, tasks())
     else:
-        for task in tasks:
-            yield _run_point(task)
+        yield from map(_run_point, tasks())
 
 
-def run_sweep(
-    spec: SweepSpec,
-    config: RunConfig | None = None,
-    points: Sequence[tuple[int, int | None, Fraction]] | None = None,
-) -> list[TheoremVerdict]:
+def run_sweep(spec: SweepSpec, config: RunConfig | None = None) -> list[TheoremVerdict]:
     """Dispatch every grid point to its applicable verifier; output order
     equals grid order regardless of worker count."""
-    return list(iter_sweep(spec, config, points))
-
-
-def sweep_keys(spec: SweepSpec) -> list[str]:
-    keys = []
-    for d, e, c in spec.points():
-        theorem_id = classify_point(d, e, c) or "unclassified"
-        keys.append(point_key(theorem_id, d, e, c))
-    return keys
+    return [verdict for _, verdict in iter_sweep(spec, config)]

@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from zsig import reports
+from zsig import reports, verifiers
 from zsig.cli import main
-from zsig.verifiers import SweepSpec, run_sweep
+from zsig.verifiers import SweepSpec, TheoremVerdict, run_sweep
 from tests.conftest import LEAN
 
 FAST = ["--rho-budget", "200000"]
@@ -126,6 +126,16 @@ def test_bound_telescope_vacuous(capsys):
     assert "certified: false" in out
 
 
+def test_bound_telescope_deep_preperiodic_is_vacuous(capsys):
+    # 0 -> -1 -> 0 never meets the digit budget, so the depth reaches 1100
+    # and 2^1100 is past the largest double
+    code, out, err = run(
+        capsys, "bound", "--coeffs", "-1,0,1", "--hhat", "telescope", "--iterations", "1100"
+    )
+    assert code == 0 and err == ""
+    assert "bound: vacuous" in out
+
+
 def test_bound_telescope_certified(capsys):
     code, out, _ = run(
         capsys, "bound", "--coeffs", "1,0,1", "--hhat", "telescope", "--format", "json"
@@ -164,7 +174,6 @@ def test_verify_ezsig_audit(capsys):
 
 
 def test_verify_inconsistent_exit_code(capsys, monkeypatch):
-    from zsig.verifiers import TheoremVerdict
     import zsig.cli as cli_mod
 
     def fake_verify(theorem_id, d, c, e, cfg, horizon=None):
@@ -381,6 +390,45 @@ def test_sweep_missing_spec_or_directory_output(tmp_path, capsys):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["grid.json"]
 
 
+def test_sweep_resume_over_an_inconsistent_record_exits_5(tmp_path, capsys):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(_GOOD_SPEC))
+    out_path = tmp_path / "results.jsonl"
+    assert run(capsys, "sweep", str(spec_path), "-o", str(out_path), *FAST)[0] == 0
+    first, second = out_path.read_bytes().splitlines(keepends=True)
+    assert b'"consistent":true' in second
+    flagged = first + second.replace(b'"consistent":true', b'"consistent":false')
+    out_path.write_bytes(flagged)
+    code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path), *FAST)
+    assert code == 5
+    assert out == f"sweep complete: 2 points in {out_path}\n"
+    assert err.splitlines()[1:] == ["  cor12:d=3:c=5/2"]
+    assert out_path.read_bytes() == flagged
+
+
+def test_sweep_new_inconsistent_verdict_exits_5(tmp_path, capsys, monkeypatch):
+    real_verify = verifiers.verify
+
+    def fake_verify(theorem_id, d, c, e, cfg, horizon=None):
+        if c == Fraction(7, 2):
+            return TheoremVerdict(theorem_id, "f", True, "claim", [9], False, {})
+        return real_verify(theorem_id, d, c, e, cfg, horizon)
+
+    monkeypatch.setattr(verifiers, "verify", fake_verify)
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(_GOOD_SPEC))
+    out_path = tmp_path / "results.jsonl"
+    code, _, err = run(
+        capsys, "sweep", str(spec_path), "-o", str(out_path), "--workers", "1", *FAST
+    )
+    assert code == 5
+    assert err.splitlines()[1:] == ["  cor12:d=3:c=7/2"]
+    records = [json.loads(line) for line in out_path.read_text().splitlines()]
+    assert [(r["key"], r["consistent"]) for r in records] == [
+        ("cor12:d=3:c=7/2", False), ("cor12:d=3:c=5/2", True),
+    ]
+
+
 @pytest.mark.parametrize("argv", [
     ["verify", "cor12", "--d", "3", "--c", "1/0"],
     ["verify", "cor12", "--d", "3", "--c", "7/2", "-N", "0"],
@@ -456,6 +504,21 @@ def test_import_leaves_int_str_limit_alone(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit before 3.11"
+)
+def test_digit_budget_raises_the_int_str_limit(capsys):
+    before = sys.get_int_max_str_digits()
+    try:
+        code, _, _ = run(
+            capsys, "orbit", "--coeffs", "1,0,1", "-N", "3", "--digit-budget", "500000"
+        )
+        assert code == 0
+        assert sys.get_int_max_str_digits() >= 500_000
+    finally:
+        sys.set_int_max_str_digits(before)
 
 
 def test_fresh_process_prints_a_long_numerator(tmp_path):

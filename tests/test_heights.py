@@ -132,6 +132,16 @@ def test_lemma41_clips_at_zero():
         lemma41_lower_bound(f, Fraction(1), 0, Fraction(0))
 
 
+def test_deep_preperiodic_bounds_do_not_overflow():
+    # 0 -> -1 -> 0: the depth reaches 1100 and 2^1100 is past the largest double
+    f = parse_poly("z^2-1")
+    iv = lemma41_lower_bound(f, Fraction(0), 1100, trinomial_D_lower(f))
+    assert iv.lower == 0.0 and iv.iterations == 1100
+    iv = canonical_height_interval(f, Fraction(0), 1100)
+    assert iv.lower == 0.0 and iv.iterations == 1100
+    assert 0.0 <= iv.upper < 1e-300
+
+
 def test_ingram_lower_bound():
     f = parse_poly("z^3+7/2")
     iv = ingram_lower_bound(f)

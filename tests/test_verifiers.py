@@ -11,8 +11,8 @@ from zsig.verifiers import (
     SweepSpec,
     classify_point,
     default_horizon,
+    iter_sweep,
     point_key,
-    sweep_keys,
 )
 from tests.conftest import LEAN
 
@@ -124,15 +124,43 @@ def test_classify_point():
 
 def test_sweep_spec_grid_and_keys():
     spec = SweepSpec.from_dict(
-        {"family": "z^d+z^e+c", "d": [3, 4], "e": [2, 3], "c": ["5/2", "-3/2"]}
+        {"family": "z^d+z^e+c", "d": [3, 4], "e": [2, 3], "c": ["5/2", "-3/2"], "horizon": 2}
     )
     points = spec.points()
     assert (3, 2, Fraction(5, 2)) in points
     assert (4, 3, Fraction(-3, 2)) in points
     assert all(e < d for d, e, _ in points)
-    keys = sweep_keys(spec)
+    keys = [key for key, _ in iter_sweep(spec, LEAN)]
     assert len(keys) == len(points) == 6  # (3,2), (4,2), (4,3) pairs
+    assert keys == [point_key(classify_point(*pt), *pt) for pt in points]
     assert keys[0] == "thm13:d=3:e=2:c=5/2"
+    # a resume skips the keys already done, in grid order
+    assert [key for key, _ in iter_sweep(spec, LEAN, set(keys[1::2]))] == keys[::2]
+
+
+def test_sweep_classifies_each_point_once_and_streams(monkeypatch):
+    calls = []
+    classify = verifiers.classify_point
+    monkeypatch.setattr(
+        verifiers, "classify_point", lambda *pt: calls.append(pt) or classify(*pt)
+    )
+    spec = SweepSpec.from_dict(
+        {"family": "z^d+z^e+c", "d": [3, 4], "e": [2, 3], "c": ["5/2", "-3/2", "1"],
+         "horizon": 2}
+    )
+    assert [v.theorem_id for _, v in iter_sweep(spec, LEAN)].count("unclassified") == 3
+    assert calls == spec.points()
+    calls.clear()
+    wide = SweepSpec.from_dict(
+        {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 10_000], "den": [1, 1]},
+         "horizon": 1}
+    )
+    assert len(wide.points()) == 10_000
+    sweep = iter_sweep(wide, LEAN)
+    key, verdict = next(sweep)
+    sweep.close()
+    assert key == "cor12:d=3:c=1" and verdict.details["horizon_used"] == 1
+    assert len(calls) == 1
 
 
 def test_sweep_spec_c_grid_lowest_terms():
@@ -151,9 +179,16 @@ def test_sweep_spec_budgets():
             "budgets": {"factor_rho_budget": 100000, "digit_budget": 5000},
         }
     )
-    cfg = spec.apply_budgets(RunConfig())
+    cfg = RunConfig().with_overrides(**dict(spec.budgets))
     assert cfg.factor_rho_budget == 100000
     assert cfg.digit_budget == 5000
+    # the sweep runs under the spec's budgets: 371/8 fits 5 digits, the next
+    # iterate does not
+    tight = SweepSpec.from_dict(
+        {"family": "z^d+c", "d": [3], "c": ["7/2"], "horizon": 6,
+         "budgets": {"digit_budget": 5}}
+    )
+    assert run_sweep(tight, LEAN)[0].details["horizon_used"] == 2
     with pytest.raises(ValueError):
         SweepSpec.from_dict(
             {"family": "z^d+c", "d": [3], "c": ["7/2"], "budgets": {"nope": 1}}
