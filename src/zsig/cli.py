@@ -12,12 +12,14 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 from . import reports
 from .bounds import omega_inequality_audit, theorem1_bound
-from .config import RunConfig, config_from_env
+from .config import RunConfig, config_from_env, env_name
 from .heights import (
     canonical_height_interval,
     family_C,
@@ -269,8 +271,11 @@ def _sweep_records(text: str) -> list[tuple[str, bool]]:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    spec_data = json.loads(Path(args.spec).read_text())
-    spec = SweepSpec.from_dict(spec_data)
+    spec = SweepSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    for key, pinned in spec.budgets:  # a pin never silently overrides a flag or variable
+        asked = getattr(cfg, key)
+        if asked != pinned and (getattr(args, key) is not None or env_name(key) in os.environ):
+            raise ValueError(f"the spec pins {key} = {pinned}, a flag or variable sets {asked}")
     out = Path(args.out)
     data = out.read_bytes() if out.exists() else b""
     complete = data.rfind(b"\n") + 1
@@ -303,10 +308,10 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), default=None)
-    parser.add_argument("--digit-budget", type=int, default=None)
-    parser.add_argument("--rho-budget", type=int, default=None)
-    parser.add_argument("--workers", type=int, default=None)
+    parser.add_argument("--format", choices=("text", "json", "csv"), dest="output_format")
+    parser.add_argument("--digit-budget", type=int)
+    parser.add_argument("--rho-budget", type=int, dest="factor_rho_budget")
+    parser.add_argument("--workers", type=int)
 
 
 def _add_poly_args(parser: argparse.ArgumentParser) -> None:
@@ -380,12 +385,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        cfg = config_from_env().with_overrides(
-            digit_budget=args.digit_budget,
-            factor_rho_budget=args.rho_budget,
-            workers=args.workers,
-            output_format=args.format,
-        )
+        # each knob's flag stores into the RunConfig field of the same name
+        flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        cfg = config_from_env().with_overrides(**flags)
         if hasattr(sys, "set_int_max_str_digits"):
             sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), cfg.digit_budget))
         return args.func(args, cfg)

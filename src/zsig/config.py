@@ -21,7 +21,7 @@ _ENV_PREFIX = "ZSIG_"
 class RunConfig:
     """The knobs.  Every field is also read from ``ZSIG_<FIELD>`` in the
     environment (``ZSIG_FORMAT`` for ``output_format``).  Every integer field
-    may be pinned in a sweep spec's budgets and must be positive."""
+    must be positive; the ``BUDGETS`` may be pinned in a sweep spec."""
 
     digit_budget: int = DEFAULT_DIGIT_BUDGET
     factor_rho_budget: int = DEFAULT_RHO_BUDGET
@@ -41,15 +41,18 @@ class RunConfig:
 
 
 INT_KNOBS = tuple(f.name for f in fields(RunConfig) if isinstance(f.default, int))
+# the knobs that can change a result record, so the only ones a spec may pin
+BUDGETS = ("digit_budget", "factor_rho_budget")
 
 
-def config_from_env(base: RunConfig | None = None) -> RunConfig:
+def env_name(field: str) -> str:
+    return _ENV_PREFIX + ("FORMAT" if field == "output_format" else field.upper())
+
+
+def config_from_env() -> RunConfig:
     """Build a RunConfig with ZSIG_* environment overrides applied; any other
     ZSIG_* variable is a misspelt knob and raises ValueError."""
-    knobs = {
-        _ENV_PREFIX + ("FORMAT" if f.name == "output_format" else f.name.upper()): f
-        for f in fields(RunConfig)
-    }
+    knobs = {env_name(f.name): f for f in fields(RunConfig)}
     unknown = sorted(k for k in os.environ if k.startswith(_ENV_PREFIX) and k not in knobs)
     if unknown:
         raise ValueError(f"unknown environment variable: {', '.join(unknown)}")
@@ -58,4 +61,4 @@ def config_from_env(base: RunConfig | None = None) -> RunConfig:
         for name, f in knobs.items()
         if name in os.environ
     }
-    return (base or RunConfig()).with_overrides(**overrides)
+    return RunConfig(**overrides)

@@ -126,7 +126,6 @@ def canonical_height_interval(
     iterations: int,
     *,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
-    C: float | None = None,
 ) -> HeightInterval:
     """Two-sided interval for the canonical height of x, telescoped through
     f^N(x).  Width is 2*dC/(d-1)/d^N; the lower end is clipped at 0.
@@ -137,8 +136,7 @@ def canonical_height_interval(
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     d = f.degree
-    total_C = global_C(f).total_C if C is None else C
-    slack = d * total_C / (d - 1)
+    slack = d * global_C(f).total_C / (d - 1)
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
     N = len(values) - 1
     h_N = global_height(values[N])
@@ -161,7 +159,7 @@ def lemma41_lower_bound(
     f: PolyQ,
     x: Fraction,
     iterations: int,
-    D_lower: Fraction | float,
+    D_lower: Fraction,
     *,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> HeightInterval:
@@ -172,10 +170,7 @@ def lemma41_lower_bound(
         raise ValueError("D_lower must be positive")
     d = f.degree
     R = resultant_constant(f)
-    if isinstance(D_lower, Fraction):
-        log_D = math.log(D_lower.numerator) - math.log(D_lower.denominator)
-    else:
-        log_D = math.log(D_lower)
+    log_D = math.log(D_lower.numerator) - math.log(D_lower.denominator)
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
     i = len(values) - 1
     h_i = global_height(values[i])

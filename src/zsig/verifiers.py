@@ -21,11 +21,12 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import prod
-from typing import Callable, Container, Sequence
+from itertools import islice
+from math import gcd, prod
+from typing import Callable, Container, Iterator, Sequence
 
 from .bounds import theorem1_bound
-from .config import INT_KNOBS, RunConfig
+from .config import BUDGETS, RunConfig
 from .heights import (
     HeightInterval,
     family_C,
@@ -57,9 +58,10 @@ class SweepSpec:
     family: str  # BINOMIAL | TRINOMIAL
     d_values: tuple[int, ...]
     e_values: tuple[int, ...] = ()
-    c_values: tuple[Fraction, ...] = ()
+    c_values: tuple[Fraction, ...] = ()  # the listed constants
+    c_grid: tuple[range, range] = (range(0), range(0))  # numerators, denominators
     horizon: int | None = None
-    budgets: tuple[tuple[str, int], ...] = ()  # integer RunConfig field overrides
+    budgets: tuple[tuple[str, int], ...] = ()  # config.BUDGETS overrides
 
     @classmethod
     def from_dict(cls, data: dict) -> "SweepSpec":
@@ -73,28 +75,22 @@ class SweepSpec:
         if any(d < 2 for d in d_values):
             raise ValueError("every d must be >= 2")
         cs = [parse_rational(tok) for tok in _spec_list(data, "c", [], ints=False)]
+        c_grid = cls.c_grid
         grid = data.get("c_grid")
         if grid:
             try:
                 (num_lo, num_hi), (den_lo, den_hi) = grid["num"], grid["den"]
-                dens, nums = range(den_lo, den_hi + 1), range(num_lo, num_hi + 1)
+                c_grid = range(num_lo, num_hi + 1), range(den_lo, den_hi + 1)
             except (TypeError, KeyError, ValueError) as exc:
                 raise ValueError(f"c_grid needs integer ranges num and den: {grid!r}") from exc
             if den_lo < 1:
                 raise ValueError("c_grid denominators must be positive")
-            for den in dens:
-                for num in nums:
-                    if num == 0:
-                        continue
-                    frac = Fraction(num, den)
-                    if frac.numerator == num and frac.denominator == den:
-                        cs.append(frac)  # lowest-terms entries only, no dupes
         raw_budgets = data.get("budgets", {})
         if not isinstance(raw_budgets, dict):
             raise ValueError("budgets must be a JSON object")
         budgets = {}
         for key, value in raw_budgets.items():
-            if key not in INT_KNOBS:
+            if key not in BUDGETS:
                 raise ValueError(f"unknown budget field: {key!r}")
             if not isinstance(value, (int, str)):
                 raise ValueError(f"budget {key} must be an integer")
@@ -103,28 +99,33 @@ class SweepSpec:
         horizon = data.get("horizon")
         if horizon is not None and (type(horizon) is not int or horizon < 1):
             raise ValueError(f"horizon must be a positive integer: {horizon!r}")
-        return cls(
+        return cls(  # a repeated entry would repeat points: keep the first of each
             family=family,
-            d_values=tuple(d_values),
-            e_values=tuple(_spec_list(data, "e", [])),
-            c_values=tuple(cs),
+            d_values=tuple(dict.fromkeys(d_values)),
+            e_values=tuple(dict.fromkeys(_spec_list(data, "e", []))),
+            c_values=tuple(dict.fromkeys(cs)),
+            c_grid=c_grid,
             horizon=horizon,
             budgets=tuple(sorted(budgets.items())),
         )
 
-    def points(self) -> list[tuple[int, int | None, Fraction]]:
-        pts = []
+    def walk(self) -> Iterator[tuple[int, int | None, Fraction]]:
+        """Each (d, e, c) once, lazily: by d, then e, then the listed constants,
+        then the unlisted nonzero lowest-terms grid fractions, denominator-major."""
+        nums, dens = self.c_grid
+        listed = {c.as_integer_ratio() for c in self.c_values}  # Fraction hashes are slow
         for d in self.d_values:
-            if self.family == BINOMIAL:
+            es = [e for e in self.e_values if 2 <= e < d]
+            for e in es if self.family == TRINOMIAL else [None]:
                 for c in self.c_values:
-                    pts.append((d, None, c))
-            else:
-                for e in self.e_values:
-                    if not 2 <= e < d:
-                        continue
-                    for c in self.c_values:
-                        pts.append((d, e, c))
-        return pts
+                    yield d, e, c
+                for den in dens:  # not itertools.product, which lists its inputs
+                    for num in nums:
+                        if num and gcd(num, den) == 1 and (num, den) not in listed:
+                            yield d, e, Fraction(num, den)
+
+    def points(self) -> list[tuple[int, int | None, Fraction]]:
+        return list(self.walk())
 
 
 def _spec_list(data: dict, key: str, default: list | None, ints: bool = True) -> list:
@@ -492,17 +493,16 @@ def iter_sweep(
     verdicts, never aborting the sweep.
     """
     cfg = (config or RunConfig()).with_overrides(**dict(spec.budgets))
-    points = spec.points()
 
     def tasks():
-        for d, e, c in points:
+        for d, e, c in spec.walk():
             theorem_id = classify_point(d, e, c)
             key = point_key(theorem_id or "unclassified", d, e, c)
             if key not in done:
                 yield key, theorem_id, d, e, c, spec.horizon, cfg
 
     # fork starts every worker at once: never more than points or CPUs
-    workers = min(cfg.workers, len(points), os.cpu_count() or 1)
+    workers = len(list(islice(spec.walk(), min(cfg.workers, os.cpu_count() or 1))))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             yield from pool.map(_run_point, tasks())

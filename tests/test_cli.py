@@ -356,6 +356,7 @@ def _assert_sweep_usage_error(capsys, spec_path, out_path, before):
     {**_GOOD_SPEC, "c_grid": {"num": [1, 3]}},
     {**_GOOD_SPEC, "budgets": []},
     {**_GOOD_SPEC, "budgets": {"digit_budget": 0}},
+    {**_GOOD_SPEC, "budgets": {"workers": 1}},
     {**_GOOD_SPEC, "horizon": "8"},
     {**_GOOD_SPEC, "horizon": 0},
     {**_GOOD_SPEC, "horizon": -1},
@@ -368,6 +369,54 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, spec):
     _assert_sweep_usage_error(capsys, spec_path, out_path, None)
     out_path.write_bytes(_PARTIAL)
     _assert_sweep_usage_error(capsys, spec_path, out_path, _PARTIAL)
+
+
+@pytest.mark.parametrize("how, value", [
+    ("flag", "5"), ("flag", "200000"), ("env", "5"), ("env", "200000"),
+])
+def test_sweep_refuses_a_flag_that_contradicts_a_pinned_budget(
+    tmp_path, capsys, monkeypatch, how, value
+):
+    # 200000 is the default digit budget: set explicitly, it still conflicts
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps({**_GOOD_SPEC, "budgets": {"digit_budget": 3000}}))
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_bytes(_PARTIAL)
+    flags = ["--digit-budget", value] if how == "flag" else []
+    if how == "env":
+        monkeypatch.setenv("ZSIG_DIGIT_BUDGET", value)
+    code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path), *flags)
+    assert code == 2 and out == ""
+    assert err == f"error: the spec pins digit_budget = 3000, a flag or variable sets {value}\n"
+    assert out_path.read_bytes() == _PARTIAL
+    # a value that agrees with the pin runs as usual
+    out_path.unlink()
+    if how == "flag":
+        flags = ["--digit-budget", "3000"]
+    else:
+        monkeypatch.setenv("ZSIG_DIGIT_BUDGET", "3000")
+    assert run(capsys, "sweep", str(spec_path), "-o", str(out_path), *flags, *FAST)[0] == 0
+    assert len(out_path.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("spec", [
+    {"c": ["1/2", "7/2"], "c_grid": {"num": [1, 1], "den": [2, 2]}},
+    {"d": [3, 3], "c": ["1/2", "7/2"]},
+    {"c": ["1/2", "2/4", "7/2"]},
+])
+def test_sweep_writes_a_repeated_point_once(tmp_path, capsys, spec):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps({"family": "z^d+c", "d": [3], "horizon": 2, **spec}))
+    full = tmp_path / "full.jsonl"
+    code, out, _ = run(capsys, "sweep", str(spec_path), "-o", str(full), *FAST)
+    assert code == 0 and out == f"sweep complete: 2 points in {full}\n"
+    keys = [json.loads(line)["key"] for line in full.read_text().splitlines()]
+    assert keys == ["cor12:d=3:c=1/2", "cor12:d=3:c=7/2"]
+    # resumed after its first line, the sweep writes the same bytes
+    resumed = tmp_path / "resumed.jsonl"
+    resumed.write_bytes(full.read_bytes().splitlines(keepends=True)[0])
+    assert run(capsys, "sweep", str(spec_path), "-o", str(resumed), *FAST)[0] == 0
+    assert resumed.read_bytes() == full.read_bytes()
 
 
 @pytest.mark.parametrize("line", [

@@ -3,7 +3,7 @@ from dataclasses import fields
 import pytest
 
 from zsig import RunConfig, config_from_env
-from zsig.config import INT_KNOBS
+from zsig.config import BUDGETS, INT_KNOBS
 from zsig.verifiers import SweepSpec
 
 
@@ -43,18 +43,21 @@ def test_knob_lists_come_from_the_fields(monkeypatch):
     names = [f.name for f in fields(RunConfig)]
     assert names == ["digit_budget", "factor_rho_budget", "workers", "output_format"]
     assert INT_KNOBS == tuple(n for n in names if n != "output_format")
+    # the budgets are the knobs that can change a record; workers cannot
+    assert BUDGETS == ("digit_budget", "factor_rho_budget")
     spec = {"family": "z^d+c", "d": [3], "c": ["7/2"]}
     for name in INT_KNOBS:
-        # every integer field is a ZSIG_<FIELD> variable and a sweep budget
+        # every integer field is a ZSIG_<FIELD> variable
         monkeypatch.setenv("ZSIG_" + name.upper(), "7")
         assert getattr(config_from_env(), name) == 7
         monkeypatch.delenv("ZSIG_" + name.upper())
-        budgets = SweepSpec.from_dict({**spec, "budgets": {name: 7}}).budgets
-        assert budgets == ((name, 7),)
         # and every one must be positive
         with pytest.raises(ValueError, match=name):
             RunConfig(**{name: 0})
-    for name in ("output_format", "primality_rounds", "factor_trial_bound", "seed"):
+    for name in BUDGETS:
+        budgets = SweepSpec.from_dict({**spec, "budgets": {name: 7}}).budgets
+        assert budgets == ((name, 7),)
+    for name in ("workers", "output_format", "primality_rounds", "factor_trial_bound", "seed"):
         with pytest.raises(ValueError, match="unknown budget field"):
             SweepSpec.from_dict({**spec, "budgets": {name: 1}})
     # a misspelt or removed knob is an error, not a silent default

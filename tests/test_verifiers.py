@@ -1,3 +1,5 @@
+import time
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -167,7 +169,75 @@ def test_sweep_spec_c_grid_lowest_terms():
     spec = SweepSpec.from_dict(
         {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 4], "den": [2, 2]}}
     )
-    assert spec.c_values == (Fraction(1, 2), Fraction(3, 2))
+    assert spec.c_grid == (range(1, 5), range(2, 3))
+    assert spec.points() == [(3, None, Fraction(1, 2)), (3, None, Fraction(3, 2))]
+
+
+def _eager_points(data: dict) -> list:
+    """The sweep's points as the eager expansion listed them: the oracle."""
+    cs = [Fraction(tok) for tok in data["c"]]
+    if "c_grid" in data:
+        (num_lo, num_hi), (den_lo, den_hi) = data["c_grid"]["num"], data["c_grid"]["den"]
+        for den in range(den_lo, den_hi + 1):
+            for num in range(num_lo, num_hi + 1):
+                frac = Fraction(num, den)
+                if num and frac.numerator == num and frac.denominator == den:
+                    cs.append(frac)
+    if data["family"] == "z^d+c":
+        return [(d, None, c) for d in data["d"] for c in cs]
+    return [(d, e, c) for d in data["d"] for e in data["e"] if 2 <= e < d for c in cs]
+
+
+@st.composite
+def _sweep_specs(draw):
+    data = {
+        "family": draw(st.sampled_from(["z^d+c", "z^d+z^e+c"])),
+        "d": draw(st.lists(st.integers(2, 6), max_size=4)),
+        "e": draw(st.lists(st.integers(0, 7), max_size=4)),
+        "c": draw(st.lists(
+            st.sampled_from(["1/2", "2/4", "-1/3", "3", "6/2", "-3/2", "1", "0", "5/4"]),
+            max_size=5,
+        )),
+        "horizon": 1,
+    }
+    if draw(st.booleans()):
+        num_lo, den_lo = draw(st.integers(-4, 4)), draw(st.integers(1, 4))
+        data["c_grid"] = {
+            "num": [num_lo, num_lo + draw(st.integers(-1, 5))],
+            "den": [den_lo, den_lo + draw(st.integers(-1, 3))],
+        }
+    return data
+
+
+@given(_sweep_specs())
+@settings(max_examples=200, deadline=None)
+def test_walk_is_the_eager_expansion_without_repeats(data):
+    spec = SweepSpec.from_dict(data)
+    points = spec.points()
+    assert points == list(dict.fromkeys(_eager_points(data)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verifiers, "_run_point", lambda task: (task[0], None))
+        keys = [key for key, _ in iter_sweep(spec, LEAN)]
+    assert len(set(keys)) == len(keys) == len(points)
+
+
+def test_first_verdict_of_a_huge_grid_comes_at_once():
+    # about 1.2e12 points: neither the spec nor the sweep may build anything
+    # that grows with the grid
+    data = {"family": "z^d+c", "d": [3], "horizon": 1,
+            "c_grid": {"num": [-10**6, 10**6], "den": [1, 10**6]}}
+    tracemalloc.start()
+    start = time.perf_counter()
+    try:
+        sweep = iter_sweep(SweepSpec.from_dict(data), LEAN)
+        key, verdict = next(sweep)
+        elapsed = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+        sweep.close()
+    finally:
+        tracemalloc.stop()
+    assert key == "cor12:d=3:c=-1000000" and verdict.details["horizon_used"] == 1
+    assert elapsed < 1 and peak < 5 * 2**20
 
 
 def test_sweep_spec_budgets():
