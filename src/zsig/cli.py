@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io
 import json
 import os
 import sys
@@ -28,7 +27,7 @@ from .heights import (
     trinomial_family_lower,
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
-from .polynomials import ParseError, PolyQ, parse_poly, parse_rational
+from .polynomials import PolyQ, parse_poly, parse_rational
 from .verifiers import CLAIMS, SweepSpec, iter_sweep, verify
 from .zsigmondy import zsigmondy_set
 
@@ -68,12 +67,27 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _print_kv_csv(rows: list[tuple[str, str]]) -> None:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["field", "value"])
-    writer.writerows(rows)
-    sys.stdout.write(buf.getvalue())
+def _emit(cfg: RunConfig, payload, table, text) -> None:
+    """Print one result in the configured format.  The views are callables so
+    only the printed one is built: a report's JSON turns every stripped part
+    into a decimal string, quadratic in its length.  ``table`` yields CSV rows,
+    header first; ``text`` yields lines."""
+    if cfg.output_format == "json":
+        print(_dump_json(payload()))
+    elif cfg.output_format == "csv":
+        csv.writer(sys.stdout, lineterminator="\n").writerows(table())
+    else:
+        print("\n".join(text()))
+
+
+def _field_table(pairs) -> list:
+    """A field,value table; lists print space-separated, booleans lowercase."""
+    def cell(value):
+        if isinstance(value, list):
+            return " ".join(map(str, value))
+        return str(value).lower() if isinstance(value, bool) else value
+
+    return [("field", "value"), *((key, cell(value)) for key, value in pairs)]
 
 
 def _parse_target(args: argparse.Namespace) -> PolyQ:
@@ -83,146 +97,112 @@ def _parse_target(args: argparse.Namespace) -> PolyQ:
 def cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
     f = _parse_target(args)
     orb = orbit(f, args.N, digit_budget=cfg.digit_budget)
-    if not orb.wandering:
-        print(f"preperiodic: {orb.describe_cycle()}")
-        return EXIT_FINITE_ORBIT
-    if cfg.output_format == "json":
-        print(_dump_json({"polynomial": str(f), "orbit": reports.orbit_to_dict(orb)}))
-    elif cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "A", "B", "digits_A", "digits_B"])
-        for entry in orb.entries:
-            d = reports.entry_to_dict(entry)
-            writer.writerow([d["n"], d["A"], d["B"], d["digits_A"], d["digits_B"]])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(f"orbit of 0 under {f}")
-        print(f"{'n':>3}  {'digits(A)':>9}  {'digits(B)':>9}  A / B")
-        for entry in orb.entries:
-            d = reports.entry_to_dict(entry)
-            print(
+
+    def text():
+        if not orb.wandering:
+            yield f"preperiodic: {orb.describe_cycle()}"
+            return
+        yield f"orbit of 0 under {f}"
+        yield f"{'n':>3}  {'digits(A)':>9}  {'digits(B)':>9}  A / B"
+        for d in map(reports.entry_to_dict, orb.entries):
+            yield (
                 f"{d['n']:>3}  {d['digits_A']:>9}  {d['digits_B']:>9}  "
                 f"{_elide(d['A'])} / {_elide(d['B'])}"
             )
-    return EXIT_OK
+
+    _emit(
+        cfg,
+        lambda: {"polynomial": str(f), "orbit": reports.orbit_to_dict(orb)},
+        lambda: [
+            ["n", "A", "B", "digits_A", "digits_B"],
+            *(reports.entry_to_dict(entry).values() for entry in orb.entries),
+        ],
+        text,
+    )
+    return EXIT_OK if orb.wandering else EXIT_FINITE_ORBIT
 
 
 def cmd_zsig(args: argparse.Namespace, cfg: RunConfig) -> int:
     f = _parse_target(args)
-    if not f.admissible:
-        print(
-            "error: linear coefficient is nonzero; Zsigmondy computations "
-            "require a_1 = 0",
-            file=sys.stderr,
-        )
-        return EXIT_PARSE
     report = zsigmondy_set(f, args.N, cfg)
-    if cfg.output_format == "json":
-        print(_dump_json({"polynomial": str(f), "report": reports.zsig_report_to_dict(report)}))
-    elif cfg.output_format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["n", "has_primitive", "is_unit", "stripped_digits", "witnesses"])
-        for v in report.per_index:
-            writer.writerow([
-                v.n, v.has_primitive, v.is_unit,
-                decimal_digits(v.stripped_part), " ".join(map(str, v.witness_primes)),
-            ])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(f"Zsigmondy report for {f} up to n = {report.horizon}")
-        print(f"elements without a primitive prime divisor: {report.elements}")
+
+    def text():
+        yield f"Zsigmondy report for {f} up to n = {report.horizon}"
+        yield f"elements without a primitive prime divisor: {report.elements}"
         for v in report.per_index:
             tag = "unit" if v.is_unit else ("primitive" if v.has_primitive else "NO primitive")
             wit = f" witnesses={list(v.witness_primes)}" if v.witness_primes else ""
-            print(f"  n={v.n}: {tag}{wit}")
+            yield f"  n={v.n}: {tag}{wit}"
         ktab = ", ".join(f"{p}->{k}" for p, k in sorted(report.k_table.items()))
-        print(f"first-division table k(p): {ktab}")
-        print(f"rigid-divisibility violations: {len(report.rigid_violations)}")
+        yield f"first-division table k(p): {ktab}"
+        yield f"rigid-divisibility violations: {len(report.rigid_violations)}"
+
+    _emit(
+        cfg,
+        lambda: {"polynomial": str(f), "report": reports.zsig_report_to_dict(report)},
+        lambda: [
+            ["n", "has_primitive", "is_unit", "stripped_digits", "witnesses"],
+            *(
+                [v.n, v.has_primitive, v.is_unit, decimal_digits(v.stripped_part),
+                 " ".join(map(str, v.witness_primes))]
+                for v in report.per_index
+            ),
+        ],
+        text,
+    )
     return EXIT_OK
 
 
 def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
     f = _parse_target(args)
     gc = global_C(f)
-    if args.hhat == "ingram":
-        interval = ingram_lower_bound(f)
-        c_used = family_C(f.constant)
-    elif args.hhat == "family":
-        interval = trinomial_family_lower(f)
-        form = f.trinomial_form()
-        c_used = family_C(form[2])
-    else:
+    if args.hhat == "telescope":
         interval = canonical_height_interval(
             f, f.constant, args.iterations, digit_budget=cfg.digit_budget
         )
         c_used = gc.total_C
-    vacuous = interval.lower <= 0
-    bound = None if vacuous else theorem1_bound(f, interval.lower, c_used)
-    payload = {
-        "polynomial": str(f),
-        "global_C": reports.global_c_to_dict(gc),
-        "C_used": c_used,
-        "hhat_method": interval.method,
-        "hhat_interval": reports.interval_to_dict(interval),
-        "bound": None if bound is None else reports.bound_to_dict(bound),
-        "certified": bool(bound and bound.certified),
-    }
-    if cfg.output_format == "json":
-        print(_dump_json(payload))
-    elif cfg.output_format == "csv":
-        rows = [
-            ("polynomial", payload["polynomial"]),
+    else:
+        interval = (ingram_lower_bound if args.hhat == "ingram" else trinomial_family_lower)(f)
+        c_used = family_C(f.constant)
+    bound = None if interval.lower <= 0 else theorem1_bound(f, interval.lower, c_used)
+    certified = bool(bound and bound.certified)
+
+    def text():
+        yield f"index bound for {f}"
+        arch = f"archimedean {gc.archimedean_logCv:.15g}"
+        places = "".join(f", p={p}: {v:.15g}" for p, v in sorted(gc.nonarch_contribs.items()))
+        yield f"  per-place constants: {arch}{places}  (total {gc.total_C:.15g})"
+        yield f"  C used: {c_used:.15g}"
+        yield f"  canonical-height lower bound ({interval.method}): {interval.lower:.15g}"
+        if bound is None:
+            yield "  bound: vacuous (no positive canonical-height lower bound)"
+        else:
+            yield f"  n_max = {bound.n_max:.15g}  ->  n <= {bound.n_max_floor}"
+        yield f"  certified: {str(certified).lower()}"
+
+    _emit(
+        cfg,
+        lambda: {
+            "polynomial": str(f),
+            "global_C": vars(gc),
+            "C_used": c_used,
+            "hhat_method": interval.method,
+            "hhat_interval": reports.interval_to_dict(interval),
+            "bound": None if bound is None else vars(bound),
+            "certified": certified,
+        },
+        lambda: _field_table([
+            ("polynomial", str(f)),
             ("C_used", f"{c_used:.15g}"),
             ("hhat_method", interval.method),
             ("hhat_lower", f"{interval.lower:.15g}"),
-            ("n_max", "" if bound is None else f"{bound.n_max:.15g}"),
-            ("n_max_floor", "" if bound is None else str(bound.n_max_floor)),
-            ("certified", str(payload["certified"]).lower()),
-        ]
-        _print_kv_csv(rows)
-    else:
-        print(f"index bound for {f}")
-        print(f"  per-place constants: archimedean {gc.archimedean_logCv:.15g}", end="")
-        for p, v in sorted(gc.nonarch_contribs.items()):
-            print(f", p={p}: {v:.15g}", end="")
-        print(f"  (total {gc.total_C:.15g})")
-        print(f"  C used: {c_used:.15g}")
-        print(
-            f"  canonical-height lower bound ({interval.method}): {interval.lower:.15g}"
-        )
-        if bound is None:
-            print("  bound: vacuous (no positive canonical-height lower bound)")
-            print("  certified: false")
-        else:
-            print(f"  n_max = {bound.n_max:.15g}  ->  n <= {bound.n_max_floor}")
-            print(f"  certified: {str(bound.certified).lower()}")
+            ("n_max", None if bound is None else f"{bound.n_max:.15g}"),
+            ("n_max_floor", None if bound is None else bound.n_max_floor),
+            ("certified", certified),
+        ]),
+        text,
+    )
     return EXIT_OK
-
-
-def _print_verdict(verdict, fmt: str) -> None:
-    data = reports.theorem_verdict_to_dict(verdict)
-    if fmt == "json":
-        print(_dump_json(data))
-    elif fmt == "csv":
-        rows = [
-            ("theorem_id", verdict.theorem_id),
-            ("polynomial", verdict.polynomial),
-            ("hypothesis_ok", str(verdict.hypothesis_ok).lower()),
-            ("predicted", verdict.predicted),
-            ("observed_elements", " ".join(map(str, verdict.observed_elements))),
-            ("consistent", str(verdict.consistent).lower()),
-        ]
-        _print_kv_csv(rows)
-    else:
-        print(f"{verdict.theorem_id}: {verdict.polynomial}")
-        print(f"  hypothesis_ok: {verdict.hypothesis_ok}")
-        print(f"  predicted: {verdict.predicted}")
-        print(f"  observed elements: {verdict.observed_elements}")
-        print(f"  consistent: {verdict.consistent}")
-        for key in sorted(verdict.details):
-            print(f"  {key}: {verdict.details[key]}")
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -235,20 +215,33 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             "equalities": equalities,
             "strict_violations": violations,
         }
-        if cfg.output_format == "json":
-            print(_dump_json(payload))
-        else:
-            print(f"audit of 2*omega(n)+1 < d^(n/2) for d={args.d}, n <= {args.n_max}")
-            print(f"  boundary equalities at n = {equalities or 'none'}")
-            print(f"  strict violations at n = {violations or 'none'}")
+        _emit(cfg, lambda: payload, lambda: _field_table(payload.items()), lambda: [
+            f"audit of 2*omega(n)+1 < d^(n/2) for d={args.d}, n <= {args.n_max}",
+            f"  boundary equalities at n = {equalities or 'none'}",
+            f"  strict violations at n = {violations or 'none'}",
+        ])
         return EXIT_OK
     if args.c is None:
-        print("error: --c is required", file=sys.stderr)
-        return EXIT_PARSE
+        raise ValueError("--c is required")
     verdict = verify(
         args.theorem, args.d, parse_rational(args.c), args.e, cfg, horizon=args.N
     )
-    _print_verdict(verdict, cfg.output_format)
+
+    def text():
+        yield f"{verdict.theorem_id}: {verdict.polynomial}"
+        yield f"  hypothesis_ok: {verdict.hypothesis_ok}"
+        yield f"  predicted: {verdict.predicted}"
+        yield f"  observed elements: {verdict.observed_elements}"
+        yield f"  consistent: {verdict.consistent}"
+        for key in sorted(verdict.details):
+            yield f"  {key}: {verdict.details[key]}"
+
+    _emit(
+        cfg,
+        lambda: vars(verdict),
+        lambda: _field_table((k, v) for k, v in vars(verdict).items() if k != "details"),
+        text,
+    )
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
@@ -291,9 +284,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     # stream one line per verdict so an interrupted run resumes cleanly
     with out.open("a") as handle:
         for key, verdict in iter_sweep(spec, cfg, done):
-            record = {"v": 1, "key": key}
-            record.update(reports.theorem_verdict_to_dict(verdict))
-            handle.write(_dump_json(record) + "\n")
+            handle.write(_dump_json({"v": 1, "key": key, **vars(verdict)}) + "\n")
             handle.flush()
             written += 1
             if not verdict.consistent:
@@ -372,11 +363,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # Decimal strings are the output format for big integers; clear the
-    # interpreter's int->str guard for every size the digit budget allows
-    # (400,000 digits while parsing, the budget once it is known).
-    if hasattr(sys, "set_int_max_str_digits"):
-        sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 400_000))
     argv = list(sys.argv[1:] if argv is None else argv)
     argv = _merge_negative_values(argv)
     parser = build_parser()
@@ -388,21 +374,15 @@ def main(argv: list[str] | None = None) -> int:
         # each knob's flag stores into the RunConfig field of the same name
         flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = config_from_env().with_overrides(**flags)
+        # decimal strings are the output format for big integers: clear the
+        # interpreter's int->str guard for every size the digit budget allows
         if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), cfg.digit_budget))
+            sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 400_000, cfg.digit_budget))
         return args.func(args, cfg)
-    except ParseError as exc:
+    except (DigitBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except DigitBudgetError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FiniteOrbitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FINITE_ORBIT
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
+        codes = {DigitBudgetError: EXIT_BUDGET, FiniteOrbitError: EXIT_FINITE_ORBIT}
+        return codes.get(type(exc), EXIT_PARSE)
 
 
 def entry() -> None:

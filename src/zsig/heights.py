@@ -131,13 +131,15 @@ def canonical_height_interval(
     f^N(x).  Width is 2*dC/(d-1)/d^N; the lower end is clipped at 0.
 
     If the digit budget stops iteration early, the deepest computed iterate
-    is used and recorded in ``iterations``.
+    is used and recorded in ``iterations``.  A finite orbit gives [0, 0].
     """
     if iterations < 0:
         raise ValueError("iterations must be >= 0")
     d = f.degree
     slack = d * global_C(f).total_C / (d - 1)
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
+    if values[-1] in values[:-1]:  # a finite orbit: the canonical height is 0
+        return HeightInterval(0.0, 0.0, "telescoped", iterations)
     N = len(values) - 1
     h_N = global_height(values[N])
     scale = d**N  # exact: float(d**N) overflows, the quotients only underflow
@@ -172,6 +174,8 @@ def lemma41_lower_bound(
     R = resultant_constant(f)
     log_D = math.log(D_lower.numerator) - math.log(D_lower.denominator)
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
+    if values[-1] in values[:-1]:  # a finite orbit: the canonical height is 0
+        return HeightInterval(0.0, math.inf, "lemma41", iterations)
     i = len(values) - 1
     h_i = global_height(values[i])
     lower = float(Fraction(h_i - (math.log(R) - log_D) / (d - 1)) / d**i)

@@ -193,14 +193,18 @@ def iterate_point(
     """Return [x, f(x), ..., f^N(x)] exactly, guarding sizes.
 
     On budget exhaustion the values computed so far are returned (callers use
-    the deepest iterate they got).
+    the deepest iterate they got).  A finite orbit stops at its first repeated
+    value, which ends the list: every later iterate repeats one already there.
     """
-    values = [x]
+    values, seen = [x], {x}
     for _ in range(N):
         x = _step(f, x, digit_budget)
         if x is None:
             break
         values.append(x)
+        if x in seen:
+            break
+        seen.add(x)
     return values
 
 

@@ -3,15 +3,15 @@
 Big integers serialize as decimal strings (they exceed native JSON number
 ranges); floats serialize natively so values keep every bit.  Decimal strings
 past 4300 digits need a raised ``sys.set_int_max_str_digits``, which
-``cli.main`` sets and library callers set themselves.
+``cli.main`` sets and library callers set themselves.  ``GlobalC``,
+``BoundResult`` and ``TheoremVerdict`` hold no big integer and no infinity, so
+their JSON is ``vars(obj)``.
 """
 
 from __future__ import annotations
 
-from .bounds import BoundResult
-from .heights import GlobalC, HeightInterval
+from .heights import HeightInterval
 from .orbits import Orbit, OrbitEntry, decimal_digits
-from .verifiers import TheoremVerdict
 from .zsigmondy import PrimitiveVerdict, ZsigmondyReport
 
 
@@ -64,34 +64,4 @@ def interval_to_dict(interval: HeightInterval) -> dict:
         "upper": None if interval.upper == float("inf") else interval.upper,
         "method": interval.method,
         "iterations": interval.iterations,
-    }
-
-
-def global_c_to_dict(gc: GlobalC) -> dict:
-    return {
-        "archimedean_logCv": gc.archimedean_logCv,
-        "nonarch_contribs": {str(p): v for p, v in sorted(gc.nonarch_contribs.items())},
-        "total_C": gc.total_C,
-    }
-
-
-def bound_to_dict(b: BoundResult) -> dict:
-    return {
-        "n_max": b.n_max,
-        "n_max_floor": b.n_max_floor,
-        "hhat_lower_used": b.hhat_lower_used,
-        "C_used": b.C_used,
-        "certified": b.certified,
-    }
-
-
-def theorem_verdict_to_dict(v: TheoremVerdict) -> dict:
-    return {
-        "theorem_id": v.theorem_id,
-        "polynomial": v.polynomial,
-        "hypothesis_ok": v.hypothesis_ok,
-        "predicted": v.predicted,
-        "observed_elements": v.observed_elements,
-        "consistent": v.consistent,
-        "details": v.details,
     }

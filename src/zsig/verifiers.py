@@ -21,7 +21,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import islice
+from itertools import chain, islice
 from math import gcd, prod
 from typing import Callable, Container, Iterator, Sequence
 
@@ -501,13 +501,14 @@ def iter_sweep(
             if key not in done:
                 yield key, theorem_id, d, e, c, spec.horizon, cfg
 
-    # fork starts every worker at once: never more than points or CPUs
-    workers = len(list(islice(spec.walk(), min(cfg.workers, os.cpu_count() or 1))))
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(_run_point, tasks())
+    # fork starts every worker at once: never more than points to do or CPUs
+    stream = tasks()
+    first = list(islice(stream, min(cfg.workers, os.cpu_count() or 1)))
+    if len(first) > 1:
+        with ProcessPoolExecutor(max_workers=len(first)) as pool:
+            yield from pool.map(_run_point, chain(first, stream))
     else:
-        yield from map(_run_point, tasks())
+        yield from map(_run_point, chain(first, stream))
 
 
 def run_sweep(spec: SweepSpec, config: RunConfig | None = None) -> list[TheoremVerdict]:

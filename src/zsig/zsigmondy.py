@@ -98,7 +98,7 @@ def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> Zsigmond
     orbit raises FiniteOrbitError since the set is not defined there.
     """
     if not f.admissible:
-        raise ValueError("Zsigmondy computations require a zero linear coefficient")
+        raise ValueError("linear coefficient is nonzero; Zsigmondy computations require a_1 = 0")
     cfg = config or RunConfig()
     entries = wandering_entries(f, N, digit_budget=cfg.digit_budget)
     return zsigmondy_report_from_entries(entries, cfg, denominator_lcm=clear_denominators(f)[1])

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import os
 import subprocess
@@ -136,6 +138,21 @@ def test_bound_telescope_deep_preperiodic_is_vacuous(capsys):
     assert "bound: vacuous" in out
 
 
+def test_bound_telescope_on_a_finite_orbit_returns_at_once(capsys):
+    # 0 -> -1 -> 0 repeats at the second step: the canonical height is 0
+    # exactly, whatever depth is asked for
+    code, out, err = run(
+        capsys, "bound", "--coeffs", "-1,0,1", "--hhat", "telescope",
+        "--iterations", "1000000000", "--format", "json",
+    )
+    assert code == 0 and err == ""
+    data = json.loads(out)
+    assert data["hhat_interval"] == {
+        "lower": 0.0, "upper": 0.0, "method": "telescoped", "iterations": 10**9,
+    }
+    assert data["bound"] is None and not data["certified"]
+
+
 def test_bound_telescope_certified(capsys):
     code, out, _ = run(
         capsys, "bound", "--coeffs", "1,0,1", "--hhat", "telescope", "--format", "json"
@@ -256,6 +273,25 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     assert code == 3
 
 
+@pytest.mark.parametrize("argv, exit_code", [
+    (["orbit", "--coeffs", "1,0,1", "-N", "5"], 0),
+    (["orbit", "--coeffs", "-1,0,1", "-N", "5"], 4),
+    (["zsig", "--coeffs", "7/2,0,0,1", "-N", "5", *FAST], 0),
+    (["bound", "--coeffs", "7/6,0,5/3,2/5", "--hhat", "telescope"], 0),
+    (["verify", "thm13", "--d", "4", "--e", "2", "--c", "5/2", *FAST], 0),
+    (["verify", "ezsig", "--d", "3", "--n-max", "100"], 0),
+])
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_every_command_prints_the_format_asked_for(capsys, argv, exit_code, fmt):
+    code, out, _ = run(capsys, *argv, "--format", fmt)
+    assert code == exit_code and out.endswith("\n")
+    if fmt == "json":
+        assert isinstance(json.loads(out), dict)
+    elif fmt == "csv":
+        header, *rows = csv.reader(io.StringIO(out))
+        assert all(header) and rows and all(len(row) == len(header) for row in rows)
+
+
 def _covers_fields(obj, data, **renamed):
     """Every dataclass field of obj is a key of data (or of its renamed keys)."""
     return all(set(renamed.get(f.name, (f.name,))) <= data.keys() for f in fields(obj))
@@ -300,18 +336,19 @@ def test_json_encoders_are_complete():
     iv = canonical_height_interval(f, Fraction(7, 2), 4)
     assert _covers_fields(iv, encode(reports.interval_to_dict, iv))
 
+    # the dataclasses without big integers are their own JSON view
     gc = global_C(f)
-    data = encode(reports.global_c_to_dict, gc)
+    data = encode(vars, gc)
     assert _covers_fields(gc, data)
     assert gc.nonarch_contribs
     assert {int(p): v for p, v in data["nonarch_contribs"].items()} == gc.nonarch_contribs
 
     br = theorem1_bound(f, 0.5, 1.0)
-    assert _covers_fields(br, encode(reports.bound_to_dict, br))
+    assert encode(vars, br) == vars(br)
 
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [3], "c": ["7/2"], "horizon": 6})
     verdict = run_sweep(spec, LEAN)[0]
-    assert _covers_fields(verdict, encode(reports.theorem_verdict_to_dict, verdict))
+    assert encode(vars, verdict) == vars(verdict)
 
 
 def test_sweep_rejects_corrupt_middle_line(tmp_path, capsys):

@@ -83,6 +83,7 @@ VERIFY_ARGV = [
     ["verify", "ezsig", "--d", "3", "--n-max", "100"],
     ["verify", "ezsig", "--d", "4", "--n-max", "100", "--format", "json"],
     ["verify", "ezsig", "--d", "3", "--n-max", "-1"],
+    ["verify", "ezsig", "--d", "3", "--n-max", "100", "--format", "csv"],
 ]
 
 _CLI_COMMANDS = [
@@ -106,6 +107,8 @@ CLI_ARGV = [
     ["orbit", "--coeffs", "5/2,0,0,1", "-N", "6", "--digit-budget", "30"],
     ["zsig", "--coeffs", "1,1,1", "-N", "4"],
     ["zsig", "--coeffs", "-2,0,1", "-N", "4"],
+    ["orbit", "--coeffs", "-1,0,1", "-N", "4", "--format", "json"],
+    ["orbit", "--coeffs", "-1,0,1", "-N", "4", "--format", "csv"],
 ]
 
 

@@ -46,6 +46,16 @@ def test_preperiodic_without_zero():
     assert [e.A for e in orb.entries] == [-2, 2]
 
 
+@pytest.mark.parametrize("coeffs, x, values", [
+    ("-1,0,1", 0, [0, -1, 0]),
+    ("-2,0,1", 0, [0, -2, 2, 2]),
+    ("-2,0,1", 2, [2, 2]),
+    ("-2,0,1", -1, [-1, -1]),
+])
+def test_iterate_point_stops_at_the_first_repeat(coeffs, x, values):
+    assert iterate_point(parse_poly(coeffs), Fraction(x), 10**9) == values
+
+
 def test_wandering_entries_raises_on_finite():
     with pytest.raises(FiniteOrbitError):
         wandering_entries(parse_poly("-1,0,1"), 5)

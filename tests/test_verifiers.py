@@ -377,11 +377,8 @@ def test_exceeds_falls_back_on_near_ties(base, scale, expo, ulp, negative):
         assert not calls
 
 
-@pytest.mark.parametrize(
-    "workers, n_points, cpus, expected",
-    [(64, 3, 8, [3]), (64, 6, 4, [4]), (2, 6, 8, [2]), (64, 6, None, []), (64, 1, 8, [])],
-)
-def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected):
+def _recording_pool(monkeypatch, cpus):
+    """Replace the process pool by a serial one; the list records its sizes."""
     created = []
 
     class RecordingPool:
@@ -399,8 +396,31 @@ def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected)
 
     monkeypatch.setattr(verifiers, "ProcessPoolExecutor", RecordingPool)
     monkeypatch.setattr(verifiers.os, "cpu_count", lambda: cpus)
-    cs = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"][:n_points]
+    return created
+
+
+_POOL_CS = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"]
+
+
+@pytest.mark.parametrize(
+    "workers, n_points, cpus, expected",
+    [(64, 3, 8, [3]), (64, 6, 4, [4]), (2, 6, 8, [2]), (64, 6, None, []), (64, 1, 8, [])],
+)
+def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected):
+    created = _recording_pool(monkeypatch, cpus)
+    cs = _POOL_CS[:n_points]
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": cs, "horizon": 3})
     verdicts = run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=workers))
     assert created == expected
     assert verdicts == run_sweep(spec, LEAN)
+
+
+@pytest.mark.parametrize("left", [0, 1])
+def test_resume_with_at_most_one_point_left_starts_no_pool(monkeypatch, left):
+    spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": _POOL_CS, "horizon": 3})
+    results = list(iter_sweep(spec, LEAN))
+    created = _recording_pool(monkeypatch, 8)
+    done = {key for key, _ in results[: len(results) - left]}
+    cfg = RunConfig(factor_rho_budget=200_000, workers=64)
+    assert list(iter_sweep(spec, cfg, done)) == results[len(results) - left:]
+    assert created == []
