@@ -74,8 +74,9 @@ def check_condition3(f: PolyQ, z: Fraction) -> bool:
     signs = compute_sign_sets(f)
     for n_set, n_idx in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus)):
         lhs = sum(
-            abs(f.coeffs[i]) * az ** (i - n_idx)
+            abs(a) * az ** (i - n_idx)
             for i in range(n_idx + 1, f.degree + 1)
+            if (a := f.coeffs[i])  # zero terms would cost a power of |z| each
         )
         rhs = sum(abs(f.coeffs[i]) for i in n_set) + 1
         if lhs < rhs:

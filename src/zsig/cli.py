@@ -67,27 +67,33 @@ def _dump_json(payload: dict) -> str:
     return json.dumps(payload, separators=(",", ":"))
 
 
-def _emit(cfg: RunConfig, payload, table, text) -> None:
+def _emit(cfg: RunConfig, payload, text, table=None) -> None:
     """Print one result in the configured format.  The views are callables so
-    only the printed one is built: a report's JSON turns every stripped part
-    into a decimal string, quadratic in its length.  ``table`` yields CSV rows,
-    header first; ``text`` yields lines."""
+    only the printed one is built.  The CSV lists every leaf of ``payload()``
+    unless ``table`` yields rows (header first) per orbit entry or per index:
+    a report's JSON turns every stripped part into a decimal string, quadratic
+    in its length, where its CSV prints only the digit count."""
     if cfg.output_format == "json":
         print(_dump_json(payload()))
     elif cfg.output_format == "csv":
-        csv.writer(sys.stdout, lineterminator="\n").writerows(table())
+        rows = table() if table else [("field", "value"), *_fields(payload())]
+        csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
     else:
         print("\n".join(text()))
 
 
-def _field_table(pairs) -> list:
-    """A field,value table; lists print space-separated, booleans lowercase."""
-    def cell(value):
-        if isinstance(value, list):
-            return " ".join(map(str, value))
-        return str(value).lower() if isinstance(value, bool) else value
-
-    return [("field", "value"), *((key, cell(value)) for key, value in pairs)]
+def _fields(record: dict, prefix: str = ""):
+    """(key, cell) for each leaf of a JSON object in key order; nested objects
+    give dotted keys.  Lists print space-separated, booleans lowercase and
+    None as an empty cell."""
+    for key, value in record.items():
+        key = f"{prefix}{key}"
+        if isinstance(value, dict):
+            yield from _fields(value, f"{key}.")
+        elif isinstance(value, list):
+            yield key, " ".join(map(str, value))
+        else:
+            yield key, str(value).lower() if isinstance(value, bool) else value
 
 
 def _parse_target(args: argparse.Namespace) -> PolyQ:
@@ -113,11 +119,11 @@ def cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
     _emit(
         cfg,
         lambda: {"polynomial": str(f), "orbit": reports.orbit_to_dict(orb)},
+        text,
         lambda: [
             ["n", "A", "B", "digits_A", "digits_B"],
             *(reports.entry_to_dict(entry).values() for entry in orb.entries),
         ],
-        text,
     )
     return EXIT_OK if orb.wandering else EXIT_FINITE_ORBIT
 
@@ -140,6 +146,7 @@ def cmd_zsig(args: argparse.Namespace, cfg: RunConfig) -> int:
     _emit(
         cfg,
         lambda: {"polynomial": str(f), "report": reports.zsig_report_to_dict(report)},
+        text,
         lambda: [
             ["n", "has_primitive", "is_unit", "stripped_digits", "witnesses"],
             *(
@@ -148,7 +155,6 @@ def cmd_zsig(args: argparse.Namespace, cfg: RunConfig) -> int:
                 for v in report.per_index
             ),
         ],
-        text,
     )
     return EXIT_OK
 
@@ -191,15 +197,6 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
             "bound": None if bound is None else vars(bound),
             "certified": certified,
         },
-        lambda: _field_table([
-            ("polynomial", str(f)),
-            ("C_used", f"{c_used:.15g}"),
-            ("hhat_method", interval.method),
-            ("hhat_lower", f"{interval.lower:.15g}"),
-            ("n_max", None if bound is None else f"{bound.n_max:.15g}"),
-            ("n_max_floor", None if bound is None else bound.n_max_floor),
-            ("certified", certified),
-        ]),
         text,
     )
     return EXIT_OK
@@ -215,7 +212,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
             "equalities": equalities,
             "strict_violations": violations,
         }
-        _emit(cfg, lambda: payload, lambda: _field_table(payload.items()), lambda: [
+        _emit(cfg, lambda: payload, lambda: [
             f"audit of 2*omega(n)+1 < d^(n/2) for d={args.d}, n <= {args.n_max}",
             f"  boundary equalities at n = {equalities or 'none'}",
             f"  strict violations at n = {violations or 'none'}",
@@ -236,12 +233,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         for key in sorted(verdict.details):
             yield f"  {key}: {verdict.details[key]}"
 
-    _emit(
-        cfg,
-        lambda: vars(verdict),
-        lambda: _field_table((k, v) for k, v in vars(verdict).items() if k != "details"),
-        text,
-    )
+    _emit(cfg, lambda: vars(verdict), text)
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 

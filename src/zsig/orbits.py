@@ -167,24 +167,20 @@ def orbit(f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Orbi
     """Compute f^1(0) .. f^N(0), stopping early on a finite orbit."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    entries: list[OrbitEntry] = []
-    seen: dict[Fraction, int] = {Fraction(0): 0}
-    x = Fraction(0)
-    for n in range(1, N + 1):
-        x = _step(f, x, digit_budget)
-        if x is None:
+    values = iterate_point(f, Fraction(0), N, digit_budget=digit_budget)
+    n = len(values) - 1
+    entries = [OrbitEntry(i, x) for i, x in enumerate(values[1:], 1)]
+    # a finite orbit ends on its first repeat, and a return to 0 repeats index 0
+    first = values.index(values[-1])
+    if first == n:
+        if n < N:
             raise DigitBudgetError(
-                f"iterate {n} exceeds digit budget of {digit_budget} decimal digits", entries
+                f"iterate {n + 1} exceeds digit budget of {digit_budget} decimal digits", entries
             )
-        if x == 0:
-            entries.append(OrbitEntry(n, x))
-            return Orbit(HIT_ZERO, entries, tail=0, period=n, step=n)
-        first = seen.get(x)
-        if first is not None:
-            return Orbit(PREPERIODIC, entries, tail=first, period=n - first)
-        seen[x] = n
-        entries.append(OrbitEntry(n, x))
-    return Orbit(WANDERING, entries)
+        return Orbit(WANDERING, entries)
+    if first == 0:
+        return Orbit(HIT_ZERO, entries, tail=0, period=n, step=n)
+    return Orbit(PREPERIODIC, entries[:-1], tail=first, period=n - first)
 
 
 def iterate_point(

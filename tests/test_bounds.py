@@ -91,6 +91,20 @@ def test_condition3_monotone_in_magnitude():
     assert held
 
 
+@pytest.mark.parametrize("poly", ["z^7-2z^3+3", "z^6+z^2-5/2", "-z^5+4z-1", "z^9-3z^8+1/2"])
+def test_condition3_agrees_with_the_sum_over_every_index(poly):
+    f = parse_poly(poly)
+    signs = compute_sign_sets(f)
+    for z in (Fraction(1), Fraction(3, 2), Fraction(-2), Fraction(5, 2), Fraction(-7, 3), Fraction(4)):
+        az = abs(z)
+        every_index = all(
+            sum(abs(f.coeffs[i]) * az ** (i - n) for i in range(n + 1, f.degree + 1))
+            >= sum(abs(f.coeffs[i]) for i in n_set) + 1
+            for n_set, n in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus))
+        )
+        assert check_condition3(f, z) == every_index
+
+
 def test_prop31_examples():
     assert prop31_check(parse_poly("1,0,1"), Fraction(1), 5)
     assert prop31_check(parse_poly("z^3-2z^2+3"), Fraction(3), 4)

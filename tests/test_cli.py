@@ -292,6 +292,37 @@ def test_every_command_prints_the_format_asked_for(capsys, argv, exit_code, fmt)
         assert all(header) and rows and all(len(row) == len(header) for row in rows)
 
 
+def _json_leaves(value, key=""):
+    """(dotted key, CSV cell) of each leaf of a parsed JSON value."""
+    if isinstance(value, dict):
+        return [
+            leaf for k, v in value.items() for leaf in _json_leaves(v, f"{key}.{k}" if key else k)
+        ]
+    if isinstance(value, list):
+        return [(key, " ".join(map(str, value)))]
+    if isinstance(value, bool):
+        return [(key, str(value).lower())]
+    return [(key, "" if value is None else str(value))]
+
+
+@pytest.mark.parametrize("argv", [
+    ["bound", "--coeffs", "7/2,0,0,1", "--hhat", "ingram"],
+    ["bound", "--coeffs", "5/2,0,1,0,1", "--hhat", "family"],
+    ["bound", "--coeffs", "7/6,0,5/3,2/5", "--hhat", "telescope"],
+    ["verify", "thm13", "--d", "4", "--e", "2", "--c", "5/2", *FAST],
+    ["verify", "thm13", "--d", "3", "--e", "2", "--c", "1/2", *FAST],
+    ["verify", "prop54", "--d", "3", "--e", "2", "--c", "-3/2", *FAST],
+    ["verify", "ezsig", "--d", "3", "--n-max", "100"],
+])
+def test_field_value_csv_lists_every_json_leaf(capsys, argv):
+    _, out, _ = run(capsys, *argv, "--format", "json")
+    leaves = _json_leaves(json.loads(out))
+    _, out, _ = run(capsys, *argv, "--format", "csv")
+    header, *rows = csv.reader(io.StringIO(out))
+    assert header == ["field", "value"]
+    assert [tuple(row) for row in rows] == leaves
+
+
 def _covers_fields(obj, data, **renamed):
     """Every dataclass field of obj is a key of data (or of its renamed keys)."""
     return all(set(renamed.get(f.name, (f.name,))) <= data.keys() for f in fields(obj))

@@ -59,6 +59,14 @@ def test_thm13_d5_case_split():
     assert v.details["hhat_lower"] == pytest.approx(math.log(21) / 4)
 
 
+def test_thm13_at_a_huge_degree_finishes():
+    # the growth certificate must not build a power of |c| per zero coefficient
+    start = time.perf_counter()
+    v = verify("thm13", 30000, Fraction(5, 2), 2)
+    assert time.perf_counter() - start < 5
+    assert v.hypothesis_ok and v.consistent and v.details["bound_certified"]
+
+
 def test_prop51_examples():
     assert verify("prop51", 3, Fraction(3, 2), 2, LEAN).consistent
     assert verify("prop51", 4, Fraction(5, 3), 3, LEAN).consistent
