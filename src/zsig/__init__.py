@@ -35,7 +35,7 @@ from .orbits import (
     orbit,
     wandering_entries,
 )
-from .polynomials import ParseError, PolyQ, clear_denominators, parse_poly
+from .polynomials import ParseError, PolyQ, parse_poly
 from .verifiers import CLAIMS, SweepSpec, TheoremVerdict, run_sweep, verify
 from .zsigmondy import (
     PrimitiveVerdict,

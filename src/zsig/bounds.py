@@ -25,40 +25,39 @@ _REL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SignSets:
-    P_plus: frozenset[int]
-    P_minus: frozenset[int]
+    degree: int
     N_plus: frozenset[int]
     N_minus: frozenset[int]
     n_plus: int
     n_minus: int
+
+    @property
+    def P_plus(self) -> frozenset[int]:
+        return frozenset(range(self.degree + 1)) - self.N_plus
+
+    @property
+    def P_minus(self) -> frozenset[int]:
+        return frozenset(range(self.degree + 1)) - self.N_minus
 
 
 def _sgn(x: Fraction) -> int:
     return (x > 0) - (x < 0)
 
 
+def _alt_sgn(i: int, a: Fraction) -> int:
+    """The sign of (-1)^i a."""
+    return -_sgn(a) if i % 2 else _sgn(a)
+
+
 def compute_sign_sets(f: PolyQ) -> SignSets:
     """Split indices 0..d by whether the (alternating-)sign of a_i matches the
-    leading coefficient; zero coefficients side with the matching set."""
-    d = f.degree
-    lead_sgn = _sgn(f.leading)
-    alt_lead_sgn = _sgn((-1) ** d * f.leading)
-    p_plus, p_minus = set(), set()
-    for i, a in enumerate(f.coeffs):
-        if a == 0 or _sgn(a) == lead_sgn:
-            p_plus.add(i)
-        if a == 0 or _sgn((-1) ** i * a) == alt_lead_sgn:
-            p_minus.add(i)
-    all_idx = set(range(d + 1))
-    n_plus_set = all_idx - p_plus
-    n_minus_set = all_idx - p_minus
-    n_plus = max(1, max(n_plus_set)) if n_plus_set else 1
-    n_minus = max(1, max(n_minus_set)) if n_minus_set else 1
-    return SignSets(
-        frozenset(p_plus), frozenset(p_minus),
-        frozenset(n_plus_set), frozenset(n_minus_set),
-        n_plus, n_minus,
-    )
+    leading coefficient; zero coefficients side with the matching set, so the
+    off-sign sets N are read from the nonzero terms and the P sets are their
+    complements in 0..d."""
+    d, lead = f.terms[0]
+    n_plus = frozenset(i for i, a in f.terms if _sgn(a) != _sgn(lead))
+    n_minus = frozenset(i for i, a in f.terms if _alt_sgn(i, a) != _alt_sgn(d, lead))
+    return SignSets(d, n_plus, n_minus, max({1, *n_plus}), max({1, *n_minus}))
 
 
 def check_condition3(f: PolyQ, z: Fraction) -> bool:
@@ -73,12 +72,8 @@ def check_condition3(f: PolyQ, z: Fraction) -> bool:
         raise ValueError("inequality is only meaningful for |z| >= 1")
     signs = compute_sign_sets(f)
     for n_set, n_idx in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus)):
-        lhs = sum(
-            abs(a) * az ** (i - n_idx)
-            for i in range(n_idx + 1, f.degree + 1)
-            if (a := f.coeffs[i])  # zero terms would cost a power of |z| each
-        )
-        rhs = sum(abs(f.coeffs[i]) for i in n_set) + 1
+        lhs = sum(abs(a) * az ** (i - n_idx) for i, a in f.terms if i > n_idx)
+        rhs = sum(abs(a) for i, a in f.terms if i in n_set) + 1
         if lhs < rhs:
             return False
     return True

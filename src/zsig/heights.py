@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arith import factor, v_p
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
-from .polynomials import PolyQ, clear_denominators
+from .polynomials import PolyQ
 
 
 def global_height(x: Fraction) -> float:
@@ -59,38 +59,27 @@ def local_C_v(f: PolyQ, place: int | None) -> float:
     ratios and B = |a_d|^(-1/d).  Nonarchimedean: the same shape with exact
     p-adic absolute values and A computed exactly.
     """
-    d = f.degree
-    a_d = f.leading
+    (d, a_d), *lower = f.terms
     if place is None:
-        A = sum(
-            float(abs(f.coeffs[j] / a_d)) ** (1.0 / (d - j))
-            for j in range(d)
-            if f.coeffs[j] != 0
-        )
+        # summed in ascending exponent order: the last bit of the float depends on it
+        A = sum(float(abs(a / a_d)) ** (1.0 / (d - j)) for j, a in reversed(lower))
         B = float(abs(a_d)) ** (-1.0 / d)
-        coeff_sum = float(sum(abs(c) for c in f.coeffs))
+        coeff_sum = float(sum(abs(a) for _, a in f.terms))
         return math.log(max(1.0, A + B, coeff_sum))
     p = place
     logp = math.log(p)
     # log|a_j/a_d|_p^(1/(d-j)) = -v_p(a_j/a_d) * log p / (d-j)
     log_A = max(
-        (
-            -_vp_fraction(f.coeffs[j] / a_d, p) * logp / (d - j)
-            for j in range(d)
-            if f.coeffs[j] != 0
-        ),
-        default=-math.inf,
+        (-_vp_fraction(a / a_d, p) * logp / (d - j) for j, a in lower), default=-math.inf
     )
     log_B = _vp_fraction(a_d, p) * logp / d
-    log_coeffs = max(
-        (-_vp_fraction(c, p) * logp for c in f.coeffs if c != 0), default=-math.inf
-    )
+    log_coeffs = max(-_vp_fraction(a, p) * logp for _, a in f.terms)
     return max(0.0, log_A, log_B, log_coeffs)
 
 
 def _coefficient_primes(f: PolyQ) -> list[int]:
     primes: set[int] = set()
-    for c in f.coeffs:
+    for _, c in f.terms:
         for part in (abs(c.numerator), c.denominator):
             if part > 1:
                 report = factor(part)
@@ -153,8 +142,7 @@ def canonical_height_interval(
 
 def resultant_constant(f: PolyQ) -> int:
     """|Res(f1, f2)| = m^d after writing f = f1/m with integer f1."""
-    _, m = clear_denominators(f)
-    return m**f.degree
+    return f.cleared[1] ** f.degree
 
 
 def lemma41_lower_bound(

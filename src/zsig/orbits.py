@@ -12,7 +12,7 @@ from fractions import Fraction
 from math import gcd
 
 from .config import DEFAULT_DIGIT_BUDGET
-from .polynomials import PolyQ, clear_denominators
+from .polynomials import PolyQ
 
 # decimal digits <= floor(bits * log10(2)) + 1
 _LOG10_2 = 0.30102999566398120
@@ -104,8 +104,8 @@ def _denominator_bits_floor(f: PolyQ, x: Fraction) -> int:
     the reducing gcd divides m*f1_d and the denominator is at least
     q^d / |f1_d|.  Otherwise the bound is 0.
     """
-    f1, _ = clear_denominators(f)
-    lead = abs(f1[-1])
+    f1, _ = f.cleared
+    lead = abs(f1[0][1])
     q = x.denominator
     # the condition says every prime of gcd(q, f1_d) still divides q / gcd(q, f1_d)
     shared = gcd(q, lead)
@@ -126,20 +126,25 @@ def _numerator_bits_floor(f: PolyQ, x: Fraction, den_floor: int) -> int:
     term: |sum_(i<d) f1_i x^i| <= S |x|^(d-1) <= |f1_d| |x|^d / 2, so
     |f(x)| >= |f1_d| |x|^d / (2m).  The lowest-terms numerator is |f(x)| times
     the denominator, which is at least 2^(den_floor-1) (and at least 1), with
-    ``den_floor`` from ``_denominator_bits_floor``.  Bounding each log2 by bit
-    lengths (log2 |a| >= bits(a) - 1 and log2 a < bits(a)) gives
-    log2 |numerator| > R for the integer R below, so the bit length is at
-    least R + 1.  Otherwise the bound is 0.
+    ``den_floor`` from ``_denominator_bits_floor``.  So
+
+        log2 |numerator| >= log2 |f1_d| + d log2 p - d log2 q - log2 m - 1
+                            + max(den_floor - 1, 0).
+
+    Bound each log2 by bit lengths: log2 a >= bits(a) - 1 for a >= 1,
+    log2 q <= bits(q - 1) (= ceil(log2 q), exact for q = 1 and powers of
+    two) and log2 m < bits(m).  The last is strict, so log2 |numerator| > R
+    for the integer R = (returned value) - 1, and the bit length, which is
+    floor(log2 |numerator|) + 1, is at least R + 1.  Otherwise the bound is 0.
     """
-    f1, m = clear_denominators(f)
-    lead = abs(f1[-1])
+    f1, m = f.cleared
+    d, lead = f1[0][0], abs(f1[0][1])
     p, q = abs(x.numerator), x.denominator
-    tail = sum(abs(a) for a in f1[:-1])
+    tail = sum(abs(a) for _, a in f1[1:])
     if p == 0 or (tail and (p < q or lead * p < 2 * q * tail)):
         return 0
-    d = f.degree
     return (
-        lead.bit_length() + d * (p.bit_length() - 1) - d * q.bit_length()
+        lead.bit_length() + d * (p.bit_length() - 1) - d * (q - 1).bit_length()
         - m.bit_length() + max(den_floor - 1, 0) - 1
     )
 

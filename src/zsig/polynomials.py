@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Union
+from typing import Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -38,60 +38,76 @@ def parse_rational(value: RationalLike) -> Fraction:
 
 @dataclass(frozen=True)
 class PolyQ:
-    """Dense polynomial over Q, coefficients ascending (a_0 .. a_d), degree >= 2.
+    """Sparse polynomial over Q of degree >= 2: its nonzero terms as
+    (exponent, coefficient) pairs, exponents strictly descending.
 
-    ``admissible`` records whether the linear coefficient vanishes; the
-    Zsigmondy machinery requires that, evaluation does not.
+    Zero coefficients given to the constructor are dropped, so every reader
+    pays for the number of terms, not the degree.  ``admissible`` records
+    whether the linear coefficient vanishes; the Zsigmondy machinery requires
+    that, evaluation does not.
     """
 
-    coeffs: tuple[Fraction, ...]
+    terms: tuple[tuple[int, Fraction], ...]
 
     def __post_init__(self) -> None:
-        if len(self.coeffs) < 3:
-            raise ParseError("degree must be at least 2")
-        if self.coeffs[-1] == 0:
+        if not self.terms or self.terms[0][1] == 0:
             raise ParseError("leading coefficient must be nonzero")
+        if self.terms[0][0] < 2:
+            raise ParseError("degree must be at least 2")
+        terms = tuple((i, Fraction(a)) for i, a in self.terms if a)
+        if terms[-1][0] < 0 or any(i <= j for (i, _), (j, _) in zip(terms, terms[1:])):
+            raise ParseError("exponents must be nonnegative and strictly descending")
+        object.__setattr__(self, "terms", terms)
+
+    @classmethod
+    def from_coeffs(cls, coeffs: Sequence[Fraction]) -> PolyQ:
+        """The polynomial with ascending dense coefficients a_0 .. a_d."""
+        return cls(tuple(zip(range(len(coeffs) - 1, -1, -1), reversed(coeffs))))
 
     @property
     def degree(self) -> int:
-        return len(self.coeffs) - 1
+        return self.terms[0][0]
 
     @property
     def admissible(self) -> bool:
-        return self.coeffs[1] == 0
-
-    @property
-    def leading(self) -> Fraction:
-        return self.coeffs[-1]
+        return all(i != 1 for i, _ in self.terms)
 
     @property
     def constant(self) -> Fraction:
-        return self.coeffs[0]
+        i, a = self.terms[-1]
+        return a if i == 0 else Fraction(0)
 
     @cached_property
-    def _cleared(self) -> tuple[tuple[int, ...], int]:
-        m = lcm(*(c.denominator for c in self.coeffs))
-        return tuple(int(c * m) for c in self.coeffs), m
+    def cleared(self) -> tuple[tuple[tuple[int, int], ...], int]:
+        """(integer terms, positive constant m) with f = f1/m: m is the lcm of
+        the coefficient denominators, and the content of f1 is kept."""
+        m = lcm(*(a.denominator for _, a in self.terms))
+        return tuple((i, int(a * m)) for i, a in self.terms), m
 
     def evaluate(self, x: Fraction) -> Fraction:
-        """Exact Horner evaluation, homogenized over the integers.
+        """Exact Horner evaluation over the gaps, homogenized over the integers.
 
-        With x = p/q in lowest terms, acc = sum f1_i p^i q^(d-i) is congruent
-        to f1_d p^d modulo q, so a prime dividing both acc and m*q^d divides
-        m*|f1_d|.  Stripping gcds against that small number reaches lowest
-        terms without a gcd of two huge integers.
+        With x = p/q in lowest terms, each step is acc = acc*p^gap + f1_i*q^(d-i)
+        and a lowest exponent k > 0 costs one final p^k, so acc = sum f1_i p^i
+        q^(d-i).  That is congruent to f1_d p^d modulo q, so a prime dividing
+        both acc and m*q^d divides m*|f1_d|.  Stripping gcds against that small
+        number reaches lowest terms without a gcd of two huge integers.
         """
-        f1, m = self._cleared
+        f1, m = self.cleared
+        prev, acc = f1[0]
+        shared = m * abs(acc)
         p, q = x.numerator, x.denominator
-        acc = f1[-1]
         qpow = 1
-        for i in range(len(f1) - 2, -1, -1):
-            qpow *= q
-            acc = acc * p + f1[i] * qpow
+        for i, a in f1[1:]:
+            qpow *= q ** (prev - i)
+            acc = acc * p ** (prev - i) + a * qpow
+            prev = i
+        if prev:
+            acc *= p**prev
+            qpow *= q**prev
         if acc == 0:
             return Fraction(0)
         den = m * qpow
-        shared = m * abs(f1[-1])
         t = gcd(gcd(acc, shared), den)
         while t > 1:
             acc //= t
@@ -101,21 +117,18 @@ class PolyQ:
 
     def __str__(self) -> str:
         parts = []
-        for i in range(self.degree, -1, -1):
-            a = self.coeffs[i]
-            if a == 0:
-                continue
+        for i, a in self.terms:
+            mag = abs(a)
             if i == 0:
-                term = str(abs(a))
+                term = str(mag)
             else:
-                mag = abs(a)
                 coeff = "" if mag == 1 else f"{mag}*"
                 term = f"{coeff}z" if i == 1 else f"{coeff}z^{i}"
             if not parts:
                 parts.append(term if a > 0 else f"-{term}")
             else:
                 parts.append(f"+ {term}" if a > 0 else f"- {term}")
-        return " ".join(parts) if parts else "0"
+        return " ".join(parts)
 
     def trinomial_form(self) -> tuple[int, int | None, Fraction] | None:
         """Return (d, e, c) when this is z^d + z^e + c or z^d + c, else None.
@@ -123,16 +136,13 @@ class PolyQ:
         The middle exponent e (if present) must satisfy d > e >= 2 and carry
         coefficient 1; the polynomial must be monic with zero linear term.
         """
-        d = self.degree
-        if self.coeffs[-1] != 1 or self.coeffs[1] != 0:
+        (d, lead), *middle = (t for t in self.terms if t[0] > 0)
+        if lead != 1:
             return None
-        middle = [i for i in range(1, d) if self.coeffs[i] != 0]
         if not middle:
-            return (d, None, self.coeffs[0])
-        if len(middle) == 1:
-            e = middle[0]
-            if e >= 2 and self.coeffs[e] == 1:
-                return (d, e, self.coeffs[0])
+            return (d, None, self.constant)
+        if len(middle) == 1 and middle[0][0] >= 2 and middle[0][1] == 1:
+            return (d, middle[0][0], self.constant)
         return None
 
 
@@ -146,7 +156,7 @@ _TERM_RE = re.compile(
 )
 
 
-def _parse_symbolic(text: str) -> list[Fraction]:
+def _parse_symbolic(text: str) -> PolyQ:
     # split into signed terms, keeping signs attached
     stripped = text.replace(" ", "")
     if not stripped:
@@ -170,8 +180,8 @@ def _parse_symbolic(text: str) -> list[Fraction]:
             else:
                 exp = 0
         terms[exp] = terms.get(exp, Fraction(0)) + coeff
-    degree = max(terms)
-    return [terms.get(i, Fraction(0)) for i in range(degree + 1)]
+    # a written top term that cancels leaves a zero leading coefficient
+    return PolyQ(tuple(sorted(terms.items(), reverse=True)))
 
 
 def parse_poly(spec: str) -> PolyQ:
@@ -180,20 +190,8 @@ def parse_poly(spec: str) -> PolyQ:
     text = spec.strip()
     if not text:
         raise ParseError("empty polynomial")
-    if "z" not in text:
-        coeffs = [parse_rational(tok.strip()) for tok in text.split(",")]
-    else:
-        coeffs = _parse_symbolic(text)
-    if len(coeffs) >= 1 and coeffs[-1] == 0:
-        raise ParseError("leading coefficient must be nonzero")
-    return PolyQ(tuple(coeffs))
-
-
-def clear_denominators(f: PolyQ) -> tuple[tuple[int, ...], int]:
-    """Return (integer coefficient tuple, positive constant m) with f = f1/m.
-
-    m is the lcm of the coefficient denominators; the content of f1 is kept.
-    """
-    return f._cleared
+    if "z" in text:
+        return _parse_symbolic(text)
+    return PolyQ.from_coeffs([parse_rational(tok.strip()) for tok in text.split(",")])
 
 

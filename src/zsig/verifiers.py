@@ -35,7 +35,7 @@ from .heights import (
     trinomial_family_lower,
 )
 from .orbits import DigitBudgetError, OrbitEntry, orbit
-from .polynomials import PolyQ, clear_denominators, parse_rational
+from .polynomials import PolyQ, parse_rational
 from .zsigmondy import divisor_product, zsigmondy_report_from_entries
 
 BINOMIAL = "z^d+c"
@@ -136,17 +136,13 @@ def _spec_list(data: dict, key: str, default: list | None, ints: bool = True) ->
 
 
 def binomial(d: int, c: Fraction) -> PolyQ:
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[0], coeffs[d] = Fraction(c), Fraction(1)
-    return PolyQ(tuple(coeffs))
+    return PolyQ(((d, 1), (0, c)))
 
 
 def trinomial(d: int, e: int, c: Fraction) -> PolyQ:
     if not 2 <= e < d:
         raise ValueError("requires d > e >= 2")
-    coeffs = [Fraction(0)] * (d + 1)
-    coeffs[0], coeffs[e], coeffs[d] = Fraction(c), Fraction(1), Fraction(1)
-    return PolyQ(tuple(coeffs))
+    return PolyQ(((d, 1), (e, 1), (0, c)))
 
 
 def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
@@ -166,7 +162,7 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
             return orb.entries, None, f"finite orbit: {orb.describe_cycle()}"
         entries = orb.entries
     report = zsigmondy_report_from_entries(
-        entries, cfg, witnesses=False, denominator_lcm=clear_denominators(f)[1]
+        entries, cfg, witnesses=False, denominator_lcm=f.cleared[1]
     )
     return entries, report, None
 

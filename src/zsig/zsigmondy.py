@@ -27,7 +27,7 @@ from typing import Sequence
 from .arith import distinct_primes, factor, v_p
 from .config import RunConfig
 from .orbits import OrbitEntry, wandering_entries
-from .polynomials import PolyQ, clear_denominators
+from .polynomials import PolyQ
 
 
 @dataclass(frozen=True)
@@ -101,7 +101,7 @@ def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> Zsigmond
         raise ValueError("linear coefficient is nonzero; Zsigmondy computations require a_1 = 0")
     cfg = config or RunConfig()
     entries = wandering_entries(f, N, digit_budget=cfg.digit_budget)
-    return zsigmondy_report_from_entries(entries, cfg, denominator_lcm=clear_denominators(f)[1])
+    return zsigmondy_report_from_entries(entries, cfg, denominator_lcm=f.cleared[1])
 
 
 def zsigmondy_report_from_entries(

@@ -7,7 +7,6 @@ import pytest
 from zsig import (
     PolyQ,
     check_condition3,
-    clear_denominators,
     compute_sign_sets,
     family_C,
     global_height,
@@ -55,13 +54,13 @@ def test_sign_sets_partition_property():
         coeffs = [Fraction(rng.randrange(-4, 5)) for _ in range(d)] + [
             Fraction(rng.choice([-3, -1, 1, 2]))
         ]
-        f = PolyQ(tuple(coeffs))
+        f = PolyQ.from_coeffs(coeffs)
         s = compute_sign_sets(f)
         everything = frozenset(range(d + 1))
         assert s.P_plus | s.N_plus == everything and not (s.P_plus & s.N_plus)
         assert s.P_minus | s.N_minus == everything and not (s.P_minus & s.N_minus)
         # negating all coefficients preserves the split exactly
-        neg = PolyQ(tuple(-c for c in coeffs))
+        neg = PolyQ.from_coeffs([-c for c in coeffs])
         s2 = compute_sign_sets(neg)
         assert (s.P_plus, s.P_minus, s.N_plus, s.N_minus) == (
             s2.P_plus, s2.P_minus, s2.N_plus, s2.N_minus
@@ -97,9 +96,10 @@ def test_condition3_agrees_with_the_sum_over_every_index(poly):
     signs = compute_sign_sets(f)
     for z in (Fraction(1), Fraction(3, 2), Fraction(-2), Fraction(5, 2), Fraction(-7, 3), Fraction(4)):
         az = abs(z)
+        coeffs = dict(f.terms)
         every_index = all(
-            sum(abs(f.coeffs[i]) * az ** (i - n) for i in range(n + 1, f.degree + 1))
-            >= sum(abs(f.coeffs[i]) for i in n_set) + 1
+            sum(abs(coeffs.get(i, 0)) * az ** (i - n) for i in range(n + 1, f.degree + 1))
+            >= sum(abs(coeffs.get(i, 0)) for i in n_set) + 1
             for n_set, n in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus))
         )
         assert check_condition3(f, z) == every_index
@@ -226,6 +226,6 @@ def test_certified_bound_contains_observed_elements():
         # test_verdict_only_report_agrees_with_full), so none are listed
         entries = wandering_entries(f, res.n_max_floor + 4, digit_budget=LEAN.digit_budget)
         rep = zsigmondy_report_from_entries(
-            entries, LEAN, witnesses=False, denominator_lcm=clear_denominators(f)[1]
+            entries, LEAN, witnesses=False, denominator_lcm=f.cleared[1]
         )
         assert all(n <= res.n_max_floor for n in rep.elements), str(f)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
@@ -70,6 +71,15 @@ def test_orbit_budget_exit_code(capsys):
     )
     assert code == 3
     assert "digit budget" in err
+
+
+def test_orbit_budget_stop_at_a_huge_degree_builds_no_power(capsys):
+    # the orbit is 1, 2, and 2^(10^10) + 1 is rejected from sizes alone: an
+    # integer iterate's numerator floor loses no bits to log2 q
+    start = time.perf_counter()
+    code, _, err = run(capsys, "orbit", "--poly", "z^10000000000+1", "-N", "3")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and "iterate 3 exceeds digit budget" in err
 
 
 def test_orbit_parse_error(capsys):
@@ -552,6 +562,8 @@ def test_sweep_new_inconsistent_verdict_exits_5(tmp_path, capsys, monkeypatch):
     ["verify", "thm13", "--d", "4", "--e", "2", "--c", "5/2", "-N", "-1"],
     ["orbit", "--coeffs", "1,0,1", "-N", "0"],
     ["orbit", "--coeffs", "1,0,1", "-N", "-1"],
+    ["verify", "cor12", "--d", "-5", "--c", "7/2"],
+    ["verify", "cor12", "--d", "-1", "--c", "7/2"],
 ])
 def test_zero_denominator_or_nonpositive_horizon_is_a_usage_error(capsys, argv):
     _assert_usage_error(capsys, *argv)

@@ -188,7 +188,7 @@ _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
 # q^d / |f1_d| overstates the denominator, so no bound may be claimed
 @example([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(-5, 2))
 def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
-    f = PolyQ(tuple(coeffs))
+    f = PolyQ.from_coeffs(coeffs)
     assert _denominator_bits_floor(f, x) <= f.evaluate(x).denominator.bit_length()
 
 
@@ -208,6 +208,6 @@ def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
 # the coefficient denominators 2 and 4 share the prime 2 with q = 4
 @example([Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 2)], Fraction(81, 4))
 def test_numerator_bits_floor_is_a_lower_bound(coeffs, x):
-    f = PolyQ(tuple(coeffs))
+    f = PolyQ.from_coeffs(coeffs)
     floor = _numerator_bits_floor(f, x, _denominator_bits_floor(f, x))
     assert floor <= f.evaluate(x).numerator.bit_length()

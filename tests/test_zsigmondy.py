@@ -10,7 +10,6 @@ from zsig import (
     OrbitEntry,
     PolyQ,
     check_zsigmondy_divisibility,
-    clear_denominators,
     factor,
     orbit,
     parse_poly,
@@ -240,7 +239,7 @@ def test_verdict_only_report_strips_the_exempt_primes(monkeypatch):
     expected = zsigmondy_set(f, 6, LEAN).elements
     monkeypatch.setattr(zmod, "factor", _refuse_factor)
     report = zsigmondy_report_from_entries(
-        entries, LEAN, witnesses=False, denominator_lcm=clear_denominators(f)[1]
+        entries, LEAN, witnesses=False, denominator_lcm=f.cleared[1]
     )
     assert report.rigid_violations == [] and report.elements == expected
 
@@ -281,8 +280,8 @@ _coeff = st.builds(Fraction, st.integers(min_value=-12, max_value=12), _dens)
     st.integers(min_value=1, max_value=7),
 )
 def test_strip_matches_full_strip(coeffs, horizon):
-    f = PolyQ((coeffs[0], Fraction(0), *coeffs[1:]))
-    L = clear_denominators(f)[1]
+    f = PolyQ.from_coeffs([coeffs[0], Fraction(0), *coeffs[1:]])
+    L = f.cleared[1]
     entries = _orbit_prefix(f, horizon, digit_budget=400)
     for n in range(1, len(entries) + 1):
         assert stripped_numerator(entries, n, L) == full_strip(entries, n), (str(f), n)
@@ -294,7 +293,7 @@ def test_strip_needs_the_denominator_term(coeffs):
     # holds: only the gcd(A_m, L) moduli strip it
     f = parse_poly(coeffs)
     entries = orbit(f, 5).entries
-    L = clear_denominators(f)[1]
+    L = f.cleared[1]
     assert stripped_numerator(entries, 5, L) == full_strip(entries, 5)
     assert stripped_numerator(entries, 5, 1) != full_strip(entries, 5)
 
@@ -304,7 +303,7 @@ def test_denominator_primes_are_exempt_from_the_rigidity_law(coeffs):
     # L is 6 and 2, but no B_m is even: the law fails at the denominator
     # prime 2, and that is no violation
     f = parse_poly(coeffs)
-    L = clear_denominators(f)[1]
+    L = f.cleared[1]
     entries = orbit(f, 5).entries
     assert all(e.B % 2 for e in entries)
     report = zsigmondy_set(f, 5, LEAN)
