@@ -1,4 +1,5 @@
-"""Integer arithmetic support: primality, p-adic valuation, budgeted factoring.
+"""Integer arithmetic support: primality, p-adic valuation, exact size
+comparison of power products, budgeted factoring.
 
 Numerators of orbit sequences routinely reach thousands of digits, so trial
 division works through gcds with precomputed prime-block products, and the
@@ -10,9 +11,11 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cache
 from itertools import compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
+from typing import Sequence
 
 from .config import DEFAULT_RHO_BUDGET
 
@@ -150,6 +153,80 @@ def distinct_primes(n: int) -> list[int]:
     if m > 1:
         primes.append(m)
     return primes
+
+
+# Mantissa width of the size brackets in compare_powers.  Each rounding moves
+# a bound by at most a relative 2^(1 - _MANTISSA_BITS), so the brackets of
+# a^k are about k * 2^-92 wide: only near-ties reach the exact fallback.
+_MANTISSA_BITS = 96
+# Up to this many bits on both sides, the exact products cost less than brackets.
+_EXACT_BITS = 4096
+
+
+def _round(m: int, s: int, up: bool) -> tuple[int, int]:
+    """m * 2^s cut to _MANTISSA_BITS bits, rounded down (or up when ``up``)."""
+    extra = m.bit_length() - _MANTISSA_BITS
+    if extra <= 0:
+        return m, s
+    return (-(-m >> extra) if up else m >> extra), s + extra
+
+
+def _power_bracket(powers: Sequence[tuple[int, int]], up: bool) -> tuple[int, int]:
+    """(m, s) with m * 2^s <= prod(a^k) (>= when ``up``) for integers a >= 0.
+
+    Square-and-multiply on truncated mantissas: every operand is
+    nonnegative, so rounding each product down (up) keeps a lower (upper)
+    bound, and a^k is never built.
+    """
+    m, s = 1, 0
+    for a, k in powers:
+        am, as_ = _round(a, 0, up)
+        pm, ps = 1, 0
+        for bit in bin(k)[2:]:
+            pm, ps = _round(pm * pm, 2 * ps, up)
+            if bit == "1":
+                pm, ps = _round(pm * am, ps + as_, up)
+        m, s = _round(m * pm, s + ps, up)
+    return m, s
+
+
+def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
+    """m1 * 2^s1 < m2 * 2^s2, without shifting by more than the mantissa width."""
+    (m1, s1), (m2, s2) = x, y
+    if not m1 or not m2:
+        return not m1 and m2 > 0
+    top1, top2 = m1.bit_length() + s1, m2.bit_length() + s2
+    if top1 != top2:
+        return top1 < top2
+    # equal top bits: the shifts differ by less than _MANTISSA_BITS
+    low = min(s1, s2)
+    return m1 << (s1 - low) < m2 << (s2 - low)
+
+
+def compare_powers(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) -> int:
+    """The sign of prod(a^k for a, k in lhs) - prod(b^k for b, k in rhs), for
+    integers a, b >= 0 and k >= 0 (an empty side is 1, and 0^0 = 1).
+
+    Past ``_EXACT_BITS``, disjoint ``_power_bracket``s decide the sign with
+    ~96-bit integers, so a degree-sized power is never built.  Otherwise
+    (small sides, a tie or a near-tie) the exact products decide: no float.
+    """
+    if sum(a.bit_length() * k for a, k in (*lhs, *rhs)) > _EXACT_BITS:
+        if _below(_power_bracket(lhs, True), _power_bracket(rhs, False)):
+            return -1
+        if _below(_power_bracket(rhs, True), _power_bracket(lhs, False)):
+            return 1
+    left, right = (prod(a**k for a, k in side) for side in (lhs, rhs))
+    return (left > right) - (left < right)
+
+
+def compare_abs(x: Fraction | int, powers: Sequence[tuple[Fraction | int, int]]) -> int:
+    """The sign of |x| - prod(b^k for b, k in powers), for rationals b >= 0:
+    ``compare_powers`` on both sides times x's and every base's denominator."""
+    return compare_powers(
+        [(abs(x.numerator), 1)] + [(b.denominator, k) for b, k in powers],
+        [(x.denominator, 1)] + [(b.numerator, k) for b, k in powers],
+    )
 
 
 # Trial division strips every prime up to this bound.

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import distinct_primes
+from .arith import compare_abs, compare_powers, distinct_primes
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
 from .polynomials import PolyQ
@@ -71,9 +71,13 @@ def check_condition3(f: PolyQ, z: Fraction) -> bool:
     if az < 1:
         raise ValueError("inequality is only meaningful for |z| >= 1")
     signs = compute_sign_sets(f)
+    d, lead = f.terms[0]
     for n_set, n_idx in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus)):
-        lhs = sum(abs(a) * az ** (i - n_idx) for i, a in f.terms if i > n_idx)
         rhs = sum(abs(a) for i, a in f.terms if i in n_set) + 1
+        # the top term reaches rhs, or every |z|^(i-n) <= |z|^(d-n) < rhs/|a_d|
+        if compare_abs(rhs, ((abs(lead), 1), (az, d - n_idx))) <= 0:
+            continue
+        lhs = sum(abs(a) * az ** (i - n_idx) for i, a in f.terms if i > n_idx)
         if lhs < rhs:
             return False
     return True
@@ -114,11 +118,10 @@ def omega_inequality_audit(d: int, n_max: int) -> tuple[list[int], list[int]]:
         raise ValueError("n_max must be >= 0")
     equalities, violations = [], []
     for n in range(2, min(n_max, 64) + 1):
-        lhs_sq = (2 * omega(n) + 1) ** 2
-        rhs = d**n
-        if lhs_sq == rhs:
+        sign = compare_powers([(2 * omega(n) + 1, 2)], [(d, n)])
+        if sign == 0:
             equalities.append(n)
-        elif lhs_sq > rhs:
+        elif sign > 0:
             violations.append(n)
     return equalities, violations
 
@@ -150,9 +153,10 @@ def growth_certificate(f: PolyQ) -> bool:
 def theorem1_bound(f: PolyQ, hhat_lower: float, C: float) -> BoundResult:
     """Evaluate the index bound (2/log d) log(dC / ((d-1) hhat)) + 2.
 
-    Rounding is conservative: C up, hhat down, and the result up before the
-    floor, so float error can only loosen the bound.  ``certified`` is set
-    when a growth certificate holds for the constant term.
+    C up, hhat down and the result up by a 1e-12 relative slack, not a checked
+    outward rounding; the claims' cap verdict ``n_max < cap + 1`` reads that
+    float (ROADMAP item 1, which ``arith.compare_powers`` can now serve).
+    ``certified`` is set when a growth certificate holds for the constant term.
     """
     if not f.admissible:
         raise ValueError("bound requires a zero linear coefficient")

@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import factor, v_p
+from .arith import compare_powers, factor, v_p
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
 from .polynomials import PolyQ
@@ -197,7 +197,7 @@ def ingram_lower_bound(f: PolyQ) -> HeightInterval:
 def hypothesis_abs_c_exceeds(c: Fraction, d: int) -> bool:
     """Exact integer test of |c| > 2^(d/(d-1)), i.e. |a|^(d-1) > 2^d b^(d-1)."""
     a, b = abs(c.numerator), c.denominator
-    return a ** (d - 1) > 2**d * b ** (d - 1)
+    return compare_powers([(a, d - 1)], [(2, d), (b, d - 1)]) > 0
 
 
 def trinomial_family_lower(f: PolyQ) -> HeightInterval:

@@ -38,10 +38,6 @@ class DigitBudgetError(RuntimeError):
 class FiniteOrbitError(ValueError):
     """Raised where a wandering orbit is required but the orbit is finite."""
 
-    def __init__(self, message: str, orbit: "Orbit"):
-        super().__init__(message)
-        self.orbit = orbit
-
 
 @dataclass(frozen=True)
 class OrbitEntry:
@@ -99,22 +95,26 @@ class Orbit:
 def _denominator_bits_floor(f: PolyQ, x: Fraction) -> int:
     """A lower bound on the bit length of the denominator of f(x), from sizes.
 
-    Write x = p/q, f = f1/m and d = deg f.  If every prime r of q has
-    v_r(f1_d) < v_r(q), the Horner value has v_r = v_r(f1_d) at those r, so
-    the reducing gcd divides m*f1_d and the denominator is at least
-    q^d / |f1_d|.  Otherwise the bound is 0.
+    Write x = p/q, f = f1/m and d = deg f.  In the Horner value
+    sum f1_i p^i q^(d-i) the leading term has v_r = v_r(f1_d) at each prime r
+    of q, and a lower term has v_r >= (d-i) v_r(q).  That exceeds v_r(f1_d) if
+    v_r(f1_d) < v_r(q), or if d - e >= bits(f1_d) > v_r(f1_d) for the second
+    exponent e of f1 (a lone term needs nothing).  The Horner value then has
+    v_r = v_r(f1_d) at those r, the reducing gcd divides m*f1_d, and the
+    denominator is at least q^d / |f1_d|.  Otherwise the bound is 0.
     """
     f1, _ = f.cleared
     lead = abs(f1[0][1])
     q = x.denominator
-    # the condition says every prime of gcd(q, f1_d) still divides q / gcd(q, f1_d)
-    shared = gcd(q, lead)
-    rest = q // shared
-    while shared > 1:
-        t = gcd(shared, rest)
-        if t == 1:
-            return 0
-        shared //= t
+    if len(f1) > 1 and f1[0][0] - f1[1][0] < lead.bit_length():
+        # every prime of gcd(q, f1_d) must still divide q / gcd(q, f1_d)
+        shared = gcd(q, lead)
+        rest = q // shared
+        while shared > 1:
+            t = gcd(shared, rest)
+            if t == 1:
+                return 0
+            shared //= t
     return f.degree * (q.bit_length() - 1) - lead.bit_length() + 1
 
 
@@ -215,5 +215,5 @@ def wandering_entries(
     """Orbit entries 1..N for a wandering orbit; FiniteOrbitError otherwise."""
     orb = orbit(f, N, digit_budget=digit_budget)
     if not orb.wandering:
-        raise FiniteOrbitError(f"orbit of 0 is finite ({orb.describe_cycle()})", orb)
+        raise FiniteOrbitError(f"orbit of 0 is finite ({orb.describe_cycle()})")
     return orb.entries

@@ -22,9 +22,10 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
-from math import gcd, prod
+from math import gcd
 from typing import Callable, Container, Iterator, Sequence
 
+from .arith import compare_abs, compare_powers, distinct_primes
 from .bounds import theorem1_bound
 from .config import BUDGETS, RunConfig
 from .heights import (
@@ -36,7 +37,7 @@ from .heights import (
 )
 from .orbits import DigitBudgetError, OrbitEntry, orbit
 from .polynomials import PolyQ, parse_rational
-from .zsigmondy import divisor_product, zsigmondy_report_from_entries
+from .zsigmondy import zsigmondy_report_from_entries
 
 BINOMIAL = "z^d+c"
 TRINOMIAL = "z^d+z^e+c"
@@ -170,88 +171,11 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
 def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int]:
     """Indices n >= 2 where |A_n| <= prod |A_(n/q)| (the screen that should
     rule every index out for the emptiness claims fails to bite)."""
-    hold = []
-    for n in range(2, len(entries) + 1):
-        if abs(entries[n - 1].A) <= divisor_product(entries, n):
-            hold.append(n)
-    return hold
-
-
-# Mantissa width of the size brackets in _compare_abs.  Each rounding moves
-# a bound by at most a relative 2^(1 - _MANTISSA_BITS), so the brackets of
-# a^k are about k * 2^-92 wide: only near-ties reach the exact fallback.
-_MANTISSA_BITS = 96
-
-
-def _round(m: int, s: int, up: bool) -> tuple[int, int]:
-    """m * 2^s cut to _MANTISSA_BITS bits, rounded down (or up when ``up``)."""
-    extra = m.bit_length() - _MANTISSA_BITS
-    if extra <= 0:
-        return m, s
-    return (-(-m >> extra) if up else m >> extra), s + extra
-
-
-def _power_bracket(powers: Sequence[tuple[int, int]], up: bool) -> tuple[int, int]:
-    """(m, s) with m * 2^s <= prod(a^k) (>= when ``up``) for integers a >= 0.
-
-    Square-and-multiply on truncated mantissas: every operand is
-    nonnegative, so rounding each product down (up) keeps a lower (upper)
-    bound, and a^k is never built.
-    """
-    m, s = 1, 0
-    for a, k in powers:
-        am, as_ = _round(a, 0, up)
-        pm, ps = 1, 0
-        for bit in bin(k)[2:]:
-            pm, ps = _round(pm * pm, 2 * ps, up)
-            if bit == "1":
-                pm, ps = _round(pm * am, ps + as_, up)
-        m, s = _round(m * pm, s + ps, up)
-    return m, s
-
-
-def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """m1 * 2^s1 < m2 * 2^s2, without shifting by more than the mantissa width."""
-    (m1, s1), (m2, s2) = x, y
-    if not m1 or not m2:
-        return not m1 and m2 > 0
-    top1, top2 = m1.bit_length() + s1, m2.bit_length() + s2
-    if top1 != top2:
-        return top1 < top2
-    # equal top bits: the shifts differ by less than _MANTISSA_BITS
-    low = min(s1, s2)
-    return m1 << (s1 - low) < m2 << (s2 - low)
-
-
-def _power_product(powers: Sequence[tuple[int, int]]) -> int:
-    return prod(a**k for a, k in powers)
-
-
-def _compare_abs(x: Fraction, powers: Sequence[tuple[Fraction | int, int]]) -> int:
-    """The sign of |x| - prod(b^k for b, k in powers), for rationals b >= 0.
-
-    Cross-multiplied, this compares two products of integer powers: |A| times
-    the base denominators against B times the base numerators.  Each side is
-    first bracketed by ``_power_bracket``; disjoint brackets decide the sign
-    with ~96-bit integers.  Overlapping ones (a tie, or sides closer than the
-    brackets' width) fall back to the exact integer products, so the answer
-    is always exact and no float is involved.
-    """
-    lhs = [(abs(x.numerator), 1)] + [(b.denominator, k) for b, k in powers]
-    rhs = [(x.denominator, 1)] + [(b.numerator, k) for b, k in powers]
-    if _below(_power_bracket(lhs, True), _power_bracket(rhs, False)):
-        return -1
-    if _below(_power_bracket(rhs, True), _power_bracket(lhs, False)):
-        return 1
-    left, right = _power_product(lhs), _power_product(rhs)
-    return (left > right) - (left < right)
-
-
-def _exceeds(entry: OrbitEntry, scale: Fraction | int, base: Fraction, expo: int) -> bool:
-    """|f^n(0)| > scale * base^expo for scale, base >= 0, decided by
-    ``_compare_abs``: the Fraction product would normalise with gcds of
-    operands of up to ~1M bits."""
-    return _compare_abs(entry.value, ((scale, 1), (base, expo))) > 0
+    A = [abs(x.A) for x in entries]
+    return [
+        n for n in range(2, len(A) + 1)
+        if compare_powers([(A[n - 1], 1)], [(A[n // q - 1], 1) for q in distinct_primes(n)]) <= 0
+    ]
 
 
 def _check_sandwich(
@@ -260,7 +184,7 @@ def _check_sandwich(
     """c_abs <= |f^n(0)| <= alpha^((d^(n-1)-1)/(d-1)) * c_abs, exactly."""
     return all(
         abs(x.value) >= c_abs
-        and not _exceeds(x, c_abs, alpha, (d ** (x.n - 1) - 1) // (d - 1))
+        and compare_abs(x.value, ((c_abs, 1), (alpha, (d ** (x.n - 1) - 1) // (d - 1)))) <= 0
         for x in entries
     )
 
@@ -277,7 +201,7 @@ def _cor12_checks(f, d, e, c, entries) -> dict:
 def _thm13_checks(f, d, e, c, entries) -> dict:
     # exact per-instance fact feeding the lower bound
     power = 2 if d == 3 else d - 2
-    return {"growth_at_c_verified": abs(f.evaluate(c)) >= abs(c) ** power}
+    return {"growth_at_c_verified": compare_abs(f.evaluate(c), ((abs(c), power),)) >= 0}
 
 
 def _prop51_checks(f, d, e, c, entries) -> dict:
@@ -310,7 +234,7 @@ def _prop53_checks(f, d, e, c, entries) -> dict:
 def _prop54_checks(f, d, e, c, entries) -> dict:
     # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1)); 3^k is never built
     upper_ok = all(
-        _compare_abs(x.value, ((3, (d ** (x.n - 1) - 1) // (d - 1)), (abs(c), d ** (x.n - 1))))
+        compare_abs(x.value, ((3, (d ** (x.n - 1) - 1) // (d - 1)), (abs(c), d ** (x.n - 1))))
         <= 0
         for x in entries
     )
@@ -320,7 +244,7 @@ def _prop54_checks(f, d, e, c, entries) -> dict:
     else:
         case = "even degree and middle exponent"
         growth_ok = all(
-            x.value > 0 and _compare_abs(x.value, ((abs(c), d ** (x.n - 1)),)) >= 0
+            x.value > 0 and compare_abs(x.value, ((abs(c), d ** (x.n - 1)),)) >= 0
             for x in entries[1:]
         )
     return {"upper_bound_verified": upper_ok, "case": case, "growth_verified": growth_ok}

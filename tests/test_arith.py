@@ -1,4 +1,6 @@
+import math
 import random
+from fractions import Fraction
 
 import pytest
 import sympy
@@ -9,6 +11,8 @@ from zsig.arith import (
     DETERMINISTIC_MR_LIMIT,
     TRIAL_BOUND,
     _mr_witness,
+    compare_abs,
+    compare_powers,
     distinct_primes,
     trial_division,
 )
@@ -155,6 +159,89 @@ def test_distinct_primes_rejects_nonpositive():
     for n in (0, -6):
         with pytest.raises(ValueError):
             distinct_primes(n)
+
+
+def _sign(x) -> int:
+    return (x > 0) - (x < 0)
+
+
+_bases = st.one_of(
+    st.integers(min_value=0, max_value=4), st.integers(min_value=0, max_value=2**200)
+)
+_power_lists = st.lists(st.tuples(_bases, st.integers(min_value=0, max_value=30)), max_size=4)
+
+
+@given(_power_lists, _power_lists)
+@example([], [])
+@example([(0, 0)], [])  # 0^0 = 1
+@example([(0, 3)], [])
+@example([(0, 3), (7, 2)], [(0, 1)])
+@example([(5, 0), (2, 10)], [(4, 5)])  # equal products from other bases
+@example([(2**200 + 1, 30)], [(2**200, 30)])
+def test_compare_powers_matches_exact_products(lhs, rhs):
+    left = math.prod(a**k for a, k in lhs)
+    right = math.prod(b**k for b, k in rhs)
+    assert compare_powers(lhs, rhs) == _sign(left - right)
+    assert compare_powers(rhs, lhs) == _sign(right - left)
+    assert compare_powers(lhs, lhs[::-1]) == 0
+
+
+def test_compare_powers_decides_huge_exponents_from_brackets():
+    # 1584962 < 10^6 log2 3 < 1584963, and neither side is ever built
+    assert compare_powers([(3, 10**6)], [(2, 1584962)]) == 1
+    assert compare_powers([(3, 10**6)], [(2, 1584963)]) == -1
+    assert compare_powers([(2, 10**12)], [(2, 10**12 - 1), (3, 1)]) == -1
+
+
+_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=50)
+
+
+@given(
+    st.fractions(max_denominator=10**6).filter(lambda x: x != 0),
+    st.one_of(_nonneg, st.integers(min_value=0, max_value=3**20)),
+    _nonneg,
+    st.integers(min_value=0, max_value=40),
+)
+def test_compare_abs_matches_fraction_form(value, scale, base, expo):
+    assert compare_abs(value, ((scale, 1), (base, expo))) == _sign(
+        abs(value) - Fraction(scale) * base**expo
+    )
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(
+        lambda b: b != 1
+    ),
+    st.one_of(
+        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+        st.integers(min_value=1, max_value=3**20),
+    ),
+    st.integers(min_value=99_990, max_value=100_010),
+    st.sampled_from([-1, 0, 1]),
+    st.booleans(),
+)
+@example(Fraction(3, 2), 1, 100_000, 0, False)
+@example(Fraction(2, 3), Fraction(7, 5), 100_001, -1, True)
+def test_compare_abs_falls_back_on_near_ties(base, scale, expo, ulp, negative):
+    # |value| and scale * base^expo are equal, or one unit apart in the larger
+    # of a numerator and a denominator of ~300k bits: the brackets overlap
+    # and only the exact products decide
+    target = Fraction(scale) * base**expo
+    n, d = target.numerator, target.denominator
+    value = Fraction(n + ulp, d) if n > d else Fraction(n, d + ulp)
+    value = -value if negative else value
+    powers = ((scale, 1), (base, expo))
+    calls = []
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(arith, "prod", lambda factors: calls.append(1) or math.prod(factors))
+        assert compare_abs(value, powers) == _sign(abs(value) - target)
+        assert calls
+        calls.clear()
+        # a factor of 2 apart, the brackets alone decide
+        assert compare_abs(2 * target, powers) == 1
+        assert compare_abs(target / 2, powers) == -1
+        assert not calls
 
 
 def test_factor_examples():

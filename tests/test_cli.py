@@ -82,6 +82,15 @@ def test_orbit_budget_stop_at_a_huge_degree_builds_no_power(capsys):
     assert code == 3 and "iterate 3 exceeds digit budget" in err
 
 
+def test_verify_cor12_at_a_huge_degree_builds_no_power(capsys):
+    # the hypothesis |c| > 2^(d/(d-1)) is decided from size brackets and
+    # f(7/2) is rejected from the size floors, so no d-sized power is built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "cor12", "--d", "3000000", "--c", "7/2")
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "consistent: True" in out
+
+
 def test_orbit_parse_error(capsys):
     code, _, err = run(capsys, "orbit", "--coeffs", "1,0,x", "-N", "3")
     assert code == 2

@@ -84,6 +84,8 @@ VERIFY_ARGV = [
     ["verify", "ezsig", "--d", "4", "--n-max", "100", "--format", "json"],
     ["verify", "ezsig", "--d", "3", "--n-max", "-1"],
     ["verify", "ezsig", "--d", "3", "--n-max", "100", "--format", "csv"],
+    ["verify", "cor12", "--d", "1000000", "--c", "7/2", "--format", "json"],
+    ["verify", "thm13", "--d", "1000000", "--e", "2", "--c", "5/2", "--format", "json"],
 ]
 
 _CLI_COMMANDS = [
@@ -109,6 +111,7 @@ CLI_ARGV = [
     ["zsig", "--coeffs", "-2,0,1", "-N", "4"],
     ["orbit", "--coeffs", "-1,0,1", "-N", "4", "--format", "json"],
     ["orbit", "--coeffs", "-1,0,1", "-N", "4", "--format", "csv"],
+    ["bound", "--poly", "z^1000000+z^2+5/2", "--hhat", "family", "--format", "json"],
 ]
 
 

@@ -187,9 +187,20 @@ _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
 # z^3 + z^2/2 + 1/2 at -5/2: the prime 2 of q is absorbed by f1_d = 2, and
 # q^d / |f1_d| overstates the denominator, so no bound may be claimed
 @example([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(-5, 2))
+# z^5 + 5/2 at 5/2 and 3z^5 + 1/3 at 1/3: f1_d = 2 and 9 share q's prime, but
+# the gap d - e = 5 is at least bits(f1_d), so the floor stands
+@example([Fraction(5, 2), 0, 0, 0, 0, Fraction(1)], Fraction(5, 2))
+@example([Fraction(1, 3), 0, 0, 0, 0, Fraction(3)], Fraction(1, 3))
 def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
     f = PolyQ.from_coeffs(coeffs)
     assert _denominator_bits_floor(f, x) <= f.evaluate(x).denominator.bit_length()
+
+
+def test_denominator_bits_floor_takes_the_gap_clause():
+    # f1 = 2z^5 + 5 and q = 2 share the prime 2, yet the gap d - e = 5 >=
+    # bits(2) keeps v_2 of the Horner value at v_2(f1_d): the floor is
+    # 5 * 1 - 2 + 1 bits, where the gcd loop alone would give 0
+    assert _denominator_bits_floor(parse_poly("z^5+5/2"), Fraction(5, 2)) == 4
 
 
 @given(

@@ -3,11 +3,10 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from zsig import RunConfig, run_sweep, verify, verifiers
 from zsig.cli import build_parser
-from zsig.orbits import OrbitEntry
 from zsig.verifiers import (
     CLAIMS,
     SweepSpec,
@@ -329,60 +328,6 @@ def test_claim_table_drives_routing_and_cli():
         assert parser.parse_args(["verify", theorem_id, "--d", "3"]).theorem == theorem_id
     # cor12 is a binomial claim and ignores a middle exponent
     assert verify("cor12", 3, Fraction(7, 2), 2, LEAN, horizon=4).polynomial == "z^3 + 7/2"
-
-
-_nonneg = st.fractions(min_value=0, max_value=50, max_denominator=50)
-
-
-@given(
-    st.fractions(max_denominator=10**6).filter(lambda x: x != 0),
-    st.one_of(_nonneg, st.integers(min_value=0, max_value=3**20)),
-    _nonneg,
-    st.integers(min_value=0, max_value=40),
-)
-def test_exceeds_matches_fraction_form(value, scale, base, expo):
-    entry = OrbitEntry(1, value)
-    assert verifiers._exceeds(entry, scale, base, expo) == (
-        abs(value) > Fraction(scale) * base**expo
-    )
-
-
-@settings(max_examples=10, deadline=None)
-@given(
-    st.fractions(min_value=Fraction(1, 9), max_value=9, max_denominator=9).filter(
-        lambda b: b != 1
-    ),
-    st.one_of(
-        st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
-        st.integers(min_value=1, max_value=3**20),
-    ),
-    st.integers(min_value=99_990, max_value=100_010),
-    st.sampled_from([-1, 0, 1]),
-    st.booleans(),
-)
-@example(Fraction(3, 2), 1, 100_000, 0, False)
-@example(Fraction(2, 3), Fraction(7, 5), 100_001, -1, True)
-def test_exceeds_falls_back_on_near_ties(base, scale, expo, ulp, negative):
-    # |value| and scale * base^expo are equal, or one unit apart in the larger
-    # of a numerator and a denominator of ~300k bits: the brackets overlap
-    # and only the exact products decide
-    target = Fraction(scale) * base**expo
-    n, d = target.numerator, target.denominator
-    value = Fraction(n + ulp, d) if n > d else Fraction(n, d + ulp)
-    value = -value if negative else value
-    calls = []
-    exact = verifiers._power_product
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifiers, "_power_product", lambda powers: calls.append(1) or exact(powers))
-        assert verifiers._exceeds(OrbitEntry(1, value), scale, base, expo) == (
-            abs(value) > Fraction(scale) * base**expo
-        )
-        assert calls
-        calls.clear()
-        # a factor of 2 apart, the brackets alone decide
-        assert verifiers._exceeds(OrbitEntry(1, 2 * target), scale, base, expo)
-        assert not verifiers._exceeds(OrbitEntry(1, target / 2), scale, base, expo)
-        assert not calls
 
 
 def _recording_pool(monkeypatch, cpus):
