@@ -4,7 +4,10 @@ comparison of power products, budgeted factoring.
 Numerators of orbit sequences routinely reach thousands of digits, so trial
 division works through gcds with precomputed prime-block products, and the
 Pollard rho stage is charged against a work budget that scales with operand
-size.  Everything here is deterministic for fixed (input, budget).
+size.  The budget is a hard cap: a hunt stops before any batch whose gcd
+would land past it, so a factor an unbudgeted hunt would find only beyond
+the budget is not found.  Everything here is deterministic for fixed
+(input, budget).
 """
 
 from __future__ import annotations
@@ -126,7 +129,9 @@ def is_prime(m: int) -> bool:
 
 
 def v_p(m: int, p: int) -> int:
-    """Largest k with p^k dividing m; m must be nonzero."""
+    """Largest k with p^k dividing m; m must be nonzero and p >= 2."""
+    if p < 2:
+        raise ValueError("valuation needs a base p >= 2")
     if m == 0:
         raise ValueError("valuation of 0 is undefined")
     m = abs(m)
@@ -329,16 +334,26 @@ def _budgeted_is_prime(n: int, budget: int) -> tuple[bool | None, int]:
 
 
 def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int]:
-    """One Brent-cycle factor hunt; returns (factor or None, work spent)."""
+    """One Brent-cycle factor hunt; returns (factor or None, work spent).
+
+    The budget is a hard cap.  Before each stretch of work that ends in a
+    gcd (the r steps of a new cycle length with its first batch, each later
+    batch, each step of the backtrack) the hunt stops if that gcd would land
+    past the budget.  So with s the spend of an unbudgeted hunt, a budget
+    b >= s returns what that hunt returns, and b < s returns (None, spent)
+    with spent <= b.
+    """
     cost = _rho_cost(n)
     spent = 0
-    while spent < budget:
+    while True:
         y = rng.randrange(1, n)
         c = rng.randrange(1, n)
         m_batch = 128
         r, q, g = 1, 1, 1
         x = ys = y
         while g == 1:
+            if spent + (r + 2 * min(m_batch, r)) * cost > budget:
+                return None, spent
             x = y
             for _ in range(r):
                 y = (y * y + c) % n
@@ -347,6 +362,8 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
             while k < r and g == 1:
                 ys = y
                 steps = min(m_batch, r - k)
+                if spent + 2 * steps * cost > budget:
+                    return None, spent
                 for _ in range(steps):
                     y = (y * y + c) % n
                     q = q * abs(x - y) % n
@@ -354,20 +371,17 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
                 g = gcd(q, n)
                 k += m_batch
             r <<= 1
-            if spent >= budget and g == 1:
-                return None, spent
         if g == n:
             g = 1
             while g == 1:
+                if spent + 2 * cost > budget:
+                    return None, spent
                 ys = (ys * ys + c) % n
                 g = gcd(abs(x - ys), n)
                 spent += 2 * cost
-                if spent >= budget:
-                    return None, spent
         if g < n:
             return g, spent
         # unlucky cycle: retry with fresh parameters
-    return None, spent
 
 
 @dataclass(frozen=True)
@@ -376,6 +390,10 @@ class FactorReport:
 
     cofactor_status "composite_unfactored" also covers cofactors whose
     primality was never established because the work budget ran out first.
+    The rho budget is a hard cap on the hunts of one ``factor`` call: each
+    hunt stops before a gcd that would land past what is left.  So no hunt
+    spends more than is left, a later cofactor may still get a short hunt,
+    and a factor found only past the budget stays in the cofactor.
     """
 
     input: int

@@ -10,6 +10,7 @@ from zsig import arith, factor, is_prime, v_p
 from zsig.arith import (
     DETERMINISTIC_MR_LIMIT,
     TRIAL_BOUND,
+    _brent_rho,
     _mr_witness,
     compare_abs,
     compare_powers,
@@ -139,6 +140,13 @@ def test_v_p_examples():
     assert v_p(7, 2) == 0
     with pytest.raises(ValueError):
         v_p(0, 3)
+
+
+@pytest.mark.parametrize("p", [-1, 0, 1])
+def test_v_p_rejects_bases_below_two(p):
+    # p = +-1 divides every m any number of times; p = 0 divides nothing
+    with pytest.raises(ValueError):
+        v_p(5, p)
 
 
 @given(
@@ -292,6 +300,50 @@ def test_factor_budget_exhaustion_reports_cofactor():
     assert rep.cofactor == p * q
     assert rep.cofactor_status == "composite_unfactored"
     assert rep.reconstruct() == p * q
+
+
+def test_factor_loses_a_factor_found_only_past_the_budget():
+    # unbudgeted, rho spends 1_178_880 units to find 1_000_003, after a
+    # 50-unit prime check; a unit less and the hunt stops without it
+    p, q = 1_000_003, 1_000_000_007
+    for budget in (10**6, 1_178_929):
+        rep = factor(p * q, rho_budget=budget)
+        assert rep.cofactor == p * q
+        assert rep.cofactor_status == "composite_unfactored"
+    rep = factor(p * q, rho_budget=1_178_930)
+    assert rep.complete and rep.factored == ((p, 1), (q, 1))
+
+
+@pytest.mark.parametrize("budget", [3 * 10**5, 10**6])
+def test_failing_brent_hunt_never_overruns(budget):
+    # rho needs far more than either budget to split two 60-bit primes
+    n = 1_000_000_000_000_037 * 1_000_000_000_000_091
+    divisor, spent = _brent_rho(n, budget, random.Random(n % 2**61))
+    assert divisor is None and spent <= budget
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    st.integers(min_value=2**7, max_value=2**26),
+    st.integers(min_value=40, max_value=90),
+    st.integers(min_value=1, max_value=2000),
+)
+# both cycles close in one batch, so these hunts take the g == n backtrack
+@example(633_248, 40, 1000)
+@example(50_377_940, 52, 999)
+def test_brent_rho_budget_only_cuts_a_hunt_short(small, bits, permille):
+    # a semiprime of about ``bits`` bits whose smaller factor rho finds fast
+    p = sympy.nextprime(small)
+    q = sympy.nextprime(2 ** (bits - 1) // p)
+    n = p * q
+    g, s = _brent_rho(n, 10**12, random.Random(n % 2**61))
+    assert g in (p, q)
+    for budget in (1, s - 1, s, max(1, s * permille // 1000)):
+        divisor, spent = _brent_rho(n, budget, random.Random(n % 2**61))
+        if budget >= s:
+            assert (divisor, spent) == (g, s)
+        else:
+            assert divisor is None and spent <= budget
 
 
 def test_trial_division_huge_input():
