@@ -245,7 +245,8 @@ def test_sweep_jsonl_and_resume(tmp_path, capsys):
     assert out_path.read_bytes() == before
 
 
-def test_sweep_partial_file_resumes(tmp_path, capsys):
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_partial_file_resumes(tmp_path, capsys, workers):
     spec = {
         "family": "z^d+z^e+c",
         "d": [3],
@@ -257,7 +258,8 @@ def test_sweep_partial_file_resumes(tmp_path, capsys):
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(json.dumps(spec))
     full = tmp_path / "full.jsonl"
-    assert run(capsys, "sweep", str(spec_path), "-o", str(full))[0] == 0
+    flags = ["--workers", workers]
+    assert run(capsys, "sweep", str(spec_path), "-o", str(full), *flags)[0] == 0
     lines = full.read_text().splitlines()
     assert len(lines) == 2
     # simulate an interrupted run: only the first line present, or a run
@@ -266,7 +268,7 @@ def test_sweep_partial_file_resumes(tmp_path, capsys):
     partial = tmp_path / "partial.jsonl"
     for cut in (first, first + second[:25], first + second[:-1], first[:10]):
         partial.write_bytes(cut)
-        assert run(capsys, "sweep", str(spec_path), "-o", str(partial))[0] == 0
+        assert run(capsys, "sweep", str(spec_path), "-o", str(partial), *flags)[0] == 0
         assert partial.read_bytes() == full.read_bytes()
 
 
@@ -622,6 +624,17 @@ def test_python_dash_m_entry_points(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 4
+
+
+def test_import_loads_no_process_pool(tmp_path):
+    # only a sweep over more than one worker needs concurrent.futures
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import zsig.cli, sys; print('concurrent.futures' in sys.modules)"],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.skipif(

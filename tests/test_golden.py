@@ -122,11 +122,11 @@ def _run(argv: list[str]) -> tuple[int, str]:
     return code, out.getvalue()
 
 
-def sweep_bytes(name: str, workdir: Path) -> bytes:
+def sweep_bytes(name: str, workdir: Path, *flags: str) -> bytes:
     spec_path = workdir / f"{name}.json"
     out_path = workdir / f"{name}.jsonl"
     spec_path.write_text(json.dumps(SWEEPS[name]))
-    _run(["sweep", str(spec_path), "-o", str(out_path)])
+    _run(["sweep", str(spec_path), "-o", str(out_path), *flags])
     return out_path.read_bytes()
 
 
@@ -149,6 +149,12 @@ def _clean_env(monkeypatch):
 def test_sweep_bytes_match_golden(name, tmp_path):
     expected = (DATA / f"golden_sweep_{name}.jsonl").read_bytes()
     assert sweep_bytes(name, tmp_path) == expected
+
+
+@pytest.mark.parametrize("name", sorted(SWEEPS))
+def test_pooled_sweep_bytes_match_golden(name, tmp_path):
+    expected = (DATA / f"golden_sweep_{name}.jsonl").read_bytes()
+    assert sweep_bytes(name, tmp_path, "--workers", "2") == expected
 
 
 def _assert_matches(fixture: str, argvs: list[list[str]]) -> None:

@@ -1,6 +1,9 @@
+import multiprocessing
 import time
 import tracemalloc
+from concurrent.futures import Future
 from fractions import Fraction
+from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -147,17 +150,34 @@ def test_sweep_spec_grid_and_keys():
     assert [key for key, _ in iter_sweep(spec, LEAN, set(keys[1::2]))] == keys[::2]
 
 
-def test_sweep_classifies_each_point_once_and_streams(monkeypatch):
+def _no_children_within(seconds: float) -> bool:
+    deadline = time.monotonic() + seconds
+    while multiprocessing.active_children():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.05)
+    return True
+
+
+def _read_ahead(workers: int) -> int:
+    """The most points a sweep may classify before its first verdict: the
+    peek plus, on the pool path, a full window of full chunks."""
+    return 1 if workers == 1 else 2 * workers * verifiers._CHUNK + workers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_sweep_classifies_each_point_once_and_streams(monkeypatch, workers):
     calls = []
     classify = verifiers.classify_point
     monkeypatch.setattr(
         verifiers, "classify_point", lambda *pt: calls.append(pt) or classify(*pt)
     )
+    cfg = RunConfig(factor_rho_budget=200_000, workers=workers)
     spec = SweepSpec.from_dict(
         {"family": "z^d+z^e+c", "d": [3, 4], "e": [2, 3], "c": ["5/2", "-3/2", "1"],
          "horizon": 2}
     )
-    assert [v.theorem_id for _, v in iter_sweep(spec, LEAN)].count("unclassified") == 3
+    assert [v.theorem_id for _, v in iter_sweep(spec, cfg)].count("unclassified") == 3
     assert calls == spec.points()
     calls.clear()
     wide = SweepSpec.from_dict(
@@ -165,11 +185,13 @@ def test_sweep_classifies_each_point_once_and_streams(monkeypatch):
          "horizon": 1}
     )
     assert len(wide.points()) == 10_000
-    sweep = iter_sweep(wide, LEAN)
+    sweep = iter_sweep(wide, cfg)
     key, verdict = next(sweep)
     sweep.close()
     assert key == "cor12:d=3:c=1" and verdict.details["horizon_used"] == 1
-    assert len(calls) == 1
+    assert len(calls) <= _read_ahead(workers)
+    assert calls == wide.points()[: len(calls)]
+    assert _no_children_within(5)
 
 
 def test_sweep_spec_c_grid_lowest_terms():
@@ -228,15 +250,26 @@ def test_walk_is_the_eager_expansion_without_repeats(data):
     assert len(set(keys)) == len(keys) == len(points)
 
 
-def test_first_verdict_of_a_huge_grid_comes_at_once():
+@pytest.mark.parametrize("workers", [1, 2])
+def test_first_verdict_of_a_huge_grid_comes_at_once(monkeypatch, workers):
     # about 1.2e12 points: neither the spec nor the sweep may build anything
     # that grows with the grid
     data = {"family": "z^d+c", "d": [3], "horizon": 1,
             "c_grid": {"num": [-10**6, 10**6], "den": [1, 10**6]}}
+    classified, classify = count(1), verifiers.classify_point
+
+    def classify_within_the_window(*pt):
+        # a sweep that reads the whole walk would otherwise fill the memory
+        if next(classified) > _read_ahead(workers):
+            raise AssertionError("the sweep read past its window")
+        return classify(*pt)
+
+    monkeypatch.setattr(verifiers, "classify_point", classify_within_the_window)
+    cfg = RunConfig(factor_rho_budget=200_000, workers=workers)
     tracemalloc.start()
     start = time.perf_counter()
     try:
-        sweep = iter_sweep(SweepSpec.from_dict(data), LEAN)
+        sweep = iter_sweep(SweepSpec.from_dict(data), cfg)
         key, verdict = next(sweep)
         elapsed = time.perf_counter() - start
         peak = tracemalloc.get_traced_memory()[1]
@@ -245,6 +278,7 @@ def test_first_verdict_of_a_huge_grid_comes_at_once():
         tracemalloc.stop()
     assert key == "cor12:d=3:c=-1000000" and verdict.details["horizon_used"] == 1
     assert elapsed < 1 and peak < 5 * 2**20
+    assert _no_children_within(5)
 
 
 def test_sweep_spec_budgets():
@@ -311,6 +345,14 @@ def test_run_sweep_parallel_matches_serial():
     serial = run_sweep(spec, LEAN)
     parallel = run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=2))
     assert serial == parallel
+    # chunks of 1, 2, ..., 32, then a full one and a short one of 8
+    wide = SweepSpec.from_dict(
+        {"family": "z^d+c", "d": [3], "horizon": 2,
+         "c_grid": {"num": [1, 3 * verifiers._CHUNK + 7], "den": [1, 1]}}
+    )
+    pooled = list(iter_sweep(wide, RunConfig(factor_rho_budget=200_000, workers=2)))
+    assert len(pooled) == 3 * verifiers._CHUNK + 7
+    assert pooled == list(iter_sweep(wide, LEAN))
 
 
 def test_point_key_format():
@@ -330,25 +372,46 @@ def test_claim_table_drives_routing_and_cli():
     assert verify("cor12", 3, Fraction(7, 2), 2, LEAN, horizon=4).polynomial == "z^3 + 7/2"
 
 
-def _recording_pool(monkeypatch, cpus):
-    """Replace the process pool by a serial one; the list records its sizes."""
+class _LazyFuture(Future):
+    """A future that runs its call when its result is first asked for."""
+
+    def __init__(self, fn, args):
+        super().__init__()
+        self._call = fn, args
+
+    def result(self, timeout=None):
+        if self.set_running_or_notify_cancel():
+            fn, args = self._call
+            self.set_result(fn(*args))
+        return super().result(timeout)
+
+
+def _recording_pool(monkeypatch, cpus, affinity=None):
+    """Replace the process pool by a lazy serial one; the list records its
+    sizes.  ``cpus`` is the CPU count and ``affinity`` the affinity mask, or
+    None for a platform without one."""
     created = []
 
     class RecordingPool:
         def __init__(self, max_workers):
             created.append(max_workers)
+            self.futures = []
 
-        def __enter__(self):
-            return self
+        def submit(self, fn, *args):
+            self.futures.append(_LazyFuture(fn, args))
+            return self.futures[-1]
 
-        def __exit__(self, *exc):
-            return False
+        def shutdown(self, wait=True, cancel_futures=False):
+            if cancel_futures:
+                for future in self.futures:
+                    future.cancel()
 
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr(verifiers, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setattr(verifiers, "_pool", RecordingPool)
     monkeypatch.setattr(verifiers.os, "cpu_count", lambda: cpus)
+    if affinity is None:
+        monkeypatch.delattr(verifiers.os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(verifiers.os, "sched_getaffinity", lambda pid: set(affinity))
     return created
 
 
@@ -357,10 +420,12 @@ _POOL_CS = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"]
 
 @pytest.mark.parametrize(
     "workers, n_points, cpus, expected",
-    [(64, 3, 8, [3]), (64, 6, 4, [4]), (2, 6, 8, [2]), (64, 6, None, []), (64, 1, 8, [])],
+    [(64, 3, 8, [3]), (64, 6, 4, [4]), (2, 6, 8, [2]), (64, 6, None, []), (64, 1, 8, []),
+     # (CPU count, affinity mask): two workers would share one CPU
+     pytest.param(64, 6, (8, {0}), [], id="64-6-8-affinity0-expected5")],
 )
 def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected):
-    created = _recording_pool(monkeypatch, cpus)
+    created = _recording_pool(monkeypatch, *(cpus if isinstance(cpus, tuple) else (cpus,)))
     cs = _POOL_CS[:n_points]
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": cs, "horizon": 3})
     verdicts = run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=workers))
@@ -377,3 +442,28 @@ def test_resume_with_at_most_one_point_left_starts_no_pool(monkeypatch, left):
     cfg = RunConfig(factor_rho_budget=200_000, workers=64)
     assert list(iter_sweep(spec, cfg, done)) == results[len(results) - left:]
     assert created == []
+
+
+def test_closing_a_pooled_sweep_cancels_its_queued_chunks(monkeypatch):
+    pools = []
+    _recording_pool(monkeypatch, 8)
+    recording = verifiers._pool
+    monkeypatch.setattr(verifiers, "_pool", lambda n: pools.append(recording(n)) or pools[-1])
+    computed = []
+    run_point = verifiers._run_point
+    monkeypatch.setattr(
+        verifiers, "_run_point", lambda task: computed.append(task[0]) or run_point(task)
+    )
+    spec = SweepSpec.from_dict(
+        {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 1000], "den": [1, 1]},
+         "horizon": 1}
+    )
+    sweep = iter_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=2))
+    assert next(sweep)[0] == "cor12:d=3:c=1"
+    sweep.close()
+    (pool,) = pools
+    # a window of 2 x 2 chunks of 1, 2, 4 and 8 points, refilled by one of 16
+    # once the first was taken; only the first ever ran
+    assert [len(f._call[1][0]) for f in pool.futures] == [1, 2, 4, 8, 16]
+    assert [f.cancelled() for f in pool.futures] == [False] + [True] * 4
+    assert computed == ["cor12:d=3:c=1"]
