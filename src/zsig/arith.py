@@ -1,5 +1,5 @@
 """Integer arithmetic support: primality, p-adic valuation, exact size
-comparison of power products, budgeted factoring.
+comparison of sums of power products, budgeted factoring.
 
 Numerators of orbit sequences routinely reach thousands of digits, so trial
 division works through gcds with precomputed prime-block products, and the
@@ -16,8 +16,8 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import compress
-from math import gcd, isqrt, prod
+from itertools import chain, compress
+from math import gcd, isqrt
 from typing import Sequence
 
 from .config import DEFAULT_RHO_BUDGET
@@ -160,12 +160,13 @@ def distinct_primes(n: int) -> list[int]:
     return primes
 
 
-# Mantissa width of the size brackets in compare_powers.  Each rounding moves
+# Mantissa width of the size brackets in compare_sums.  Each rounding moves
 # a bound by at most a relative 2^(1 - _MANTISSA_BITS), so the brackets of
 # a^k are about k * 2^-92 wide: only near-ties reach the exact fallback.
 _MANTISSA_BITS = 96
-# Up to this many bits on both sides, the exact products cost less than brackets.
+# Up to this many bits on both sides, the exact sums cost less than brackets.
 _EXACT_BITS = 4096
+Term = Sequence[tuple[Fraction | int, int]]  # prod(b^k) for rationals b >= 0
 
 
 def _round(m: int, s: int, up: bool) -> tuple[int, int]:
@@ -208,30 +209,63 @@ def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
     return m1 << (s1 - low) < m2 << (s2 - low)
 
 
-def compare_powers(lhs: Sequence[tuple[int, int]], rhs: Sequence[tuple[int, int]]) -> int:
-    """The sign of prod(a^k for a, k in lhs) - prod(b^k for b, k in rhs), for
-    integers a, b >= 0 and k >= 0 (an empty side is 1, and 0^0 = 1).
+def _sum_bracket(side: Sequence[Sequence[tuple[int, int]]], up: bool) -> tuple[int, int]:
+    """(m, s) with m * 2^s <= the side's sum of integer power products (>= when
+    ``up``): the terms' brackets rounded onto one grid _MANTISSA_BITS below the
+    top one, so a term far below it only drops low bits."""
+    brackets = [_power_bracket(term, up) for term in side]
+    grid = max((m.bit_length() + s for m, s in brackets if m), default=0) - _MANTISSA_BITS
+    return sum(
+        m << (s - grid) if s >= grid else -(-m >> (grid - s)) if up else m >> (grid - s)
+        for m, s in brackets
+    ), grid
 
-    Past ``_EXACT_BITS``, disjoint ``_power_bracket``s decide the sign with
-    ~96-bit integers, so a degree-sized power is never built.  Otherwise
-    (small sides, a tie or a near-tie) the exact products decide: no float.
+
+def _cleared(lhs: Sequence[Term], rhs: Sequence[Term]) -> tuple[list, list]:
+    """Both sides times prod(q^K), K the largest power of a denominator q > 1
+    in one term: each term becomes its numerators' powers times q^(K - own)."""
+    owns = [{} for _ in chain(lhs, rhs)]
+    for term, own in zip(chain(lhs, rhs), owns):
+        for b, k in term:
+            if b.denominator > 1:
+                own[b.denominator] = own.get(b.denominator, 0) + k
+    top = {q: max(own.get(q, 0) for own in owns) for own in owns for q in own}
+    terms = [[(b.numerator, k) for b, k in t] + [(q, K - own.get(q, 0)) for q, K in top.items()]
+             for t, own in zip(chain(lhs, rhs), owns)]
+    return terms[:len(lhs)], terms[len(lhs):]
+
+
+def _exact_sign(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
+    """The sign of sum(lhs) - sum(rhs) from exact integer sums, cross-multiplied."""
+    num, den = 0, 1  # sum(lhs) - sum(rhs) = num / den, den > 0
+    for sign, side in ((1, lhs), (-1, rhs)):
+        for term in side:
+            n = d = 1
+            for b, k in term:
+                n, d = n * b.numerator**k, d * b.denominator**k
+            num, den = num * d + sign * n * den, den * d
+    return (num > 0) - (num < 0)
+
+
+def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
+    """The sign of sum(lhs) - sum(rhs), for sides of terms: lists of (b, k) pairs
+    standing for prod(b^k), rationals b >= 0 and integers k >= 0 (an empty term
+    is 1, an empty side 0, and 0^0 = 1).  Past ``_EXACT_BITS``, denominators
+    cleared term by term, disjoint brackets of the two sums decide with ~96-bit
+    integers, so a degree-sized power is never built.  Otherwise (small sides, a
+    tie or a near-tie) an exact integer sum decides: no Fraction, no float.
     """
-    if sum(a.bit_length() * k for a, k in (*lhs, *rhs)) > _EXACT_BITS:
-        if _below(_power_bracket(lhs, True), _power_bracket(rhs, False)):
+    bits = 0
+    for term in chain(lhs, rhs):
+        for b, k in term:
+            bits += (b.numerator.bit_length() + b.denominator.bit_length()) * k
+    if bits > _EXACT_BITS:
+        int_lhs, int_rhs = _cleared(lhs, rhs)
+        if _below(_sum_bracket(int_lhs, True), _sum_bracket(int_rhs, False)):
             return -1
-        if _below(_power_bracket(rhs, True), _power_bracket(lhs, False)):
+        if _below(_sum_bracket(int_rhs, True), _sum_bracket(int_lhs, False)):
             return 1
-    left, right = (prod(a**k for a, k in side) for side in (lhs, rhs))
-    return (left > right) - (left < right)
-
-
-def compare_abs(x: Fraction | int, powers: Sequence[tuple[Fraction | int, int]]) -> int:
-    """The sign of |x| - prod(b^k for b, k in powers), for rationals b >= 0:
-    ``compare_powers`` on both sides times x's and every base's denominator."""
-    return compare_powers(
-        [(abs(x.numerator), 1)] + [(b.denominator, k) for b, k in powers],
-        [(x.denominator, 1)] + [(b.numerator, k) for b, k in powers],
-    )
+    return _exact_sign(lhs, rhs)
 
 
 # Trial division strips every prime up to this bound.

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import compare_abs, compare_powers, distinct_primes
+from .arith import compare_sums, distinct_primes
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
 from .polynomials import PolyQ
@@ -41,7 +41,7 @@ class SignSets:
 
 
 def _sgn(x: Fraction) -> int:
-    return (x > 0) - (x < 0)
+    return (x.numerator > 0) - (x.numerator < 0)  # no Fraction comparison: a hot path
 
 
 def _alt_sgn(i: int, a: Fraction) -> int:
@@ -71,14 +71,11 @@ def check_condition3(f: PolyQ, z: Fraction) -> bool:
     if az < 1:
         raise ValueError("inequality is only meaningful for |z| >= 1")
     signs = compute_sign_sets(f)
-    d, lead = f.terms[0]
+    f1, m = f.cleared  # both sides times m: integer coefficients
     for n_set, n_idx in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus)):
-        rhs = sum(abs(a) for i, a in f.terms if i in n_set) + 1
-        # the top term reaches rhs, or every |z|^(i-n) <= |z|^(d-n) < rhs/|a_d|
-        if compare_abs(rhs, ((abs(lead), 1), (az, d - n_idx))) <= 0:
-            continue
-        lhs = sum(abs(a) * az ** (i - n_idx) for i, a in f.terms if i > n_idx)
-        if lhs < rhs:
+        lhs = [[(abs(a), 1), (az, i - n_idx)] for i, a in f1 if i > n_idx]
+        rhs = [[(abs(a), 1)] for i, a in f1 if i in n_set] + [[(m, 1)]]
+        if compare_sums(lhs, rhs) < 0:
             return False
     return True
 
@@ -118,7 +115,7 @@ def omega_inequality_audit(d: int, n_max: int) -> tuple[list[int], list[int]]:
         raise ValueError("n_max must be >= 0")
     equalities, violations = [], []
     for n in range(2, min(n_max, 64) + 1):
-        sign = compare_powers([(2 * omega(n) + 1, 2)], [(d, n)])
+        sign = compare_sums([[(2 * omega(n) + 1, 2)]], [[(d, n)]])
         if sign == 0:
             equalities.append(n)
         elif sign > 0:
@@ -155,7 +152,7 @@ def theorem1_bound(f: PolyQ, hhat_lower: float, C: float) -> BoundResult:
 
     C up, hhat down and the result up by a 1e-12 relative slack, not a checked
     outward rounding; the claims' cap verdict ``n_max < cap + 1`` reads that
-    float (ROADMAP item 1, which ``arith.compare_powers`` can now serve).
+    float (ROADMAP item 1, which ``arith.compare_sums`` can now serve).
     ``certified`` is set when a growth certificate holds for the constant term.
     """
     if not f.admissible:

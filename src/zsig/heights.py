@@ -13,7 +13,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import compare_powers, factor, v_p
+from .arith import compare_sums, factor, v_p
 from .config import DEFAULT_DIGIT_BUDGET
 from .orbits import iterate_point
 from .polynomials import PolyQ
@@ -61,10 +61,13 @@ def local_C_v(f: PolyQ, place: int | None) -> float:
     """
     (d, a_d), *lower = f.terms
     if place is None:
-        # summed in ascending exponent order: the last bit of the float depends on it
-        A = sum(float(abs(a / a_d)) ** (1.0 / (d - j)) for j, a in reversed(lower))
-        B = float(abs(a_d)) ** (-1.0 / d)
-        coeff_sum = float(sum(abs(a) for _, a in f.terms))
+        try:
+            # summed in ascending exponent order: the last bit of the float depends on it
+            A = sum(float(abs(a / a_d)) ** (1.0 / (d - j)) for j, a in reversed(lower))
+            B = float(abs(a_d)) ** (-1.0 / d)
+            coeff_sum = float(sum(abs(a) for _, a in f.terms))
+        except (OverflowError, ZeroDivisionError) as exc:  # no float holds the constant
+            raise ValueError("a coefficient or a ratio of two is beyond the float range") from exc
         return math.log(max(1.0, A + B, coeff_sum))
     p = place
     logp = math.log(p)
@@ -195,9 +198,8 @@ def ingram_lower_bound(f: PolyQ) -> HeightInterval:
 
 
 def hypothesis_abs_c_exceeds(c: Fraction, d: int) -> bool:
-    """Exact integer test of |c| > 2^(d/(d-1)), i.e. |a|^(d-1) > 2^d b^(d-1)."""
-    a, b = abs(c.numerator), c.denominator
-    return compare_powers([(a, d - 1)], [(2, d), (b, d - 1)]) > 0
+    """Exact test of |c| > 2^(d/(d-1)), i.e. |c|^(d-1) > 2^d."""
+    return compare_sums([[(abs(c), d - 1)]], [[(2, d)]]) > 0
 
 
 def trinomial_family_lower(f: PolyQ) -> HeightInterval:

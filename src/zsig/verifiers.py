@@ -25,7 +25,7 @@ from itertools import chain, islice, repeat
 from math import gcd
 from typing import Callable, Container, Iterator, Sequence
 
-from .arith import compare_abs, compare_powers, distinct_primes
+from .arith import compare_sums, distinct_primes
 from .bounds import theorem1_bound
 from .config import BUDGETS, RunConfig
 from .heights import (
@@ -81,6 +81,8 @@ class SweepSpec:
         if grid:
             try:
                 (num_lo, num_hi), (den_lo, den_hi) = grid["num"], grid["den"]
+                if any(type(v) is not int for v in (num_lo, num_hi, den_lo, den_hi)):
+                    raise TypeError("a bound is not an integer")  # range() takes true as 1
                 c_grid = range(num_lo, num_hi + 1), range(den_lo, den_hi + 1)
             except (TypeError, KeyError, ValueError) as exc:
                 raise ValueError(f"c_grid needs integer ranges num and den: {grid!r}") from exc
@@ -93,7 +95,7 @@ class SweepSpec:
         for key, value in raw_budgets.items():
             if key not in BUDGETS:
                 raise ValueError(f"unknown budget field: {key!r}")
-            if not isinstance(value, (int, str)):
+            if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ValueError(f"budget {key} must be an integer")
             budgets[key] = int(value)
         RunConfig(**budgets)  # positivity, checked before any output is written
@@ -174,7 +176,7 @@ def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int
     A = [abs(x.A) for x in entries]
     return [
         n for n in range(2, len(A) + 1)
-        if compare_powers([(A[n - 1], 1)], [(A[n // q - 1], 1) for q in distinct_primes(n)]) <= 0
+        if compare_sums([[(A[n - 1], 1)]], [[(A[n // q - 1], 1) for q in distinct_primes(n)]]) <= 0
     ]
 
 
@@ -182,11 +184,11 @@ def _check_sandwich(
     entries: Sequence[OrbitEntry], c_abs: Fraction, alpha: Fraction, d: int
 ) -> bool:
     """c_abs <= |f^n(0)| <= alpha^((d^(n-1)-1)/(d-1)) * c_abs, exactly."""
-    return all(
-        abs(x.value) >= c_abs
-        and compare_abs(x.value, ((c_abs, 1), (alpha, (d ** (x.n - 1) - 1) // (d - 1)))) <= 0
-        for x in entries
-    )
+    for x in entries:
+        v, k = abs(x.value), (d ** (x.n - 1) - 1) // (d - 1)
+        if v < c_abs or compare_sums([[(v, 1)]], [[(c_abs, 1), (alpha, k)]]) > 0:
+            return False
+    return True
 
 
 # Each claim's own exact checks: (f, d, e, c, entries) -> details in report
@@ -199,13 +201,19 @@ def _cor12_checks(f, d, e, c, entries) -> dict:
 
 
 def _thm13_checks(f, d, e, c, entries) -> dict:
-    # exact per-instance fact feeding the lower bound
-    power = 2 if d == 3 else d - 2
-    return {"growth_at_c_verified": compare_abs(f.evaluate(c), ((abs(c), power),)) >= 0}
+    # exact per-instance fact feeding the lower bound: |f(c)| >= |c|^k, i.e.
+    # f(c) >= |c|^k or -f(c) >= |c|^k, from the signed terms of c^d + c^e + c
+    c_abs = abs(c)
+    pos = [[(c_abs, i)] for i in (d, e, 1) if c.numerator > 0 or i % 2 == 0]
+    neg = [[(c_abs, i)] for i in (d, e, 1) if c.numerator < 0 and i % 2]
+    floor = [(c_abs, 2 if d == 3 else d - 2)]
+    grows = compare_sums(pos, [*neg, floor]) >= 0 or compare_sums(neg, [*pos, floor]) >= 0
+    return {"growth_at_c_verified": grows}
 
 
 def _prop51_checks(f, d, e, c, entries) -> dict:
-    return {"f_c_above_2c": f.evaluate(c) > 2 * c}  # exact step behind the bound
+    # exact step behind the bound: f(c) > 2c, i.e. c^d + c^e > c for 1 < c < 2
+    return {"f_c_above_2c": compare_sums([[(c, d)], [(c, e)]], [[(c, 1)]]) > 0}
 
 
 def _prop52_checks(f, d, e, c, entries) -> dict:
@@ -223,28 +231,33 @@ def _prop53_checks(f, d, e, c, entries) -> dict:
             "case": "odd middle exponent",
             "sandwich_verified": _check_sandwich(entries, abs(c), alpha, d),
         }
-    floor = abs(c) * (1 - abs(c) ** (e - 1))
+    c_abs = abs(c)  # |f^n(0)| >= |c| (1 - |c|^(e-1)) reads |f^n(0)| + |c|^e >= |c|
     return {
         "case": "even middle exponent",
         "confinement_verified": all(c <= x.value < 0 for x in entries),
-        "lower_bound_verified": all(abs(x.value) >= floor for x in entries[1:]),
+        "lower_bound_verified": all(
+            compare_sums([[(abs(x.value), 1)], [(c_abs, e)]], [[(c_abs, 1)]]) >= 0
+            for x in entries[1:]
+        ),
     }
 
 
 def _prop54_checks(f, d, e, c, entries) -> dict:
     # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1)); 3^k is never built
+    c_abs = abs(c)
     upper_ok = all(
-        compare_abs(x.value, ((3, (d ** (x.n - 1) - 1) // (d - 1)), (abs(c), d ** (x.n - 1))))
-        <= 0
+        compare_sums(
+            [[(abs(x.value), 1)]], [[(3, (d ** (x.n - 1) - 1) // (d - 1)), (c_abs, d ** (x.n - 1))]]
+        ) <= 0
         for x in entries
     )
     if d % 2 == 1:
         case = "odd degree"
-        growth_ok = all(x.value < 0 and abs(x.value) >= abs(c) for x in entries)
+        growth_ok = all(x.value < 0 and abs(x.value) >= c_abs for x in entries)
     else:
         case = "even degree and middle exponent"
         growth_ok = all(
-            x.value > 0 and compare_abs(x.value, ((abs(c), d ** (x.n - 1)),)) >= 0
+            x.value > 0 and compare_sums([[(x.value, 1)]], [[(c_abs, d ** (x.n - 1))]]) >= 0
             for x in entries[1:]
         )
     return {"upper_bound_verified": upper_ok, "case": case, "growth_verified": growth_ok}

@@ -12,8 +12,7 @@ from zsig.arith import (
     TRIAL_BOUND,
     _brent_rho,
     _mr_witness,
-    compare_abs,
-    compare_powers,
+    compare_sums,
     distinct_primes,
     trial_division,
 )
@@ -189,16 +188,16 @@ _power_lists = st.lists(st.tuples(_bases, st.integers(min_value=0, max_value=30)
 def test_compare_powers_matches_exact_products(lhs, rhs):
     left = math.prod(a**k for a, k in lhs)
     right = math.prod(b**k for b, k in rhs)
-    assert compare_powers(lhs, rhs) == _sign(left - right)
-    assert compare_powers(rhs, lhs) == _sign(right - left)
-    assert compare_powers(lhs, lhs[::-1]) == 0
+    assert compare_sums([lhs], [rhs]) == _sign(left - right)
+    assert compare_sums([rhs], [lhs]) == _sign(right - left)
+    assert compare_sums([lhs], [lhs[::-1]]) == 0
 
 
 def test_compare_powers_decides_huge_exponents_from_brackets():
     # 1584962 < 10^6 log2 3 < 1584963, and neither side is ever built
-    assert compare_powers([(3, 10**6)], [(2, 1584962)]) == 1
-    assert compare_powers([(3, 10**6)], [(2, 1584963)]) == -1
-    assert compare_powers([(2, 10**12)], [(2, 10**12 - 1), (3, 1)]) == -1
+    assert compare_sums([[(3, 10**6)]], [[(2, 1584962)]]) == 1
+    assert compare_sums([[(3, 10**6)]], [[(2, 1584963)]]) == -1
+    assert compare_sums([[(2, 10**12)]], [[(2, 10**12 - 1), (3, 1)]]) == -1
 
 
 _nonneg = st.fractions(min_value=0, max_value=50, max_denominator=50)
@@ -211,9 +210,16 @@ _nonneg = st.fractions(min_value=0, max_value=50, max_denominator=50)
     st.integers(min_value=0, max_value=40),
 )
 def test_compare_abs_matches_fraction_form(value, scale, base, expo):
-    assert compare_abs(value, ((scale, 1), (base, expo))) == _sign(
+    assert compare_sums([[(abs(value), 1)]], [[(scale, 1), (base, expo)]]) == _sign(
         abs(value) - Fraction(scale) * base**expo
     )
+
+
+def _counting_exact(mp):
+    """Count the comparisons that reach the exact sums."""
+    calls, exact = [], arith._exact_sign
+    mp.setattr(arith, "_exact_sign", lambda lhs, rhs: calls.append(1) or exact(lhs, rhs))
+    return calls
 
 
 @settings(max_examples=10, deadline=None)
@@ -239,16 +245,78 @@ def test_compare_abs_falls_back_on_near_ties(base, scale, expo, ulp, negative):
     n, d = target.numerator, target.denominator
     value = Fraction(n + ulp, d) if n > d else Fraction(n, d + ulp)
     value = -value if negative else value
-    powers = ((scale, 1), (base, expo))
-    calls = []
+    powers = [[(scale, 1), (base, expo)]]
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(arith, "prod", lambda factors: calls.append(1) or math.prod(factors))
-        assert compare_abs(value, powers) == _sign(abs(value) - target)
+        calls = _counting_exact(mp)
+        assert compare_sums([[(abs(value), 1)]], powers) == _sign(abs(value) - target)
         assert calls
         calls.clear()
         # a factor of 2 apart, the brackets alone decide
-        assert compare_abs(2 * target, powers) == 1
-        assert compare_abs(target / 2, powers) == -1
+        assert compare_sums([[(2 * target, 1)]], powers) == 1
+        assert compare_sums([[(target / 2, 1)]], powers) == -1
+        assert not calls
+
+
+_sum_bases = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.integers(min_value=0, max_value=2**200),
+    st.fractions(min_value=0, max_value=10**6, max_denominator=10**6),
+    st.fractions(min_value=0, max_value=2**100, max_denominator=2**100),
+)
+_sides = st.lists(
+    st.lists(st.tuples(_sum_bases, st.integers(min_value=0, max_value=60)), max_size=3),
+    max_size=4,
+)
+
+
+def _fraction_sum(side) -> Fraction:
+    return sum((math.prod((Fraction(b) ** k for b, k in term), start=Fraction(1))
+                for term in side), Fraction(0))
+
+
+@settings(deadline=None)
+@given(_sides, _sides)
+@example([], [])
+@example([[]], [])  # an empty term is 1
+@example([[(0, 0)]], [[]])  # 0^0 = 1
+@example([[(0, 5)], [(Fraction(1, 3), 0)]], [[], []])
+@example([[(2**200, 60)], [(1, 1)]], [[(2**200, 60)]])  # the 1 falls below the grid
+@example([[(Fraction(2**200, 3), 60)], [(Fraction(1, 7), 3)]], [[(Fraction(2**200, 3), 60)]])
+@example([[(Fraction(3, 2), 60), (Fraction(2, 3), 60)]], [[]])  # cleared to a tie
+@example([[(2**200, 30)], [(2**200, 30)]], [[(2, 6001)]])  # two terms add up to a tie
+@example([[(Fraction(5, 4), 5000)], [(Fraction(4, 5), 5000)]], [[(Fraction(5, 4), 5000)], [], []])
+@example([[(Fraction(3, 2), 3000)]], [[(Fraction(3, 2), 2999)], [(Fraction(3, 2), 2999)]])
+# 64 terms below the grid of 2^6000 add up to two of its units, one more than rhs has
+@example([[(2, 6000)]] + [[(2, 5900)]] * 64, [[(2, 6000)], [(2, 5905)]])
+def test_compare_sums_matches_fraction_sums(lhs, rhs):
+    left, right = _fraction_sum(lhs), _fraction_sum(rhs)
+    assert compare_sums(lhs, rhs) == _sign(left - right)
+    assert compare_sums(rhs, lhs) == _sign(right - left)
+    assert compare_sums(lhs + rhs, rhs[::-1] + lhs[::-1]) == 0
+
+
+@settings(max_examples=10, deadline=None)
+@given(
+    st.fractions(min_value=Fraction(10, 9), max_value=9, max_denominator=9),
+    st.fractions(min_value=Fraction(1, 50), max_value=50, max_denominator=50),
+    st.integers(min_value=99_990, max_value=100_010),
+    st.integers(min_value=0, max_value=2),
+    st.integers(min_value=0, max_value=2),
+)
+@example(Fraction(3, 2), Fraction(7, 5), 100_000, 1, 0)
+@example(Fraction(9, 8), 1, 100_001, 2, 2)
+def test_compare_sums_falls_back_on_near_ties(base, scale, expo, u, v):
+    # sums of ~300k-bit terms that differ by u - v, at most 2: the brackets
+    # overlap and only the exact sums decide
+    terms = [[(scale, 1), (base, expo)], [(base, expo - 7)]]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_exact(mp)
+        assert compare_sums(terms + [[(u, 1)]], terms + [[(v, 1)]]) == _sign(u - v)
+        assert calls
+        calls.clear()
+        # against twice the terms, the brackets alone decide
+        assert compare_sums(terms + [[(u, 1)]], terms + terms) == -1
+        assert compare_sums(terms + terms, [[(v, 1)]] + terms) == 1
         assert not calls
 
 

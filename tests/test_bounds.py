@@ -1,4 +1,5 @@
 import math
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -103,6 +104,15 @@ def test_condition3_agrees_with_the_sum_over_every_index(poly):
             for n_set, n in ((signs.N_plus, signs.n_plus), (signs.N_minus, signs.n_minus))
         )
         assert check_condition3(f, z) == every_index
+
+
+def test_condition3_barely_above_one_builds_no_power():
+    # |z|^999998 = 1.105... < 2: decided from size brackets (15 s when the
+    # exact fallback built |z|^999998)
+    f = parse_poly("z^1000000-z^2+10000001/10000000")
+    start = time.perf_counter()
+    assert not check_condition3(f, f.constant)
+    assert time.perf_counter() - start < 2
 
 
 def test_prop31_examples():

@@ -181,6 +181,31 @@ def test_bound_telescope_certified(capsys):
     assert data["bound"] is not None and data["certified"]
 
 
+@pytest.mark.parametrize("hhat", ["family", "ingram", "telescope"])
+def test_bound_rejects_a_coefficient_beyond_the_float_range(capsys, hhat):
+    # the archimedean constant reads float(10^400): an OverflowError traceback before
+    _assert_usage_error(capsys, "bound", "--poly", "z^3+1" + "0" * 400, "--hhat", hhat)
+
+
+def test_bound_rejects_a_leading_coefficient_below_the_float_range(capsys):
+    # float(10^-400) is 0.0, and 0.0 ** (-1/d) raised ZeroDivisionError
+    _assert_usage_error(capsys, "bound", "--poly", "1/1" + "0" * 400 + "z^3", "--hhat", "telescope")
+
+
+@pytest.mark.parametrize("argv", [
+    ["prop51", "--d", "1000000000", "--e", "2", "--c", "3/2"],
+    ["thm13", "--d", "10000001", "--e", "2", "--c", "-5/2"],
+    ["prop53", "--d", "100000001", "--e", "99999998", "--c", "-1/3"],
+])
+def test_verify_at_a_huge_degree_builds_no_power(capsys, argv):
+    # f(c) > 2c, |f(c)| >= |c|^(d-2) and the prop53 floor are decided from
+    # size brackets: no c^d or |c|^(e-1) is built
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 0 and "consistent: True" in out
+
+
 def test_verify_consistent(capsys):
     code, out, _ = run(
         capsys, "verify", "thm13", "--d", "4", "--e", "2", "--c", "5/2", *FAST
@@ -458,6 +483,20 @@ def test_sweep_rejects_malformed_spec(tmp_path, capsys, spec):
     _assert_sweep_usage_error(capsys, spec_path, out_path, None)
     out_path.write_bytes(_PARTIAL)
     _assert_sweep_usage_error(capsys, spec_path, out_path, _PARTIAL)
+
+
+@pytest.mark.parametrize("spec", [
+    {**_GOOD_SPEC, "budgets": {"digit_budget": True}},
+    {**_GOOD_SPEC, "budgets": {"factor_rho_budget": True}},
+    {**_GOOD_SPEC, "c_grid": {"num": [True, 4], "den": [True, True]}},
+    {**_GOOD_SPEC, "c_grid": {"num": [False, 4], "den": [1, 2]}},
+    {**_GOOD_SPEC, "c_grid": {"num": [1, 4], "den": [1, True]}},
+])
+def test_sweep_rejects_a_boolean_where_an_integer_belongs(tmp_path, capsys, spec):
+    # JSON true is a Python int: it ran as digit budget 1 or as grid bound 1
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(spec))
+    _assert_sweep_usage_error(capsys, spec_path, tmp_path / "results.jsonl", None)
 
 
 @pytest.mark.parametrize("how, value", [

@@ -86,6 +86,9 @@ VERIFY_ARGV = [
     ["verify", "ezsig", "--d", "3", "--n-max", "100", "--format", "csv"],
     ["verify", "cor12", "--d", "1000000", "--c", "7/2", "--format", "json"],
     ["verify", "thm13", "--d", "1000000", "--e", "2", "--c", "5/2", "--format", "json"],
+    ["verify", "prop51", "--d", "1000000", "--e", "2", "--c", "3/2", "--format", "json"],
+    ["verify", "thm13", "--d", "1000001", "--e", "2", "--c", "-5/2", "--format", "json"],
+    ["verify", "prop53", "--d", "1000001", "--e", "999998", "--c", "-1/3", "--format", "json"],
 ]
 
 _CLI_COMMANDS = [
