@@ -247,13 +247,15 @@ def _exact_sign(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
     return (num > 0) - (num < 0)
 
 
-def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
+def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term], *, exact: bool = True) -> int:
     """The sign of sum(lhs) - sum(rhs), for sides of terms: lists of (b, k) pairs
     standing for prod(b^k), rationals b >= 0 and integers k >= 0 (an empty term
     is 1, an empty side 0, and 0^0 = 1).  Past ``_EXACT_BITS``, denominators
     cleared term by term, disjoint brackets of the two sums decide with ~96-bit
     integers, so a degree-sized power is never built.  Otherwise (small sides, a
     tie or a near-tie) an exact integer sum decides: no Fraction, no float.
+    With ``exact=False`` a near-tie past ``_EXACT_BITS`` gives 0 instead, for a
+    screen that would build those sums anyway if it cannot decide.
     """
     bits = 0
     for term in chain(lhs, rhs):
@@ -265,6 +267,8 @@ def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
             return -1
         if _below(_sum_bracket(int_rhs, True), _sum_bracket(int_lhs, False)):
             return 1
+        if not exact:
+            return 0
     return _exact_sign(lhs, rhs)
 
 

@@ -2,15 +2,19 @@
 
 Each iterate f^n(0) = A_n / B_n is kept in lowest terms (B_n > 0).  Orbits
 terminate early when an iterate repeats (preperiodic) or returns to 0, and a
-digit budget guards against runaway growth (sizes scale like d^n digits).
+digit budget guards against runaway growth (sizes scale like d^n digits).  An
+iterate is over the budget when A_n or B_n has B bits or more, B fixed by the
+budget; ``_step`` rejects one whose size provably reaches B before building it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
+from .arith import compare_sums
 from .config import DEFAULT_DIGIT_BUDGET
 from .polynomials import PolyQ
 
@@ -92,78 +96,57 @@ class Orbit:
         return "wandering"
 
 
-def _denominator_bits_floor(f: PolyQ, x: Fraction) -> int:
-    """A lower bound on the bit length of the denominator of f(x), from sizes.
-
-    Write x = p/q, f = f1/m and d = deg f.  In the Horner value
-    sum f1_i p^i q^(d-i) the leading term has v_r = v_r(f1_d) at each prime r
-    of q, and a lower term has v_r >= (d-i) v_r(q).  That exceeds v_r(f1_d) if
-    v_r(f1_d) < v_r(q), or if d - e >= bits(f1_d) > v_r(f1_d) for the second
-    exponent e of f1 (a lone term needs nothing).  The Horner value then has
-    v_r = v_r(f1_d) at those r, the reducing gcd divides m*f1_d, and the
-    denominator is at least q^d / |f1_d|.  Otherwise the bound is 0.
-    """
-    f1, _ = f.cleared
-    lead = abs(f1[0][1])
-    q = x.denominator
-    if len(f1) > 1 and f1[0][0] - f1[1][0] < lead.bit_length():
-        # every prime of gcd(q, f1_d) must still divide q / gcd(q, f1_d)
-        shared = gcd(q, lead)
-        rest = q // shared
-        while shared > 1:
-            t = gcd(shared, rest)
-            if t == 1:
-                return 0
-            shared //= t
-    return f.degree * (q.bit_length() - 1) - lead.bit_length() + 1
+def _budget_bits(budget: int) -> int:
+    """The fewest bits B >= 1 whose digit estimate exceeds ``budget``: an integer
+    is over the budget exactly when it has B bits or more (a denominator has at
+    least one bit, so B = 1 rejects everything, as a budget below 1 does)."""
+    return bisect_right(range(1, 4 * budget + 4), budget, key=_digits_for_bits) + 1
 
 
-def _numerator_bits_floor(f: PolyQ, x: Fraction, den_floor: int) -> int:
-    """A lower bound on the bit length of the numerator of f(x), from sizes.
+def _step(f: PolyQ, x: Fraction, B: int) -> Fraction | None:
+    """f(x), or None when its numerator or denominator has B bits or more.
 
-    Write f = f1/m, x = p/q, d = deg f and S = sum_(i<d) |f1_i|.  When S = 0,
-    or |p| >= q and |f1_d| |p| >= 2qS, the tail is small next to the leading
-    term: |sum_(i<d) f1_i x^i| <= S |x|^(d-1) <= |f1_d| |x|^d / 2, so
-    |f(x)| >= |f1_d| |x|^d / (2m).  The lowest-terms numerator is |f(x)| times
-    the denominator, which is at least 2^(den_floor-1) (and at least 1), with
-    ``den_floor`` from ``_denominator_bits_floor``.  So
-
-        log2 |numerator| >= log2 |f1_d| + d log2 p - d log2 q - log2 m - 1
-                            + max(den_floor - 1, 0).
-
-    Bound each log2 by bit lengths: log2 a >= bits(a) - 1 for a >= 1,
-    log2 q <= bits(q - 1) (= ceil(log2 q), exact for q = 1 and powers of
-    two) and log2 m < bits(m).  The last is strict, so log2 |numerator| > R
-    for the integer R = (returned value) - 1, and the bit length, which is
-    floor(log2 |numerator|) + 1, is at least R + 1.  Otherwise the bound is 0.
+    Write x = p/q, f = f1/m, d = deg f and acc = sum f1_i p^i q^(d-i), so that
+    f(x) = acc / (m q^d) and the reducing gcd divides m gcd(acc, q^d).  Since
+    acc = f1_d p^d mod q, only a prime r of gcd(q, f1_d) can divide
+    gcd(acc, q^d).  If the leading term of acc has the strictly smallest
+    valuation at every such r, then v_r(acc) = v_r(f1_d) there and the gcd is
+    at most m G with G = |f1_d|; otherwise take G = q^d.  The lowest-terms
+    denominator is then at least q^d / G and the numerator at least
+    |acc| / (m G), so q^d > 2^(B-1) G or |acc| > 2^(B-1) m G puts f(x) over
+    budget.  ``compare_sums`` decides both from the signed terms of acc and
+    builds no power of d; a tie or a near-tie, such as top terms that cancel,
+    is left to the evaluation.  Neither can hold unless a size ceiling reaches
+    B: bits(acc) <= max_i(bits(f1_i) + i bits(p) + (d-i) bits(q)) + (term
+    count) and bits(m q^d) <= bits(m) + d bits(q).  So the screen runs only
+    near the budget, and every early rejection is one the post-check makes.
     """
     f1, m = f.cleared
     d, lead = f1[0][0], abs(f1[0][1])
-    p, q = abs(x.numerator), x.denominator
-    tail = sum(abs(a) for _, a in f1[1:])
-    if p == 0 or (tail and (p < q or lead * p < 2 * q * tail)):
-        return 0
-    return (
-        lead.bit_length() + d * (p.bit_length() - 1) - d * (q - 1).bit_length()
-        - m.bit_length() + max(den_floor - 1, 0) - 1
-    )
-
-
-def _step(f: PolyQ, x: Fraction, budget: int) -> Fraction | None:
-    """f(x), or None when it outgrows the digit budget.
-
-    Iterates whose denominator or numerator bound breaks the budget are
-    rejected before the costly evaluation runs.  Both bounds are at most the
-    true bit lengths and ``_digits_for_bits`` is monotone, so the early
-    rejection is exactly the decision the post-check would make.
-    """
-    den_floor = _denominator_bits_floor(f, x)
-    if _digits_for_bits(den_floor) > budget or (
-        _digits_for_bits(_numerator_bits_floor(f, x, den_floor)) > budget
-    ):
-        return None
+    p, q = x.numerator, x.denominator
+    bp, bq = abs(p).bit_length(), q.bit_length()
+    ceiling = max(a.bit_length() + i * bp + (d - i) * bq for i, a in f1) + len(f1)
+    if max(ceiling, m.bit_length() + d * bq) >= B:
+        # at a prime r of gcd(q0, f1_d) (those of gcd(q, f1_d)), v_r(f1_d) < cap
+        # and v_r(q0) = min(v_r(q), 2 v_r(f1_d)), so f1_i q^(d-i) outvalues the
+        # leading term exactly when f1_i q0^min(d-i, cap) does; all lower terms
+        # do when r divides t // gcd(t, f1_d), t their gcd (0 for none), and
+        # the pow tests every r at once
+        cap, q0 = lead.bit_length(), gcd(q, lead * lead)
+        t = gcd(*(a * q0 ** min(d - i, cap) for i, a in f1[1:]))
+        G = [(lead, 1)] if pow(t // gcd(t, lead), cap, gcd(q0, lead)) == 0 else [(q, d)]
+        if compare_sums([[(q, d)]], [[(2, B - 1), *G]], exact=False) > 0:
+            return None
+        pos, neg = [], []
+        for i, a in f1:
+            side = neg if (a < 0) != (p < 0 and i % 2 == 1) else pos
+            side.append([(abs(a), 1), (abs(p), i), (q, d - i)])
+        floor = [(2, B - 1), (m, 1), *G]
+        if (compare_sums(pos, [*neg, floor], exact=False) > 0
+                or compare_sums(neg, [*pos, floor], exact=False) > 0):
+            return None
     y = f.evaluate(x)
-    if decimal_digits(y.numerator) > budget or decimal_digits(y.denominator) > budget:
+    if max(y.numerator.bit_length(), y.denominator.bit_length()) >= B:
         return None
     return y
 
@@ -197,9 +180,9 @@ def iterate_point(
     the deepest iterate they got).  A finite orbit stops at its first repeated
     value, which ends the list: every later iterate repeats one already there.
     """
-    values, seen = [x], {x}
+    values, seen, bits = [x], {x}, _budget_bits(digit_budget)
     for _ in range(N):
-        x = _step(f, x, digit_budget)
+        x = _step(f, x, bits)
         if x is None:
             break
         values.append(x)

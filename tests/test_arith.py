@@ -314,6 +314,8 @@ def test_compare_sums_falls_back_on_near_ties(base, scale, expo, u, v):
         assert compare_sums(terms + [[(u, 1)]], terms + [[(v, 1)]]) == _sign(u - v)
         assert calls
         calls.clear()
+        # without the fallback the near-tie stays undecided
+        assert compare_sums(terms + [[(u, 1)]], terms + [[(v, 1)]], exact=False) == 0
         # against twice the terms, the brackets alone decide
         assert compare_sums(terms + [[(u, 1)]], terms + terms) == -1
         assert compare_sums(terms + terms, [[(v, 1)]] + terms) == 1

@@ -73,18 +73,35 @@ def test_orbit_budget_exit_code(capsys):
     assert "digit budget" in err
 
 
-def test_orbit_budget_stop_at_a_huge_degree_builds_no_power(capsys):
-    # the orbit is 1, 2, and 2^(10^10) + 1 is rejected from sizes alone: an
-    # integer iterate's numerator floor loses no bits to log2 q
+@pytest.mark.parametrize("argv, stop", [
+    # the orbit is 1, 2, and 2^(10^10) + 1 is rejected from sizes alone
+    (["orbit", "--poly", "z^10000000000+1", "-N", "3"], 3),
+    # 3^(10^9) + 3 next to a constant that outweighs the leading coefficient
+    (["orbit", "--poly", "z^1000000000+3", "-N", "2"], 2),
+    (["zsig", "--poly", "z^1000000000+3", "-N", "3"], 2),
+    # the orbit is 1, -1, 5, and 5^(10^9) - 3 * 5^(10^9-1) + 1 is rejected
+    (["orbit", "--poly", "z^1000000000-3z^999999999+1", "-N", "4"], 4),
+])
+def test_orbit_budget_stop_at_a_huge_degree_builds_no_power(capsys, argv, stop):
     start = time.perf_counter()
-    code, _, err = run(capsys, "orbit", "--poly", "z^10000000000+1", "-N", "3")
+    code, _, err = run(capsys, *argv)
     assert time.perf_counter() - start < 1
-    assert code == 3 and "iterate 3 exceeds digit budget" in err
+    assert code == 3 and f"iterate {stop} exceeds digit budget" in err
+
+
+def test_bound_telescope_at_a_huge_degree_builds_no_power(capsys):
+    # the telescope stops at the budget: f^2(0) = 3^(10^9) + 3 is never built
+    start = time.perf_counter()
+    code, _, _ = run(
+        capsys, "bound", "--poly", "z^1000000000+3", "--hhat", "telescope", "--iterations", "2"
+    )
+    assert time.perf_counter() - start < 2
+    assert code == 0
 
 
 def test_verify_cor12_at_a_huge_degree_builds_no_power(capsys):
-    # the hypothesis |c| > 2^(d/(d-1)) is decided from size brackets and
-    # f(7/2) is rejected from the size floors, so no d-sized power is built
+    # the hypothesis |c| > 2^(d/(d-1)) is decided from size brackets and f(7/2)
+    # is rejected by the orbit step's size screen, so no d-sized power is built
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", "cor12", "--d", "3000000", "--c", "7/2")
     assert time.perf_counter() - start < 2
@@ -196,10 +213,14 @@ def test_bound_rejects_a_leading_coefficient_below_the_float_range(capsys):
     ["prop51", "--d", "1000000000", "--e", "2", "--c", "3/2"],
     ["thm13", "--d", "10000001", "--e", "2", "--c", "-5/2"],
     ["prop53", "--d", "100000001", "--e", "99999998", "--c", "-1/3"],
+    ["thm13", "--d", "1000000000", "--e", "999999999", "--c", "3"],
+    ["thm13", "--d", "1000000000", "--e", "2", "--c", "3"],
+    ["prop53", "--d", "10000001", "--e", "10000000", "--c", "-1/3"],
 ])
 def test_verify_at_a_huge_degree_builds_no_power(capsys, argv):
     # f(c) > 2c, |f(c)| >= |c|^(d-2) and the prop53 floor are decided from
-    # size brackets: no c^d or |c|^(e-1) is built
+    # size brackets, and the orbit's budget stop from sizes: no c^d or
+    # |c|^(e-1) is built, and no iterate past the budget
     start = time.perf_counter()
     code, out, _ = run(capsys, "verify", *argv)
     assert time.perf_counter() - start < 2

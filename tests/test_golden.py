@@ -89,6 +89,8 @@ VERIFY_ARGV = [
     ["verify", "prop51", "--d", "1000000", "--e", "2", "--c", "3/2", "--format", "json"],
     ["verify", "thm13", "--d", "1000001", "--e", "2", "--c", "-5/2", "--format", "json"],
     ["verify", "prop53", "--d", "1000001", "--e", "999998", "--c", "-1/3", "--format", "json"],
+    ["verify", "thm13", "--d", "1000000", "--e", "999999", "--c", "3", "--format", "json"],
+    ["verify", "prop53", "--d", "1000001", "--e", "1000000", "--c", "-1/3", "--format", "json"],
 ]
 
 _CLI_COMMANDS = [

@@ -15,7 +15,7 @@ from zsig import (
     wandering_entries,
 )
 from zsig.config import DEFAULT_DIGIT_BUDGET
-from zsig.orbits import _denominator_bits_floor, _numerator_bits_floor, decimal_digits
+from zsig.orbits import _budget_bits, _digits_for_bits, _step, decimal_digits
 from zsig.verifiers import trinomial
 
 
@@ -174,6 +174,44 @@ def test_numerator_bound_skips_the_evaluation(monkeypatch):
     assert len(calls) == len(kept)
 
 
+@pytest.mark.parametrize("poly, stop", [
+    # f1_d = 3 shares the prime of q = 3, and d - e = 1
+    ("z^1001+z^1000-1/3", 2),
+    # an integer iterate under a tail that outweighs the leading coefficient
+    ("z^1001+z^1000+3", 2),
+    # a negative middle coefficient: iterate 4 is 1 - 2 * 3^1001
+    ("z^1001-3z^1000+1", 4),
+])
+def test_budget_precheck_skips_the_evaluation_next_to_a_large_tail(monkeypatch, poly, stop):
+    f = parse_poly(poly)
+    assert _post_check_orbit(f, 6, 100)[0] == stop
+    calls = []
+    evaluate = PolyQ.evaluate
+    monkeypatch.setattr(PolyQ, "evaluate", lambda self, x: calls.append(x) or evaluate(self, x))
+    with pytest.raises(DigitBudgetError, match=f"iterate {stop} ") as exc:
+        orbit(f, 6, digit_budget=100)
+    assert len(exc.value.entries) == stop - 1
+    assert len(calls) == stop - 1
+
+
+def test_budget_precheck_leaves_cancelling_top_terms_to_the_evaluation(monkeypatch):
+    # z^1001 - 3z^1000 + 3 fixes 3: the top terms of f(3) cancel, so no size
+    # bound decides it, and that near-tie must not read as over the budget
+    f = parse_poly("z^1001-3z^1000+3")
+    calls = []
+    evaluate = PolyQ.evaluate
+    monkeypatch.setattr(PolyQ, "evaluate", lambda self, x: calls.append(x) or evaluate(self, x))
+    orb = orbit(f, 4, digit_budget=100)
+    assert orb.kind == "preperiodic" and [e.value for e in orb.entries] == [3]
+    assert len(calls) == 2
+
+
+def test_budget_bits_is_the_first_bit_count_over_the_budget():
+    for budget in [*range(1, 5001), 65536, 200_000, 123_456_789, 10**9]:
+        B = _budget_bits(budget)
+        assert _digits_for_bits(B - 1) <= budget < _digits_for_bits(B)
+
+
 _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
 
 
@@ -185,40 +223,23 @@ _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
     st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens),
 )
 # z^3 + z^2/2 + 1/2 at -5/2: the prime 2 of q is absorbed by f1_d = 2, and
-# q^d / |f1_d| overstates the denominator, so no bound may be claimed
+# q^d / |f1_d| overstates the denominator 1
 @example([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(-5, 2))
 # z^5 + 5/2 at 5/2 and 3z^5 + 1/3 at 1/3: f1_d = 2 and 9 share q's prime, but
-# the gap d - e = 5 is at least bits(f1_d), so the floor stands
+# the gap d - e = 5 keeps the leading term's valuation strictly smallest
 @example([Fraction(5, 2), 0, 0, 0, 0, Fraction(1)], Fraction(5, 2))
 @example([Fraction(1, 3), 0, 0, 0, 0, Fraction(3)], Fraction(1, 3))
-def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
-    f = PolyQ.from_coeffs(coeffs)
-    assert _denominator_bits_floor(f, x) <= f.evaluate(x).denominator.bit_length()
-
-
-def test_denominator_bits_floor_takes_the_gap_clause():
-    # f1 = 2z^5 + 5 and q = 2 share the prime 2, yet the gap d - e = 5 >=
-    # bits(2) keeps v_2 of the Horner value at v_2(f1_d): the floor is
-    # 5 * 1 - 2 + 1 bits, where the gcd loop alone would give 0
-    assert _denominator_bits_floor(parse_poly("z^5+5/2"), Fraction(5, 2)) == 4
-
-
-@given(
-    st.lists(
-        st.builds(Fraction, st.integers(min_value=-20, max_value=20), _shared_dens),
-        min_size=3, max_size=6,
-    ).filter(lambda cs: cs[-1] != 0),
-    st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens),
-)
-# -9/4 z^3: no lower terms, so the bound holds at any x, |x| < 1 included
+# -9/4 z^3: no lower terms, so the leading valuation is trivially smallest
 @example([Fraction(0), Fraction(0), Fraction(0), Fraction(-9, 4)], Fraction(3, 8))
-# 512 z^3 - 124 at 5/8: |f1_d| |p| >= 2qS holds but |x| < 1, and f(x) = 1 is
-# far below |f1_d| |x|^d / (2m) = 125/2, so no bound may be claimed (the
-# formula would give 2 bits)
+# 512 z^3 - 124 at 5/8: f(x) = 1, far below |f1_d| |x|^d / (2m) = 125/2
 @example([Fraction(-124), Fraction(0), Fraction(0), Fraction(512)], Fraction(5, 8))
 # the coefficient denominators 2 and 4 share the prime 2 with q = 4
 @example([Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 2)], Fraction(81, 4))
-def test_numerator_bits_floor_is_a_lower_bound(coeffs, x):
+def test_step_rejects_exactly_what_the_post_check_rejects(coeffs, x):
+    # every bit threshold from 1 to one past the value's size: a screen that
+    # overstates a size by a single bit rejects at one of them
     f = PolyQ.from_coeffs(coeffs)
-    floor = _numerator_bits_floor(f, x, _denominator_bits_floor(f, x))
-    assert floor <= f.evaluate(x).numerator.bit_length()
+    y = f.evaluate(x)
+    bits = max(y.numerator.bit_length(), y.denominator.bit_length())
+    for B in range(1, bits + 2):
+        assert _step(f, x, B) == (None if bits >= B else y)
