@@ -103,6 +103,24 @@ def _budget_bits(budget: int) -> int:
     return bisect_right(range(1, 4 * budget + 4), budget, key=_digits_for_bits) + 1
 
 
+def _gcd_ceiling(f1: tuple[tuple[int, int], ...], q: int) -> list[tuple[int, int]]:
+    """G, as a product of powers, with gcd(acc, q^d) <= G (see ``_step``).
+
+    ``f1`` holds the (degree, coefficient) pairs of the cleared polynomial,
+    leading term first.  G = |f1_d| when the leading term of acc has the
+    strictly smallest valuation at every prime of gcd(q, f1_d), else q^d.
+    """
+    d, lead = f1[0][0], abs(f1[0][1])
+    # at a prime r of gcd(q0, f1_d) (those of gcd(q, f1_d)), v_r(f1_d) < cap
+    # and v_r(q0) = min(v_r(q), 2 v_r(f1_d)), so f1_i q^(d-i) outvalues the
+    # leading term exactly when f1_i q0^min(d-i, cap) does; all lower terms
+    # do when r divides t // gcd(t, f1_d), t their gcd (0 for none), and
+    # the pow tests every r at once
+    cap, q0 = lead.bit_length(), gcd(q, lead * lead)
+    t = gcd(*(a * q0 ** min(d - i, cap) for i, a in f1[1:]))
+    return [(lead, 1)] if pow(t // gcd(t, lead), cap, gcd(q0, lead)) == 0 else [(q, d)]
+
+
 def _step(f: PolyQ, x: Fraction, B: int) -> Fraction | None:
     """f(x), or None when its numerator or denominator has B bits or more.
 
@@ -122,19 +140,12 @@ def _step(f: PolyQ, x: Fraction, B: int) -> Fraction | None:
     near the budget, and every early rejection is one the post-check makes.
     """
     f1, m = f.cleared
-    d, lead = f1[0][0], abs(f1[0][1])
+    d = f1[0][0]
     p, q = x.numerator, x.denominator
     bp, bq = abs(p).bit_length(), q.bit_length()
     ceiling = max(a.bit_length() + i * bp + (d - i) * bq for i, a in f1) + len(f1)
     if max(ceiling, m.bit_length() + d * bq) >= B:
-        # at a prime r of gcd(q0, f1_d) (those of gcd(q, f1_d)), v_r(f1_d) < cap
-        # and v_r(q0) = min(v_r(q), 2 v_r(f1_d)), so f1_i q^(d-i) outvalues the
-        # leading term exactly when f1_i q0^min(d-i, cap) does; all lower terms
-        # do when r divides t // gcd(t, f1_d), t their gcd (0 for none), and
-        # the pow tests every r at once
-        cap, q0 = lead.bit_length(), gcd(q, lead * lead)
-        t = gcd(*(a * q0 ** min(d - i, cap) for i, a in f1[1:]))
-        G = [(lead, 1)] if pow(t // gcd(t, lead), cap, gcd(q0, lead)) == 0 else [(q, d)]
+        G = _gcd_ceiling(f1, q)
         if compare_sums([[(q, d)]], [[(2, B - 1), *G]], exact=False) > 0:
             return None
         pos, neg = [], []

@@ -15,7 +15,7 @@ from zsig import (
     wandering_entries,
 )
 from zsig.config import DEFAULT_DIGIT_BUDGET
-from zsig.orbits import _budget_bits, _digits_for_bits, _step, decimal_digits
+from zsig.orbits import _budget_bits, _digits_for_bits, _gcd_ceiling, _step, decimal_digits
 from zsig.verifiers import trinomial
 
 
@@ -215,13 +215,56 @@ def test_budget_bits_is_the_first_bit_count_over_the_budget():
 _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])
 
 
-@given(
-    st.lists(
-        st.builds(Fraction, st.integers(min_value=-20, max_value=20), _shared_dens),
-        min_size=3, max_size=6,
-    ).filter(lambda cs: cs[-1] != 0),
-    st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens),
-)
+def _screen_parts(coeffs, x):
+    """f(x), acc, m and the gcd ceiling G that ``_step`` screens with."""
+    f = PolyQ.from_coeffs(coeffs)
+    f1, m = f.cleared
+    d = f1[0][0]
+    p, q = x.numerator, x.denominator
+    acc = sum(a * p**i * q ** (d - i) for i, a in f1)
+    G = 1
+    for base, e in _gcd_ceiling(f1, q):
+        G *= base**e
+    return f.evaluate(x), acc, m, q**d, G
+
+
+_coeff_lists = st.lists(
+    st.builds(Fraction, st.integers(min_value=-20, max_value=20), _shared_dens),
+    min_size=3, max_size=6,
+).filter(lambda cs: cs[-1] != 0)
+_points = st.builds(Fraction, st.integers(min_value=-40, max_value=40), _shared_dens)
+
+
+@given(_coeff_lists, _points)
+# z^3 + z^2/2 + 1/2 at -5/2: the prime 2 of q is absorbed by f1_d = 2, and
+# q^d / |f1_d| would overstate the denominator 1, so G must fall back to q^d
+@example([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(-5, 2))
+# z^5 + 5/2 at 5/2 and 3z^5 + 1/3 at 1/3: f1_d = 2 and 9 share q's prime, but
+# the gap d - e = 5 keeps the leading term's valuation strictly smallest
+@example([Fraction(5, 2), 0, 0, 0, 0, Fraction(1)], Fraction(5, 2))
+@example([Fraction(1, 3), 0, 0, 0, 0, Fraction(3)], Fraction(1, 3))
+def test_denominator_bits_floor_is_a_lower_bound(coeffs, x):
+    # the denominator floor q^d / G of the screen never exceeds the
+    # lowest-terms denominator of f(x)
+    y, _, _, qd, G = _screen_parts(coeffs, x)
+    assert qd <= y.denominator * G
+
+
+@given(_coeff_lists, _points)
+# -9/4 z^3: no lower terms, so the leading valuation is trivially smallest
+@example([Fraction(0), Fraction(0), Fraction(0), Fraction(-9, 4)], Fraction(3, 8))
+# 512 z^3 - 124 at 5/8: f(x) = 1, far below |f1_d| |x|^d / (2m) = 125/2
+@example([Fraction(-124), Fraction(0), Fraction(0), Fraction(512)], Fraction(5, 8))
+# the coefficient denominators 2 and 4 share the prime 2 with q = 4
+@example([Fraction(1, 2), Fraction(0), Fraction(1, 4), Fraction(1, 2)], Fraction(81, 4))
+def test_numerator_bits_floor_is_a_lower_bound(coeffs, x):
+    # the numerator floor |acc| / (m G) of the screen never exceeds the
+    # lowest-terms numerator of f(x)
+    y, acc, m, _, G = _screen_parts(coeffs, x)
+    assert abs(acc) <= abs(y.numerator) * m * G
+
+
+@given(_coeff_lists, _points)
 # z^3 + z^2/2 + 1/2 at -5/2: the prime 2 of q is absorbed by f1_d = 2, and
 # q^d / |f1_d| overstates the denominator 1
 @example([Fraction(1, 2), Fraction(0), Fraction(1, 2), Fraction(1)], Fraction(-5, 2))
