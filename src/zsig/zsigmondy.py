@@ -119,10 +119,10 @@ def zsigmondy_report_from_entries(
     primes of some B_m when it is 0).  A zero numerator, where the orbit
     returns to 0, has no stripped part and raises ValueError.
 
-    With ``witnesses=False`` no stripped part is factored: witness lists and
-    the k(p) table stay empty, and ``rigid_law_holds`` certifies the
-    valuation law at every non-exempt prime at once.  Only if it fails does the report
-    take the factoring path, so ``rigid_violations`` is the same either way.
+    ``rigid_law_holds`` decides the valuation law at every non-exempt prime at
+    once, and only when it fails are violations listed at the witness primes.
+    With ``witnesses=False`` nothing is factored unless it fails: witness lists
+    and the k(p) table stay empty, and ``rigid_violations`` is the same either way.
     """
     if any(e.A == 0 for e in entries):
         raise ValueError("a zero numerator has no stripped part: the orbit returns to 0")
@@ -130,7 +130,8 @@ def zsigmondy_report_from_entries(
     N = len(entries)
     exempt = denominator_lcm or lcm(*(e.B for e in entries))
     stripped = [stripped_numerator(entries, n, denominator_lcm) for n in range(1, N + 1)]
-    factoring = witnesses or not rigid_law_holds(entries, stripped, exempt)
+    holds = rigid_law_holds(entries, stripped, exempt)
+    factoring = witnesses or not holds
     per_index: list[PrimitiveVerdict] = []
     k_table: dict[int, int] = {}
     for n, s in enumerate(stripped, start=1):
@@ -141,7 +142,7 @@ def zsigmondy_report_from_entries(
     elements = [v.n for v in per_index if not v.has_primitive]
     k_table = dict(sorted(k_table.items()))
     report = ZsigmondyReport(N, elements, per_index, k_table)
-    report.rigid_violations = verify_rigid_divisibility(entries, k_table, exempt)
+    report.rigid_violations = [] if holds else verify_rigid_divisibility(entries, k_table, exempt)
     return report
 
 

@@ -257,6 +257,42 @@ def test_compare_abs_falls_back_on_near_ties(base, scale, expo, ulp, negative):
         assert not calls
 
 
+_term_bases = st.one_of(
+    st.integers(min_value=0, max_value=4),
+    st.builds(
+        Fraction, st.integers(min_value=0, max_value=2**200), st.integers(min_value=1, max_value=2**100)
+    ),
+)
+
+
+@given(st.lists(st.tuples(_term_bases, st.integers(min_value=0, max_value=60)), max_size=3))
+@example([])
+@example([(Fraction(1, 3), 60)])
+@example([(Fraction(0, 5), 0), (Fraction(7, 3), 1)])  # 0^0 = 1
+@example([(Fraction(2**200 - 1, 2**100 - 1), 60), (Fraction(1, 2**100), 60), (3, 60)])
+def test_term_bracket_holds_the_exact_product(term):
+    exact = math.prod((Fraction(b) ** k for b, k in term), start=Fraction(1))
+    (lo, lo_s), (hi, hi_s) = (arith._term_bracket(term, up) for up in (False, True))
+    low, high = lo * Fraction(2) ** lo_s, hi * Fraction(2) ** hi_s
+    assert low <= exact <= high
+    # cut to the mantissa width, and still tight enough to decide
+    assert max(lo, hi).bit_length() <= arith._MANTISSA_BITS
+    assert high - low <= exact / 2**80
+
+
+def test_compare_sums_decides_far_apart_rational_sides_from_brackets():
+    # (3/2)^(10^6) is about 2^584963, far above 2^(10^5) + (1/7)^3; (2/3)^(10^6)
+    # is about 2^(-584963), far above (1/2)^(10^6)
+    big, small = [[(Fraction(3, 2), 10**6)]], [[(2, 10**5)], [(Fraction(1, 7), 3)]]
+    with pytest.MonkeyPatch.context() as mp:
+        calls = _counting_exact(mp)
+        assert compare_sums(big, small) == 1
+        assert compare_sums(small, big) == -1
+        assert compare_sums([[(Fraction(2, 3), 10**6)]], [[(Fraction(1, 2), 10**6)]]) == 1
+        assert compare_sums([[(Fraction(1, 2), 10**6)]], [[(Fraction(2, 3), 10**6)]]) == -1
+        assert not calls
+
+
 _sum_bases = st.one_of(
     st.integers(min_value=0, max_value=4),
     st.integers(min_value=0, max_value=2**200),
@@ -282,7 +318,7 @@ def _fraction_sum(side) -> Fraction:
 @example([[(0, 5)], [(Fraction(1, 3), 0)]], [[], []])
 @example([[(2**200, 60)], [(1, 1)]], [[(2**200, 60)]])  # the 1 falls below the grid
 @example([[(Fraction(2**200, 3), 60)], [(Fraction(1, 7), 3)]], [[(Fraction(2**200, 3), 60)]])
-@example([[(Fraction(3, 2), 60), (Fraction(2, 3), 60)]], [[]])  # cleared to a tie
+@example([[(Fraction(3, 2), 60), (Fraction(2, 3), 60)]], [[]])  # the bases cancel to a tie
 @example([[(2**200, 30)], [(2**200, 30)]], [[(2, 6001)]])  # two terms add up to a tie
 @example([[(Fraction(5, 4), 5000)], [(Fraction(4, 5), 5000)]], [[(Fraction(5, 4), 5000)], [], []])
 @example([[(Fraction(3, 2), 3000)]], [[(Fraction(3, 2), 2999)], [(Fraction(3, 2), 2999)]])

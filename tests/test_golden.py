@@ -91,6 +91,7 @@ VERIFY_ARGV = [
     ["verify", "prop53", "--d", "1000001", "--e", "999998", "--c", "-1/3", "--format", "json"],
     ["verify", "thm13", "--d", "1000000", "--e", "999999", "--c", "3", "--format", "json"],
     ["verify", "prop53", "--d", "1000001", "--e", "1000000", "--c", "-1/3", "--format", "json"],
+    ["verify", "thm13", "--d", "4", "--e", "2", "--c", "17/2", "--digit-budget", "1", "--format", "json"],
 ]
 
 _CLI_COMMANDS = [

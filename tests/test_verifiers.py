@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsig import RunConfig, run_sweep, verify, verifiers
 from zsig.cli import build_parser
+from zsig.orbits import OrbitEntry
 from zsig.verifiers import (
     CLAIMS,
     SweepSpec,
@@ -90,6 +91,18 @@ def test_prop52_sandwich():
     assert v.hypothesis_ok and v.consistent
     assert v.details["sandwich_verified"]
     assert v.details["alpha_in_range"]
+
+
+def test_sandwich_fails_below_its_lower_side():
+    # |c| <= |f^n(0)| <= alpha^k |c|, with k = 1 at n = 2: an iterate of
+    # absolute value 3/4 fits between 1/2 and 7/8, and 1/3 is under the lower side
+    c_abs, alpha = Fraction(1, 2), Fraction(7, 4)
+
+    def entries(x):
+        return [OrbitEntry(1, -c_abs), OrbitEntry(2, x)]
+
+    assert verifiers._check_sandwich(entries(Fraction(-3, 4)), c_abs, alpha, 3)
+    assert not verifiers._check_sandwich(entries(Fraction(-1, 3)), c_abs, alpha, 3)
 
 
 def test_prop53_cases():
