@@ -2,12 +2,12 @@
 comparison of sums of power products, budgeted factoring.
 
 Numerators of orbit sequences routinely reach thousands of digits, so trial
-division works through gcds with precomputed prime-block products, and the
-Pollard rho stage is charged against a work budget that scales with operand
-size.  The budget is a hard cap: a hunt stops before any batch whose gcd
-would land past it, so a factor an unbudgeted hunt would find only beyond
-the budget is not found.  Everything here is deterministic for fixed
-(input, budget).
+division works through gcds with the products of sieve segments, each built
+when trial division first reaches it, and the Pollard rho stage is charged
+against a work budget that scales with operand size.  The budget is a hard
+cap: a hunt stops before any batch whose gcd would land past it, so a factor
+an unbudgeted hunt would find only beyond the budget is not found.
+Everything here is deterministic for fixed (input, budget).
 """
 
 from __future__ import annotations
@@ -259,14 +259,16 @@ def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term], *, exact: bool = True
 
 # Trial division strips every prime up to this bound.
 TRIAL_BOUND = 1_000_000
-# Primes per block product (about 80k bits near 10^6).  The gcds against all
-# blocks together cost what one gcd against the 1.44M-bit primorial would, and
-# a block's product is built only when trial division first reaches it.
-_BLOCK_PRIMES = 4096
+# Width of a sieve segment.  TRIAL_BOUND is a multiple of it (and not prime),
+# so the segments hold exactly the primes <= TRIAL_BOUND, and segment 0 holds
+# every prime up to isqrt(TRIAL_BOUND).  A segment's product is about 72k
+# bits; the gcds against all 20 together cost what one gcd against the
+# 1.44M-bit primorial would.
+_SEGMENT = 50_000
 
 
 def _product(nums: tuple[int, ...]) -> int:
-    # balanced product tree: all 20 blocks in 0.07 s where math.prod takes
+    # balanced product tree: all 20 segments in 0.07 s where math.prod takes
     # 0.19 s (CPython 3.11 on one Xeon core)
     while len(nums) > 1:
         nums = tuple(
@@ -276,29 +278,27 @@ def _product(nums: tuple[int, ...]) -> int:
     return nums[0] if nums else 1
 
 
-def _sieve_primes(bound: int) -> tuple[int, ...]:
-    # a separate call, so the 1 MB sieve is freed before the products grow
-    sieve = bytearray([1]) * (bound + 1)
-    sieve[:2] = b"\x00\x00"
-    for p in range(2, isqrt(bound) + 1):
-        if sieve[p]:
-            start = p * p
-            sieve[start::p] = b"\x00" * ((bound - start) // p + 1)
-    return tuple(compress(range(bound + 1), sieve))
-
-
 @cache
-def _prime_runs() -> tuple[tuple[int, ...], ...]:
-    """Consecutive runs of _BLOCK_PRIMES primes <= TRIAL_BOUND; built on the
-    first call, so only processes that factor pay for the sieve."""
-    primes = _sieve_primes(TRIAL_BOUND)
-    return tuple(primes[i:i + _BLOCK_PRIMES] for i in range(0, len(primes), _BLOCK_PRIMES))
+def _segment_primes(i: int) -> tuple[int, ...]:
+    """The primes in [i * _SEGMENT, (i + 1) * _SEGMENT), sieved with those of
+    segment 0 the first time trial division reaches segment i."""
+    lo, hi = i * _SEGMENT, (i + 1) * _SEGMENT
+    sieve = bytearray([1]) * _SEGMENT
+    if i == 0:
+        sieve[:2] = b"\x00\x00"
+    for p in _segment_primes(0) if i else range(2, isqrt(hi - 1) + 1):
+        if p * p >= hi:
+            break
+        if i or sieve[p]:
+            start = max(p * p, -(-lo // p) * p) - lo
+            sieve[start::p] = bytes(len(range(start, _SEGMENT, p)))
+    return tuple(compress(range(lo, hi), sieve))
 
 
 @cache
 def _block_product(i: int) -> int:
-    """The product of run i, built the first time trial division reaches it."""
-    return _product(_prime_runs()[i])
+    """The product of segment i, built the first time trial division reaches it."""
+    return _product(_segment_primes(i))
 
 
 def trial_division(m: int) -> tuple[dict[int, int], int]:
@@ -308,13 +308,13 @@ def trial_division(m: int) -> tuple[dict[int, int], int]:
     found: dict[int, int] = {}
     if m == 1:
         return found, 1
-    # one gcd per block product finds the squarefree product of the block's
-    # prime divisors; scanning that small product is then cheap
-    for i, primes in enumerate(_prime_runs()):
+    # one gcd per segment product finds the squarefree product of the
+    # segment's prime divisors; scanning that small product is then cheap
+    for i in range(TRIAL_BOUND // _SEGMENT):
         g = gcd(m, _block_product(i))
         if g == 1:
             continue
-        for p in primes:
+        for p in _segment_primes(i):
             if g % p == 0:
                 e = 0
                 while m % p == 0:

@@ -3,7 +3,7 @@ claim verification, and reproducible JSONL sweeps.
 
 Exit codes are a stable contract: 0 ok, 2 parse/usage error, 3 digit-budget
 exhaustion, 4 finite orbit where a wandering one is required, 5 inconsistent
-verdict (counterexample candidate).
+verdict (counterexample candidate), 130 interrupted (Ctrl-C).
 """
 
 from __future__ import annotations
@@ -36,6 +36,7 @@ EXIT_PARSE = 2
 EXIT_BUDGET = 3
 EXIT_FINITE_ORBIT = 4
 EXIT_INCONSISTENT = 5
+EXIT_INTERRUPTED = 130
 
 _VALUE_FLAGS = {"--coeffs", "--poly", "--c", "-c"}
 
@@ -367,10 +368,17 @@ def main(argv: list[str] | None = None) -> int:
         flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
         cfg = config_from_env().with_overrides(**flags)
         # decimal strings are the output format for big integers: clear the
-        # interpreter's int->str guard for every size the digit budget allows
+        # interpreter's int->str guard for every size the digit budget allows,
+        # up to 2^31 - 1, the largest C int set_int_max_str_digits takes
         if hasattr(sys, "set_int_max_str_digits"):
-            sys.set_int_max_str_digits(max(sys.get_int_max_str_digits(), 400_000, cfg.digit_budget))
+            guard = max(sys.get_int_max_str_digits(), 400_000, cfg.digit_budget)
+            sys.set_int_max_str_digits(min(guard, 2**31 - 1))
         return args.func(args, cfg)
+    except KeyboardInterrupt:
+        # a sweep has flushed every finished record, and a resume drops a torn line
+        resume = f"; rerun the same sweep to resume {args.out}" if args.func is cmd_sweep else ""
+        print(f"interrupted{resume}", file=sys.stderr)
+        return EXIT_INTERRUPTED
     except (DigitBudgetError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         codes = {DigitBudgetError: EXIT_BUDGET, FiniteOrbitError: EXIT_FINITE_ORBIT}

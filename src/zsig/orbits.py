@@ -9,7 +9,6 @@ budget; ``_step`` rejects one whose size provably reaches B before building it.
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -100,7 +99,11 @@ def _budget_bits(budget: int) -> int:
     """The fewest bits B >= 1 whose digit estimate exceeds ``budget``: an integer
     is over the budget exactly when it has B bits or more (a denominator has at
     least one bit, so B = 1 rejects everything, as a budget below 1 does)."""
-    return bisect_right(range(1, 4 * budget + 4), budget, key=_digits_for_bits) + 1
+    lo, hi = 1, 4 * budget + 4  # 4 * budget + 3 bits have more than budget digits
+    while lo < hi:
+        mid = (lo + hi) // 2
+        lo, hi = (lo, mid) if _digits_for_bits(mid) > budget else (mid + 1, hi)
+    return lo
 
 
 def _gcd_ceiling(f1: tuple[tuple[int, int], ...], q: int) -> list[tuple[int, int]]:

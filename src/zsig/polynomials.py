@@ -100,13 +100,14 @@ class PolyQ:
         qpow = 1
         for i, a in f1[1:]:
             qpow *= q ** (prev - i)
-            acc = acc * p ** (prev - i) + a * qpow
+            # top terms that cancel leave acc = 0: skip the power of p it would take
+            acc = (acc * p ** (prev - i) if acc else 0) + a * qpow
             prev = i
+        if acc == 0:
+            return Fraction(0)
         if prev:
             acc *= p**prev
             qpow *= q**prev
-        if acc == 0:
-            return Fraction(0)
         den = m * qpow
         t = gcd(gcd(acc, shared), den)
         while t > 1:

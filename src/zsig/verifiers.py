@@ -426,10 +426,13 @@ def _run_chunk(chunk: list) -> list[tuple[str, TheoremVerdict]]:
 
 
 def _pool(workers: int):
-    """A process pool of ``workers``; only a pooled sweep imports one."""
+    """A process pool of ``workers``; only a pooled sweep imports one.  Its
+    workers ignore SIGINT, so a Ctrl-C to the process group stops the parent alone."""
+    import signal
     from concurrent.futures import ProcessPoolExecutor
 
-    return ProcessPoolExecutor(max_workers=workers)
+    ignore = (signal.SIGINT, signal.SIG_IGN)
+    return ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore)
 
 
 def _usable_cpus() -> int:

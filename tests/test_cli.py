@@ -2,6 +2,7 @@ import csv
 import io
 import json
 import os
+import signal
 import subprocess
 import sys
 import time
@@ -743,3 +744,77 @@ def test_fresh_process_prints_a_long_numerator(tmp_path):
     assert proc.returncode == 0, proc.stderr
     last = json.loads(proc.stdout)["orbit"]["entries"][-1]
     assert last["n"] == 15 and int(last["B"]) == 2**16384
+
+
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit before 3.11"
+)
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_digit_budget_past_a_c_int_runs(capsys, monkeypatch, how):
+    # sys.set_int_max_str_digits takes a C int: the guard stops at 2^31 - 1
+    argv = ["orbit", "--poly", "z^2+1", "-N", "3"]
+    before = sys.get_int_max_str_digits()
+    try:
+        default = run(capsys, *argv)
+        if how == "flag":
+            argv += ["--digit-budget", "2147483648"]
+        else:
+            monkeypatch.setenv("ZSIG_DIGIT_BUDGET", "2147483648")
+        assert run(capsys, *argv) == default
+        assert default[0] == 0
+        assert sys.get_int_max_str_digits() == 2**31 - 1
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def test_sweep_runs_a_budget_pin_past_ssize_t(tmp_path, capsys):
+    # the pinned budget's bit count once came from a range of 4 * 10^23 items
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps({**_GOOD_SPEC, "budgets": {"digit_budget": 10**23}}))
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(_GOOD_SPEC))
+    for spec in (pinned, plain):
+        out = spec.with_suffix(".jsonl")
+        assert run(capsys, "sweep", str(spec), "-o", str(out), *FAST)[0] == 0
+    assert pinned.with_suffix(".jsonl").read_bytes() == plain.with_suffix(".jsonl").read_bytes()
+
+
+def test_orbit_whose_top_terms_cancel_prints_as_before(capsys):
+    # f(3) = 3^d - 3 * 3^(d-1) + 3 = 3 at d = 10^7: evaluate skips 3^(10^7)
+    code, out, err = run(capsys, "orbit", "--poly", "z^10000000-3z^9999999+3", "-N", "3")
+    assert (code, out, err) == (4, "preperiodic: 0 -> 3 -> 3\n", "")
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_interrupted_by_ctrl_c_exits_130_and_resumes(tmp_path, workers):
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({
+        "family": "z^d+c", "d": [3, 4], "c_grid": {"num": [-100, 100], "den": [1, 6]},
+        "horizon": 5,
+    }))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def sweep(out, **kwargs):
+        argv = [sys.executable, "-m", "zsig", "sweep", str(spec), "-o", str(out), *FAST,
+                "--workers", workers]
+        return subprocess.Popen(argv, env=env, cwd=tmp_path, text=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
+
+    out = tmp_path / "interrupted.jsonl"
+    # a Ctrl-C signals the whole process group, pool workers included
+    proc = sweep(out, start_new_session=True)
+    deadline = time.monotonic() + 60
+    while not (out.exists() and b"\n" in out.read_bytes()) and time.monotonic() < deadline:
+        time.sleep(0.005)
+    os.killpg(proc.pid, signal.SIGINT)
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 130
+    assert err == f"interrupted; rerun the same sweep to resume {out}\n"
+    assert len(out.read_bytes().splitlines()) < 1520  # stopped before the end
+
+    resumed = sweep(out)
+    assert resumed.communicate(timeout=120)[0] == f"sweep complete: 1520 points in {out}\n"
+    clean = tmp_path / "clean.jsonl"
+    assert sweep(clean).wait(timeout=120) == 0
+    assert out.read_bytes() == clean.read_bytes()

@@ -1,3 +1,4 @@
+from bisect import bisect_right
 from fractions import Fraction
 from math import gcd
 
@@ -207,9 +208,16 @@ def test_budget_precheck_leaves_cancelling_top_terms_to_the_evaluation(monkeypat
 
 
 def test_budget_bits_is_the_first_bit_count_over_the_budget():
-    for budget in [*range(1, 5001), 65536, 200_000, 123_456_789, 10**9]:
+    # 2^63 and 10^23 are past ssize_t, where no range of bit counts fits
+    for budget in [*range(1, 5001), 65536, 200_000, 123_456_789, 10**9, 2**31, 2**63, 10**23]:
         B = _budget_bits(budget)
         assert _digits_for_bits(B - 1) <= budget < _digits_for_bits(B)
+
+
+def test_budget_bits_matches_the_range_bisection_it_replaced():
+    for budget in range(1, 10**5 + 1):
+        old = bisect_right(range(1, 4 * budget + 4), budget, key=_digits_for_bits) + 1
+        assert _budget_bits(budget) == old
 
 
 _shared_dens = st.sampled_from([1, 2, 3, 4, 6, 8, 9, 12, 16, 27])

@@ -92,6 +92,20 @@ def test_a_huge_sparse_degree_costs_its_terms():
     assert peak < 1_000_000
 
 
+def test_evaluate_skips_the_power_of_a_cancelled_accumulator():
+    # f(3) = 3^d - 3 * 3^(d-1) + 3 = 3: the top terms cancel, so the 2 MB
+    # power 3^(10^7) is never built
+    f = parse_poly("z^10000000-3z^9999999+3")
+    tracemalloc.start()
+    try:
+        value = f.evaluate(Fraction(3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert value == 3
+    assert peak < 100_000
+
+
 _small_fractions = st.builds(
     Fraction,
     st.integers(min_value=-50, max_value=50),
