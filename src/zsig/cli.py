@@ -38,7 +38,7 @@ EXIT_FINITE_ORBIT = 4
 EXIT_INCONSISTENT = 5
 EXIT_INTERRUPTED = 130
 
-_VALUE_FLAGS = {"--coeffs", "--poly", "--c", "-c"}
+_VALUE_FLAGS = {"--coeffs", "--poly", "--c"}
 
 
 def _merge_negative_values(argv: list[str]) -> list[str]:
@@ -238,6 +238,14 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
+def _load_json(text: str):
+    """json.loads that reports nesting too deep for its recursion as a ValueError."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON nested too deeply to parse") from None
+
+
 def _sweep_records(text: str) -> list[tuple[str, bool]]:
     """(key, consistent) of each record on a sweep file's complete lines;
     ValueError on a malformed one."""
@@ -245,7 +253,7 @@ def _sweep_records(text: str) -> list[tuple[str, bool]]:
     for line in text.splitlines():
         if not line.strip():
             continue
-        record = json.loads(line)
+        record = _load_json(line)
         if not (
             isinstance(record, dict)
             and isinstance(record.get("key"), str)
@@ -257,7 +265,7 @@ def _sweep_records(text: str) -> list[tuple[str, bool]]:
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    spec = SweepSpec.from_dict(json.loads(Path(args.spec).read_text()))
+    spec = SweepSpec.from_dict(_load_json(Path(args.spec).read_text()))
     for key, pinned in spec.budgets:  # a pin never silently overrides a flag or variable
         asked = getattr(cfg, key)
         if asked != pinned and (getattr(args, key) is not None or env_name(key) in os.environ):
@@ -291,11 +299,20 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--format", choices=("text", "json", "csv"), dest="output_format")
-    parser.add_argument("--digit-budget", type=int)
-    parser.add_argument("--rho-budget", type=int, dest="factor_rho_budget")
-    parser.add_argument("--workers", type=int)
+# each knob's flag and its argparse options, by the RunConfig field it sets
+_KNOB_FLAGS = {
+    "output_format": ("--format", {"choices": ("text", "json", "csv")}),
+    "digit_budget": ("--digit-budget", {"type": int}),
+    "factor_rho_budget": ("--rho-budget", {"type": int}),
+    "workers": ("--workers", {"type": int}),
+}
+
+
+def _add_knobs(parser: argparse.ArgumentParser, *knobs: str) -> None:
+    """The flags of the knobs a subcommand reads; argparse rejects the others."""
+    for knob in knobs:
+        flag, options = _KNOB_FLAGS[knob]
+        parser.add_argument(flag, dest=knob, **options)
 
 
 def _add_poly_args(parser: argparse.ArgumentParser) -> None:
@@ -315,13 +332,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_orbit = sub.add_parser("orbit", help="print the orbit numerators/denominators")
     _add_poly_args(p_orbit)
     p_orbit.add_argument("-N", type=int, required=True, help="number of iterates")
-    _add_common(p_orbit)
+    _add_knobs(p_orbit, "output_format", "digit_budget")
     p_orbit.set_defaults(func=cmd_orbit)
 
     p_zsig = sub.add_parser("zsig", help="compute the Zsigmondy set up to a horizon")
     _add_poly_args(p_zsig)
     p_zsig.add_argument("-N", type=int, required=True)
-    _add_common(p_zsig)
+    _add_knobs(p_zsig, "output_format", "digit_budget", "factor_rho_budget")
     p_zsig.set_defaults(func=cmd_zsig)
 
     p_bound = sub.add_parser("bound", help="evaluate the Zsigmondy index bound")
@@ -334,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--iterations", type=int, default=6,
         help="telescoping depth for --hhat telescope",
     )
-    _add_common(p_bound)
+    _add_knobs(p_bound, "output_format", "digit_budget")
     p_bound.set_defaults(func=cmd_bound)
 
     p_verify = sub.add_parser("verify", help="check one claim at one parameter point")
@@ -344,13 +361,13 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--c", default=None, help="rational constant, e.g. -7/3")
     p_verify.add_argument("-N", type=int, default=None, help="horizon override")
     p_verify.add_argument("--n-max", type=int, default=10_000, help="ezsig audit range")
-    _add_common(p_verify)
+    _add_knobs(p_verify, "output_format", "digit_budget", "factor_rho_budget")
     p_verify.set_defaults(func=cmd_verify)
 
     p_sweep = sub.add_parser("sweep", help="run a verifier grid to a JSONL file")
     p_sweep.add_argument("spec", help="JSON sweep specification file")
     p_sweep.add_argument("-o", "--out", required=True, help="output JSONL path")
-    _add_common(p_sweep)
+    _add_knobs(p_sweep, "digit_budget", "factor_rho_budget", "workers")
     p_sweep.set_defaults(func=cmd_sweep)
     return parser
 
@@ -364,8 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
-        # each knob's flag stores into the RunConfig field of the same name
-        flags = {f.name: getattr(args, f.name) for f in fields(RunConfig)}
+        # a knob's flag stores into its RunConfig field, where the command has it
+        flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
         cfg = config_from_env().with_overrides(**flags)
         # decimal strings are the output format for big integers: clear the
         # interpreter's int->str guard for every size the digit budget allows,

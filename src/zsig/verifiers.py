@@ -41,6 +41,8 @@ from .zsigmondy import zsigmondy_report_from_entries
 
 BINOMIAL = "z^d+c"
 TRINOMIAL = "z^d+z^e+c"
+# every field a sweep spec may hold; e is read only under TRINOMIAL
+_SPEC_FIELDS = ("family", "d", "e", "c", "c_grid", "horizon", "budgets")
 
 
 @dataclass
@@ -69,16 +71,20 @@ class SweepSpec:
         """The spec of a parsed JSON object; a malformed one raises ValueError."""
         if not isinstance(data, dict):
             raise ValueError("sweep spec must be a JSON object")
+        _closed(data, _SPEC_FIELDS, "spec")
         family = data.get("family")
         if family not in (BINOMIAL, TRINOMIAL):
             raise ValueError(f"unknown family: {family!r}")
-        d_values = _spec_list(data, "d", None)
+        d_values = _spec_list(data, "d", None, int)
         if any(d < 2 for d in d_values):
             raise ValueError("every d must be >= 2")
-        cs = [parse_rational(tok) for tok in _spec_list(data, "c", [], ints=False)]
+        # a float would run as its binary value, or overflow: only exact tokens
+        cs = [parse_rational(tok) for tok in _spec_list(data, "c", [], str, int)]
         c_grid = cls.c_grid
         grid = data.get("c_grid")
-        if grid:
+        if grid is not None:  # an empty or false grid is malformed, not absent
+            if isinstance(grid, dict):
+                _closed(grid, ("num", "den"), "c_grid")
             try:
                 (num_lo, num_hi), (den_lo, den_hi) = grid["num"], grid["den"]
                 if any(type(v) is not int for v in (num_lo, num_hi, den_lo, den_hi)):
@@ -91,10 +97,9 @@ class SweepSpec:
         raw_budgets = data.get("budgets", {})
         if not isinstance(raw_budgets, dict):
             raise ValueError("budgets must be a JSON object")
+        _closed(raw_budgets, BUDGETS, "budget")
         budgets = {}
         for key, value in raw_budgets.items():
-            if key not in BUDGETS:
-                raise ValueError(f"unknown budget field: {key!r}")
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ValueError(f"budget {key} must be an integer")
             budgets[key] = int(value)
@@ -105,7 +110,7 @@ class SweepSpec:
         return cls(  # a repeated entry would repeat points: keep the first of each
             family=family,
             d_values=tuple(dict.fromkeys(d_values)),
-            e_values=tuple(dict.fromkeys(_spec_list(data, "e", []))),
+            e_values=tuple(dict.fromkeys(_spec_list(data, "e", [], int))),
             c_values=tuple(dict.fromkeys(cs)),
             c_grid=c_grid,
             horizon=horizon,
@@ -131,11 +136,20 @@ class SweepSpec:
         return list(self.walk())
 
 
-def _spec_list(data: dict, key: str, default: list | None, ints: bool = True) -> list:
+def _spec_list(data: dict, key: str, default: list | None, *types: type) -> list:
+    """The list at ``key``, each entry exactly one of ``types`` (so never a bool)."""
     value = data.get(key, default)
-    if not isinstance(value, list) or (ints and any(type(v) is not int for v in value)):
-        raise ValueError(f"{key} must be a JSON list of {'integers' if ints else 'rationals'}")
+    if not isinstance(value, list):
+        raise ValueError(f"{key} must be a JSON list")
+    if bad := [token for token in value if type(token) not in types]:
+        raise ValueError(f"bad {key} entry: {bad[0]!r}")
     return value
+
+
+def _closed(data: dict, allowed: Sequence[str], what: str) -> None:
+    """A spec object holds only the fields it reads: a misspelt one is an error."""
+    if unknown := [key for key in data if key not in allowed]:
+        raise ValueError(f"unknown {what} field: {unknown[0]!r}")
 
 
 def binomial(d: int, c: Fraction) -> PolyQ:

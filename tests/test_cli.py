@@ -1,3 +1,4 @@
+import argparse
 import csv
 import io
 import json
@@ -13,12 +14,14 @@ from pathlib import Path
 import pytest
 
 from zsig import reports, verifiers
-from zsig.cli import main
+from zsig.cli import build_parser, main
+from zsig.config import RunConfig, env_name
 from zsig.verifiers import SweepSpec, TheoremVerdict, run_sweep
 from tests.conftest import LEAN
 
 FAST = ["--rho-budget", "200000"]
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def run(capsys, *argv):
@@ -339,6 +342,14 @@ def test_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("ZSIG_DIGIT_BUDGET", "50")
     code, _, err = run(capsys, "orbit", "--coeffs", "3,0,1", "-N", "30")
     assert code == 3
+    # a variable is validated for every command, and acts only where its knob is read
+    monkeypatch.delenv("ZSIG_DIGIT_BUDGET")
+    argv = ["orbit", "--coeffs", "1,0,1", "-N", "6"]
+    plain = run(capsys, *argv)
+    monkeypatch.setenv("ZSIG_WORKERS", "2")
+    assert run(capsys, *argv) == plain and plain[0] == 0
+    monkeypatch.setenv("ZSIG_WORKERS", "0")
+    assert run(capsys, *argv)[0] == 2
 
 
 @pytest.mark.parametrize("argv, exit_code", [
@@ -497,10 +508,14 @@ def _assert_sweep_usage_error(capsys, spec_path, out_path, before):
     {**_GOOD_SPEC, "horizon": 0},
     {**_GOOD_SPEC, "horizon": -1},
     {"d": [3], "c": ["7/2"]},
+    {**_GOOD_SPEC, "c_grid": {}},  # an empty or false grid ran as no grid
+    {**_GOOD_SPEC, "c_grid": False},
+    # the parser's RecursionError was a traceback
+    pytest.param("[" * 200_000, id="nested-200000-deep"),
 ])
 def test_sweep_rejects_malformed_spec(tmp_path, capsys, spec):
     spec_path = tmp_path / "grid.json"
-    spec_path.write_text(json.dumps(spec))
+    spec_path.write_text(spec if isinstance(spec, str) else json.dumps(spec))
     out_path = tmp_path / "results.jsonl"
     _assert_sweep_usage_error(capsys, spec_path, out_path, None)
     out_path.write_bytes(_PARTIAL)
@@ -519,6 +534,22 @@ def test_sweep_rejects_a_boolean_where_an_integer_belongs(tmp_path, capsys, spec
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(json.dumps(spec))
     _assert_sweep_usage_error(capsys, spec_path, tmp_path / "results.jsonl", None)
+
+
+@pytest.mark.parametrize("token, named", [
+    ("1e400", "inf"), ("Infinity", "inf"), ("0.1", "0.1"), ("true", "True"),
+])
+def test_sweep_rejects_a_c_entry_that_is_not_a_string_or_integer(
+    tmp_path, capsys, token, named
+):
+    # the first two overflowed in Fraction, 0.1 ran as its binary value, true as 1
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(f'{{"family": "z^d+c", "d": [3], "c": ["7/2", {token}]}}')
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_bytes(_PARTIAL)
+    code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path))
+    assert (code, out, err) == (2, "", f"error: bad c entry: {named}\n")
+    assert out_path.read_bytes() == _PARTIAL
 
 
 @pytest.mark.parametrize("how, value", [
@@ -572,6 +603,7 @@ def test_sweep_writes_a_repeated_point_once(tmp_path, capsys, spec):
 @pytest.mark.parametrize("line", [
     b"[1]", b"{}", b'{"key":"cor12:d=3:c=5/2"}', b'{"key":7,"consistent":true}',
     b'{"key":"cor12:d=3:c=5/2","consistent":"no"}', b'"cor12:d=3:c=5/2"',
+    pytest.param(b"[" * 200_000, id="nested-200000-deep"),
 ])
 def test_sweep_rejects_malformed_resume_record(tmp_path, capsys, line):
     spec_path = tmp_path / "grid.json"
@@ -651,8 +683,11 @@ def test_unknown_env_variable_is_a_usage_error(capsys, monkeypatch):
 
 @pytest.mark.parametrize("how, knob", [
     ("flag", "--primality-rounds"), ("flag", "--trial-bound"), ("flag", "--seed"),
+    ("flag", "--format"),
     ("env", "ZSIG_PRIMALITY_ROUNDS"), ("env", "ZSIG_FACTOR_TRIAL_BOUND"), ("env", "ZSIG_SEED"),
     ("budget", "primality_rounds"), ("budget", "factor_trial_bound"), ("budget", "seed"),
+    # a misspelt field ran at its default
+    ("field", "horizn"), ("field", "workers"), ("c_grid", "step"),
 ])
 def test_removed_knobs_are_usage_errors(tmp_path, capsys, monkeypatch, how, knob):
     spec, flags = dict(_GOOD_SPEC), []
@@ -660,8 +695,12 @@ def test_removed_knobs_are_usage_errors(tmp_path, capsys, monkeypatch, how, knob
         flags = [knob, "5"]
     elif how == "env":
         monkeypatch.setenv(knob, "5")
-    else:
+    elif how == "budget":
         spec["budgets"] = {knob: 5}
+    elif how == "field":
+        spec[knob] = 3
+    else:
+        spec["c_grid"] = {"num": [1, 2], "den": [1, 2], knob: 1}
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(json.dumps(spec))
     out_path = tmp_path / "results.jsonl"
@@ -669,6 +708,59 @@ def test_removed_knobs_are_usage_errors(tmp_path, capsys, monkeypatch, how, knob
     code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path), *flags)
     assert code == 2 and out == "" and knob in err
     assert out_path.read_bytes() == _PARTIAL
+
+
+def _knob_flags() -> dict[str, dict[str, str]]:
+    """{subcommand: {knob flag: RunConfig field}} as build_parser() defines them."""
+    (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    knobs = {f.name for f in fields(RunConfig)}
+    return {
+        command: {a.option_strings[0]: a.dest for a in parser._actions if a.dest in knobs}
+        for command, parser in sub.choices.items()
+    }
+
+
+_KNOB_FLAGS = _knob_flags()
+_REQUIRED_ARGS = {
+    "orbit": ["--coeffs", "1,0,1", "-N", "2"],
+    "zsig": ["--coeffs", "1,0,1", "-N", "2"],
+    "bound": ["--coeffs", "7/2,0,0,1", "--hhat", "ingram"],
+    "verify": ["ezsig", "--d", "3", "--n-max", "10"],
+    "sweep": ["grid.json", "-o", "results.jsonl"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(_KNOB_FLAGS))
+@pytest.mark.parametrize("flag", sorted({f for flags in _KNOB_FLAGS.values() for f in flags}))
+def test_a_command_takes_only_the_knob_flags_it_reads(capsys, command, flag):
+    value = "json" if flag == "--format" else "5"
+    argv = [command, *_REQUIRED_ARGS[command], flag, value]
+    if flag in _KNOB_FLAGS[command]:
+        args = build_parser().parse_args(argv)
+        assert str(getattr(args, _KNOB_FLAGS[command][flag])) == value
+    else:
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
+
+
+def test_readme_knob_table_matches_the_parser():
+    lines = README.read_text().splitlines()
+    start = lines.index("| flag | variable | orbit | zsig | bound | verify | sweep |")
+    commands = [cell.strip() for cell in lines[start].strip("|").split("|")][2:]
+    documented, variables = {command: set() for command in commands}, {}
+    for line in lines[start + 2:]:
+        if not line.startswith("|"):
+            break
+        flag, variable, *marks = [cell.strip().strip("`") for cell in line.strip("|").split("|")]
+        variables[flag] = variable
+        for command, mark in zip(commands, marks, strict=True):
+            assert mark in ("", "✓")
+            if mark:
+                documented[command].add(flag)
+    assert documented == {command: set(flags) for command, flags in _KNOB_FLAGS.items()}
+    dests = {flag: dest for flags in _KNOB_FLAGS.values() for flag, dest in flags.items()}
+    assert variables == {flag: env_name(dest) for flag, dest in dests.items()}
+    assert sum(map(len, _KNOB_FLAGS.values())) == 13
 
 
 def test_python_dash_m_entry_points(tmp_path):

@@ -237,7 +237,7 @@ def _sweep_specs(draw):
         "d": draw(st.lists(st.integers(2, 6), max_size=4)),
         "e": draw(st.lists(st.integers(0, 7), max_size=4)),
         "c": draw(st.lists(
-            st.sampled_from(["1/2", "2/4", "-1/3", "3", "6/2", "-3/2", "1", "0", "5/4"]),
+            st.sampled_from(["1/2", "2/4", "-1/3", "3", "6/2", "-3/2", "1", "0", "5/4", 3, -2]),
             max_size=5,
         )),
         "horizon": 1,
