@@ -11,11 +11,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
-from .arith import compare_sums
+from .arith import _EXACT_BITS, compare_sums
 from .config import DEFAULT_DIGIT_BUDGET
 from .polynomials import PolyQ
+
+# Up to this size ceiling an iterate costs less to build than the comparisons
+# that stand in for it (they break even at 12k-25k bits for d = 3..5).
+_PENDING_BITS = 4 * _EXACT_BITS
 
 # decimal digits <= floor(bits * log10(2)) + 1
 _LOG10_2 = 0.30102999566398120
@@ -58,6 +63,48 @@ class OrbitEntry:
     @property
     def is_unit(self) -> bool:
         return abs(self.value.numerator) == 1
+
+    @property
+    def sign(self) -> int:
+        a = self.value.numerator
+        return (a > 0) - (a < 0)
+
+
+class PendingEntry(OrbitEntry):
+    """Entry n = f(x), its iterate built only when ``value`` is first read.
+
+    With x = p/q and f = f1/m of degree d, acc = sum f1_i p^i q^(d-i) is kept
+    as its terms of sign ``sign`` (``big``) and of the other sign (``small``),
+    so |acc| = sum(big) - sum(small).  f(x) = acc / (m q^d) = A / B with
+    g = gcd(acc, m q^d) = |acc / A|.  Under ``_step``'s valuation rule g
+    divides K = m |f1_d|, so g = gcd(acc mod K, m q^d mod K, K).
+    """
+
+    def __init__(self, n: int, f: PolyQ, x: Fraction, big: list, small: list, sign: int):
+        object.__setattr__(self, "n", n)  # a frozen field
+        self.f, self.x, self.big, self.small, self._sign = f, x, big, small, sign
+        (f1, m), q, d = f.cleared, x.denominator, f.degree
+        K = m * abs(f1[0][1])
+        self.g = gcd(self.residue(K), m * pow(q, d, K), K)
+        self.den = [(m, 1), (q, d)]
+
+    value = cached_property(lambda self: self.f.evaluate(self.x))
+    sign = property(lambda self: self._sign)
+    built = property(lambda self: "value" in vars(self))
+
+    def residue(self, modulus: int) -> int:
+        """acc mod ``modulus``, from the residues of p and q."""
+        p, q, d = self.x.numerator % modulus, self.x.denominator % modulus, self.f.degree
+        terms = (a * pow(p, i, modulus) * pow(q, d - i, modulus) for i, a in self.f.cleared[0])
+        return sum(terms) % modulus
+
+    def compare(self, lhs: list, rhs: list, numerator: bool = False) -> int:
+        """The sign of |v| + sum(lhs) - sum(rhs) for v = A / B (v = A with
+        ``numerator``): both sides times m q^d (times g) against the terms of
+        acc.  0 where ``compare_sums(..., exact=False)`` leaves it undecided."""
+        unit = [(self.g, 1)] if numerator else self.den
+        lhs, rhs = ([*t, *unit] for t in lhs), ([*t, *unit] for t in rhs)
+        return compare_sums([*self.big, *lhs], [*self.small, *rhs], exact=False)
 
 
 WANDERING = "wandering"
@@ -124,8 +171,21 @@ def _gcd_ceiling(f1: tuple[tuple[int, int], ...], q: int) -> list[tuple[int, int
     return [(lead, 1)] if pow(t // gcd(t, lead), cap, gcd(q0, lead)) == 0 else [(q, d)]
 
 
-def _step(f: PolyQ, x: Fraction, B: int) -> Fraction | None:
+def _signed_terms(f: PolyQ, x: Fraction) -> tuple[list, list]:
+    """acc's terms of sign +1 and of sign -1, each a product of powers."""
+    f1, d = f.cleared[0], f.degree
+    p, q = x.numerator, x.denominator
+    pos, neg = [], []
+    for i, a in f1:
+        side = neg if (a < 0) != (p < 0 and i % 2 == 1) else pos
+        side.append([(abs(a), 1), (abs(p), i), (q, d - i)])
+    return pos, neg
+
+
+def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fraction | None:
     """f(x), or None when its numerator or denominator has B bits or more.
+    Given the ``earlier`` values, ending in x, f(x) may instead come unbuilt
+    as a ``PendingEntry`` (see ``_pending``).
 
     Write x = p/q, f = f1/m, d = deg f and acc = sum f1_i p^i q^(d-i), so that
     f(x) = acc / (m q^d) and the reducing gcd divides m gcd(acc, q^d).  Since
@@ -147,14 +207,14 @@ def _step(f: PolyQ, x: Fraction, B: int) -> Fraction | None:
     p, q = x.numerator, x.denominator
     bp, bq = abs(p).bit_length(), q.bit_length()
     ceiling = max(a.bit_length() + i * bp + (d - i) * bq for i, a in f1) + len(f1)
-    if max(ceiling, m.bit_length() + d * bq) >= B:
+    ceiling = max(ceiling, m.bit_length() + d * bq)
+    if earlier and _PENDING_BITS < ceiling < B and (entry := _pending(f, earlier)):
+        return entry
+    if ceiling >= B:
         G = _gcd_ceiling(f1, q)
         if compare_sums([[(q, d)]], [[(2, B - 1), *G]], exact=False) > 0:
             return None
-        pos, neg = [], []
-        for i, a in f1:
-            side = neg if (a < 0) != (p < 0 and i % 2 == 1) else pos
-            side.append([(abs(a), 1), (abs(p), i), (q, d - i)])
+        pos, neg = _signed_terms(f, x)
         floor = [(2, B - 1), (m, 1), *G]
         if (compare_sums(pos, [*neg, floor], exact=False) > 0
                 or compare_sums(neg, [*pos, floor], exact=False) > 0):
@@ -165,11 +225,34 @@ def _step(f: PolyQ, x: Fraction, B: int) -> Fraction | None:
     return y
 
 
-def orbit(f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Orbit:
-    """Compute f^1(0) .. f^N(0), stopping early on a finite orbit."""
+def _pending(f: PolyQ, values: list[Fraction]) -> PendingEntry | None:
+    """f of the last of ``values`` unbuilt, or None where it must be built.
+    ``_step`` asks only below B, so the post-check would pass; the entry needs
+    G = |f1_d| and a denominator or |numerator| past every earlier one."""
+    x = values[-1]
+    pos, neg = _signed_terms(f, x)
+    sign = compare_sums(pos, neg, exact=False)
+    if _gcd_ceiling(f.cleared[0], x.denominator)[0][1] > 1 or not sign:  # G = q^d
+        return None
+    entry = PendingEntry(len(values), f, x, *((pos, neg) if sign > 0 else (neg, pos)), sign)
+    B_max, A_max = max(v.denominator for v in values), max(abs(v.numerator) for v in values)
+    if (compare_sums([entry.den], [[(entry.g, 1), (B_max, 1)]], exact=False) > 0
+            or entry.compare([], [[(A_max, 1)]], numerator=True) > 0):
+        return entry
+    return None
+
+
+def orbit(
+    f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET, lazy: bool = False
+) -> Orbit:
+    """Compute f^1(0) .. f^N(0), stopping early on a finite orbit.  With
+    ``lazy``, entry N may be a ``PendingEntry`` (see ``iterate_point``)."""
     if N < 1:
         raise ValueError("N must be >= 1")
-    values = iterate_point(f, Fraction(0), N, digit_budget=digit_budget)
+    values = iterate_point(f, Fraction(0), N, digit_budget=digit_budget, lazy=lazy)
+    if isinstance(values[-1], PendingEntry):  # new and under budget: the orbit wanders
+        entries = [OrbitEntry(i, x) for i, x in enumerate(values[1:-1], 1)]
+        return Orbit(WANDERING, entries + values[-1:])
     n = len(values) - 1
     entries = [OrbitEntry(i, x) for i, x in enumerate(values[1:], 1)]
     # a finite orbit ends on its first repeat, and a return to 0 repeats index 0
@@ -186,19 +269,22 @@ def orbit(f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET) -> Orbi
 
 
 def iterate_point(
-    f: PolyQ, x: Fraction, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> list[Fraction]:
+    f: PolyQ, x: Fraction, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET, lazy: bool = False
+) -> list:
     """Return [x, f(x), ..., f^N(x)] exactly, guarding sizes.
 
     On budget exhaustion the values computed so far are returned (callers use
     the deepest iterate they got).  A finite orbit stops at its first repeated
     value, which ends the list: every later iterate repeats one already there.
+    With ``lazy``, f^N(x) may come unbuilt, as a ``PendingEntry`` (``_step``).
     """
     values, seen, bits = [x], {x}, _budget_bits(digit_budget)
-    for _ in range(N):
-        x = _step(f, x, bits)
+    for k in range(N, 0, -1):
+        x = _step(f, x, bits, values if lazy and k == 1 else None)
         if x is None:
             break
+        if isinstance(x, PendingEntry):
+            return values + [x]
         values.append(x)
         if x in seen:
             break

@@ -30,6 +30,10 @@ class ParseError(ValueError):
 
 
 def parse_rational(value: RationalLike) -> Fraction:
+    """``value`` as a Fraction.  Exponent notation is refused: ``Fraction``
+    would build 10^exp before any budget applies (26 s for "1e16000000")."""
+    if isinstance(value, str) and "e" in value.lower():
+        raise ParseError(f"bad rational token: {value!r} (no exponent notation)")
     try:
         return Fraction(value)
     except (ValueError, ZeroDivisionError, TypeError) as exc:

@@ -16,17 +16,26 @@ L and divides an earlier A_m therefore divides A_(n/q) for some prime q | n.
 The primes of L obey no such law, so the strip of A_n runs against |A_(n/q)|
 for the omega(n) primes q | n plus the small gcd(A_m, L) for each m < n.
 Without a polynomial (L = 0) the second list is every earlier |A_m|.
+
+A report without witnesses decides an unbuilt last entry (``PendingEntry``)
+from residues when gcd(A_m, L) = 1 for m < N and the law of
+``rigid_law_holds`` holds below N.  Then the primes of the A_(N/q) are those
+of P, the product of the S_k over k | N, k < N, and P is prime to L.  With
+|A_N| = U V W, U of the primes of P and V of those of L, the strip leaves
+S_N = V W and the law at N reads P W = U W: it holds exactly when P | A_N
+and gcd(A_N / P, P) = 1, read off acc mod P^2.  Then S_N = |A_N| / P, so N
+has a primitive prime divisor exactly when |A_N| > P, and is then no unit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from typing import Sequence
 
 from .arith import distinct_primes, factor, v_p
 from .config import RunConfig
-from .orbits import OrbitEntry, wandering_entries
+from .orbits import OrbitEntry, PendingEntry, wandering_entries
 from .polynomials import PolyQ
 
 
@@ -34,7 +43,7 @@ from .polynomials import PolyQ
 class PrimitiveVerdict:
     n: int
     has_primitive: bool
-    stripped_part: int
+    stripped_part: int | None  # None: decided with A_n unbuilt
     witness_primes: tuple[int, ...]
     is_unit: bool
 
@@ -123,20 +132,26 @@ def zsigmondy_report_from_entries(
     once, and only when it fails are violations listed at the witness primes.
     With ``witnesses=False`` nothing is factored unless it fails: witness lists
     and the k(p) table stay empty, and ``rigid_violations`` is the same either way.
+    A last ``PendingEntry`` is decided unbuilt where ``_unbuilt_primitive`` can.
     """
-    if any(e.A == 0 for e in entries):
+    if any(not e.sign for e in entries):
         raise ValueError("a zero numerator has no stripped part: the orbit returns to 0")
     cfg = config or RunConfig()
     N = len(entries)
     exempt = denominator_lcm or lcm(*(e.B for e in entries))
-    stripped = [stripped_numerator(entries, n, denominator_lcm) for n in range(1, N + 1)]
-    holds = rigid_law_holds(entries, stripped, exempt)
+    stripped = [stripped_numerator(entries, n, denominator_lcm) for n in range(1, N)]
+    unbuilt = not witnesses and _unbuilt_primitive(entries, stripped, denominator_lcm)
+    if N:
+        stripped.append(None if unbuilt else stripped_numerator(entries, N, denominator_lcm))
+    holds = unbuilt or rigid_law_holds(entries, stripped, exempt)
     factoring = witnesses or not holds
     per_index: list[PrimitiveVerdict] = []
     k_table: dict[int, int] = {}
     for n, s in enumerate(stripped, start=1):
         primes = _witness_primes(s, cfg) if factoring else ()
-        per_index.append(PrimitiveVerdict(n, s > 1, s, primes, entries[n - 1].is_unit))
+        # s is None: primitive, so |A_n| > 1 is no unit
+        unit = s is not None and entries[n - 1].is_unit
+        per_index.append(PrimitiveVerdict(n, s is None or s > 1, s, primes, unit))
         # S_n is coprime to every earlier A_m, so a prime found in it first divides A_n
         k_table.update(dict.fromkeys(primes, n))
     elements = [v.n for v in per_index if not v.has_primitive]
@@ -144,6 +159,21 @@ def zsigmondy_report_from_entries(
     report = ZsigmondyReport(N, elements, per_index, k_table)
     report.rigid_violations = [] if holds else verify_rigid_divisibility(entries, k_table, exempt)
     return report
+
+
+def _unbuilt_primitive(entries: Sequence[OrbitEntry], stripped: Sequence[int], L: int) -> bool:
+    """Whether a last ``PendingEntry`` N is shown, unbuilt, to obey the law and
+    to have a primitive prime divisor (module docstring); ``stripped`` holds
+    S_1 .. S_(N-1).  False leaves A_N to be built."""
+    if not (L and entries and isinstance(entries[-1], PendingEntry)):
+        return False
+    last, N = entries[-1], len(entries)
+    if any(gcd(e.A, L) > 1 for e in entries[:-1]) or not rigid_law_holds(entries[:-1], stripped):
+        return False
+    P = prod(stripped[k - 1] for k in range(1, N) if N % k == 0)
+    # acc = g A_N, and g is prime to P: it divides m q^d, whose primes are L's
+    r = last.residue(P * P)
+    return r % P == 0 and gcd(r // P, P) == 1 and last.compare([], [[(P, 1)]], numerator=True) > 0
 
 
 def rigid_law_holds(

@@ -117,6 +117,33 @@ def test_orbit_parse_error(capsys):
     assert code == 2
 
 
+# Fraction would build 10^16000000 for this token before any budget applied (26 s)
+_EXPONENT_TOKEN = "1e16000000"
+
+
+def _assert_quick_usage_error(capsys, *argv):
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1
+    assert code == 2 and out == "" and "exponent" in err
+
+
+def test_coeffs_in_exponent_notation_exit_2_at_once(capsys):
+    _assert_quick_usage_error(capsys, "orbit", "--coeffs", f"{_EXPONENT_TOKEN},0,1", "-N", "1")
+
+
+def test_verify_c_in_exponent_notation_exits_2_at_once(capsys):
+    _assert_quick_usage_error(capsys, "verify", "cor12", "--d", "3", "--c", _EXPONENT_TOKEN)
+
+
+def test_sweep_spec_c_in_exponent_notation_exits_2_at_once(tmp_path, capsys):
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps({"family": "z^d+c", "d": [3], "c": [_EXPONENT_TOKEN]}))
+    out_path = tmp_path / "results.jsonl"
+    _assert_quick_usage_error(capsys, "sweep", str(spec_path), "-o", str(out_path))
+    assert not out_path.exists()
+
+
 def test_bad_config_value_is_usage_error(capsys):
     code, _, err = run(
         capsys, "orbit", "--coeffs", "1,0,1", "-N", "3", "--digit-budget", "-5"

@@ -1,0 +1,264 @@
+"""The last index of a verdict, decided without building its iterate.
+
+On the verdict-only path (``verify`` and ``sweep``) the orbit leaves f^N(0)
+unbuilt, as an ``orbits.PendingEntry``, wherever its size ceiling is past
+``orbits._PENDING_BITS``.  The report and every claim check then read it
+through residues and the signed terms of acc, and build it only where those
+cannot decide.  These tests pin that every verdict is the one the built
+iterate gives, that each fallback builds it, and that the README grid at
+horizon 10 builds no last iterate on the points that reach it.
+"""
+
+from __future__ import annotations
+
+import math
+import os
+from fractions import Fraction as F
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from zsig import orbits
+from zsig.orbits import OrbitEntry, PendingEntry, orbit
+from zsig.polynomials import PolyQ
+from zsig.verifiers import BINOMIAL, CLAIMS, SweepSpec, run_sweep, trinomial, verify
+from zsig.zsigmondy import zsigmondy_report_from_entries
+from tests.conftest import LEAN
+from tests.test_acceptance import TRINOMIAL_CS, TRINOMIAL_DES
+from tests.test_golden import DATA, SWEEPS, VERIFY_ARGV, _assert_matches, sweep_bytes
+
+
+def _verdict(pending_bits, *args, **kwargs):
+    """``verify(*args)`` with iterates left unbuilt past ``pending_bits``."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_PENDING_BITS", pending_bits)
+        return verify(*args, **kwargs)
+
+
+def _built(*args, **kwargs):
+    return _verdict(math.inf, *args, **kwargs)
+
+
+def _ceiling(f: PolyQ, N: int) -> int:
+    """The size ceiling ``orbits._step`` takes for f^N(0): bits of acc and m q^d."""
+    x = orbit(f, N - 1).entries[-1].value
+    (f1, m), bp, bq = f.cleared, abs(x.numerator).bit_length(), x.denominator.bit_length()
+    d = f.degree
+    acc = max(a.bit_length() + i * bp + (d - i) * bq for i, a in f1) + len(f1)
+    return max(acc, m.bit_length() + d * bq)
+
+
+def _counting(monkeypatch) -> list[tuple[str, int]]:
+    """Record (polynomial, numerator bits) of each ``PolyQ.evaluate`` call."""
+    calls = []
+    evaluate = PolyQ.evaluate
+
+    def counted(self, x):
+        y = evaluate(self, x)
+        calls.append((str(self), y.numerator.bit_length()))
+        return y
+
+    monkeypatch.setattr(PolyQ, "evaluate", counted)
+    return calls
+
+
+# Each claim's c range as (lo, hi), open at both ends; cor12 takes any c.
+_RANGES = {
+    "cor12": (F(-6), F(6)), "thm13": (F(2), F(12)), "prop51": (F(1), F(2)),
+    "prop52": (F(0), F(1)), "prop53": (F(-1), F(0)), "prop54": (F(-2), F(-1)),
+}
+
+
+@st.composite
+def _points(draw):
+    """(claim, d, e, c, horizon): c an integer, a fraction inside the claim's
+    range, or -1 +- 1/k, where z^d and z^e nearly cancel at the orbit's points
+    near -1 (d - e odd)."""
+    claim = draw(st.sampled_from(sorted(CLAIMS)))
+    lo, hi = _RANGES[claim]
+    d = draw(st.integers(3, 5))
+    e = None if CLAIMS[claim].family == BINOMIAL else draw(st.integers(2, d - 1))
+    den = draw(st.integers(1, 9))
+    inside = [F(k, den) for k in range(math.floor(lo * den) + 1, math.ceil(hi * den))]
+    kind = draw(st.sampled_from(["fraction", "integer", "near -1"]))
+    if claim == "thm13" and draw(st.booleans()):
+        lo, hi = -hi, -lo  # |c| > 2 on both sides
+        inside = [-c for c in inside]
+    if kind == "integer" and claim in ("cor12", "thm13"):
+        c = F(draw(st.integers(math.floor(lo) + 1, math.ceil(hi) - 1).filter(bool)))
+    elif kind == "near -1" and claim in ("prop53", "prop54"):
+        k = draw(st.integers(20, 200))
+        c = F(-1) + (F(1, k) if claim == "prop53" else F(-1, k))
+    else:
+        c = draw(st.sampled_from([c for c in inside if c] or [(lo + hi) / 2]))
+    horizon = draw(st.integers(3, {3: 10, 4: 8, 5: 7}[d]))
+    return claim, d, e, c, horizon
+
+
+@given(_points(), st.sampled_from([0, orbits._PENDING_BITS]))
+@settings(max_examples=80, deadline=None)
+def test_unbuilt_last_index_gives_the_built_verdict(point, pending_bits):
+    # at a threshold of 0 every last step is a candidate, so the residue and
+    # comparison paths run at every size, exact sums included
+    claim, d, e, c, horizon = point
+    assert _verdict(pending_bits, claim, d, c, e, LEAN, horizon) == _built(
+        claim, d, c, e, LEAN, horizon
+    )
+
+
+def test_golden_bytes_with_every_last_index_a_candidate(monkeypatch, tmp_path):
+    for key in [key for key in os.environ if key.startswith("ZSIG_")]:
+        monkeypatch.delenv(key)
+    monkeypatch.setattr(orbits, "_PENDING_BITS", 0)
+    for name in sorted(SWEEPS):
+        assert sweep_bytes(name, tmp_path) == (DATA / f"golden_sweep_{name}.jsonl").read_bytes()
+    _assert_matches("golden_verify.json", VERIFY_ARGV)
+
+
+_SMALL_C = {  # test_acceptance's points of criterion 7, by claim: (d, e) pairs and constants
+    "prop51": ([(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)], ["3/2", "5/3", "7/4", "9/8", "13/7"]),
+    "prop52": ([(3, 2), (4, 2), (4, 3), (5, 2), (5, 3)], ["1/2", "2/3", "3/4", "1/3", "4/5"]),
+    "prop53": ([(3, 2), (5, 2), (5, 3), (5, 4)], ["-1/2", "-2/3", "-3/4", "-1/3", "-4/5"]),
+    "prop54": ([(3, 2), (5, 2), (5, 3), (4, 2)], ["-3/2", "-4/3", "-5/4", "-7/5", "-8/5"]),
+}
+_ACCEPTANCE = [
+    ("thm13", d, e, c) for d, e in TRINOMIAL_DES for c in TRINOMIAL_CS if abs(c) > 2
+] + [
+    (claim, d, e, F(c)) for claim, (des, cs) in _SMALL_C.items() for d, e in des for c in cs
+] + [("cor12", 3, None, F(7, 2))]
+
+
+@pytest.mark.parametrize("pending_bits", [0, orbits._PENDING_BITS])
+def test_acceptance_points_unbuilt_give_the_built_verdict(pending_bits):
+    for claim, d, e, c in _ACCEPTANCE:
+        want = _built(claim, d, c, e, LEAN, 8)
+        assert _verdict(pending_bits, claim, d, c, e, LEAN, 8) == want, (claim, d, e, c)
+
+
+@pytest.mark.parametrize("claim, d, e, c, horizon", [
+    ("cor12", 3, None, F(7, 2), 10),
+    ("thm13", 4, 2, F(5, 2), 8),
+    ("prop51", 3, 2, F(3, 2), 10),
+    ("prop52", 3, 2, F(1, 2), 10),  # a unit at index 1
+    ("prop53", 5, 3, F(-1, 2), 8),  # odd middle exponent: the sandwich
+    ("prop53", 5, 2, F(-1, 3), 7),  # even middle exponent: confinement and floor
+    ("prop54", 5, 2, F(-8, 5), 7),  # odd degree
+    ("prop54", 4, 2, F(-3, 2), 8),  # even degree
+])
+def test_each_claim_decides_its_last_index_unbuilt(monkeypatch, claim, d, e, c, horizon):
+    want = _built(claim, d, c, e, LEAN, horizon)
+    calls = _counting(monkeypatch)
+    got = verify(claim, d, c, e, LEAN, horizon)
+    assert got == want and got.details["horizon_used"] == horizon
+    assert len(calls) == horizon - 1
+
+
+def _lazy_and_built_reports(f: PolyQ, N: int):
+    """The report of orbit(f, N, lazy=True) as ``verify`` takes it, with every
+    step a candidate, and the report of the built orbit."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_PENDING_BITS", 0)
+        entries = orbit(f, N, lazy=True).entries
+        report = zsigmondy_report_from_entries(
+            entries, LEAN, witnesses=False, denominator_lcm=f.cleared[1]
+        )
+    built = zsigmondy_report_from_entries(
+        orbit(f, N).entries, LEAN, witnesses=False, denominator_lcm=f.cleared[1]
+    )
+    return entries, report, built
+
+
+def test_fallback_when_the_law_fails_at_the_last_index():
+    # the linear term breaks rigid divisibility, first at index 3
+    entries, report, built = _lazy_and_built_reports(PolyQ(((2, 1), (1, 1), (0, 3))), 3)
+    assert isinstance(entries[-1], PendingEntry) and entries[-1].built
+    assert report == built and built.rigid_violations
+
+
+def test_fallback_when_a_numerator_shares_a_prime_with_L():
+    # 2z^2 + 3/2: A_2 = 6 shares the prime of L = 2, and the law holds below 3
+    # and at 3 on the primes of P = S_1 = 3 alone
+    entries, report, built = _lazy_and_built_reports(PolyQ(((2, 2), (0, F(3, 2)))), 3)
+    assert isinstance(entries[-1], PendingEntry) and entries[-1].built
+    assert report == built
+
+
+def test_a_repeat_at_the_last_index_is_built():
+    # z^2 - 2: 0, -2, 2, 2; f^3(0) repeats f^2(0), so it cannot be left unbuilt
+    f = PolyQ(((2, 1), (0, -2)))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_PENDING_BITS", 0)
+        lazy = orbit(f, 3, lazy=True)
+    assert lazy == orbit(f, 3) and lazy.kind == "preperiodic"
+
+
+@pytest.mark.parametrize("f", [
+    trinomial(4, 2, F(5, 2)),  # g = 2
+    trinomial(5, 3, F(-8, 5)),
+    PolyQ(((3, 2), (2, 1), (0, 3))),  # not monic, integer orbit
+])
+def test_a_pending_entry_holds_acc_and_its_gcd(monkeypatch, f):
+    monkeypatch.setattr(orbits, "_PENDING_BITS", 0)
+    entry = orbit(f, 4, lazy=True).entries[-1]
+    x = orbit(f, 3).entries[-1].value
+    (f1, m), p, q, d = f.cleared, x.numerator, x.denominator, f.degree
+    acc = sum(a * p**i * q ** (d - i) for i, a in f1)
+    assert isinstance(entry, PendingEntry) and entry.sign == (acc > 0) - (acc < 0)
+    terms = [sum(math.prod(b**k for b, k in t) for t in side) for side in (entry.big, entry.small)]
+    assert terms[0] - terms[1] == abs(acc)
+    assert entry.residue(10**9 + 7) == acc % (10**9 + 7)
+    assert not entry.built and entry.g == math.gcd(acc, m * q**d)
+    assert acc == entry.g * entry.A and entry.built
+
+
+def test_fallback_when_the_valuation_rule_is_refused():
+    # 2z^3 + z^2 + 1/2: at x_4 the lower terms outvalue the leading one at 2,
+    # so G = q^d and the reducing gcd is not read off m |f1_d|
+    f = PolyQ(((3, 2), (2, 1), (0, F(1, 2))))
+    entries, report, built = _lazy_and_built_reports(f, 5)
+    q = entries[-2].B
+    assert orbits._gcd_ceiling(f.cleared[0], q) == [(q, 3)]
+    assert type(entries[-1]) is OrbitEntry and report == built
+
+
+def test_fallback_at_the_budget_boundary(monkeypatch):
+    # the last step's ceiling C against B: B <= C builds, B > C leaves it unbuilt
+    claim, d, e, c, N = "prop54", 4, 2, F(-3, 2), 8
+    f = trinomial(d, e, c)
+    C = _ceiling(f, N)
+    calls = _counting(monkeypatch)
+    digits = orbits._digits_for_bits(C)
+    for budget, unbuilt in ((digits - 1, False), (digits, True)):
+        assert (orbits._budget_bits(budget) > C) is unbuilt
+        cfg = LEAN.with_overrides(digit_budget=budget)
+        want = _built(claim, d, c, e, cfg, N)
+        calls.clear()
+        assert verify(claim, d, c, e, cfg, N) == want
+        assert want.details["horizon_used"] == N and len(calls) == N - unbuilt
+
+
+def test_fallback_at_a_ceiling_of_at_most_the_pending_bits(monkeypatch):
+    # past _EXACT_BITS but not _PENDING_BITS: building costs less than comparing
+    claim, d, e, c, N = "thm13", 5, 3, F(-12), 6
+    f = trinomial(d, e, c)
+    C = _ceiling(f, N)
+    assert orbits._EXACT_BITS < C <= orbits._PENDING_BITS
+    want = _built(claim, d, c, e, LEAN, N)
+    calls = _counting(monkeypatch)
+    assert verify(claim, d, c, e, LEAN, N) == want and len(calls) == N
+
+
+def test_readme_grid_at_horizon_10_builds_no_last_iterate(monkeypatch):
+    # a work count, not a timing: the last iterates of the d <= 4 points reach
+    # 430k-645k bits, the unbuilt ones stop at index 9 (under 170k bits)
+    spec = SweepSpec.from_dict({
+        "family": "z^d+z^e+c", "d": [3, 4, 5], "e": [2, 3], "c": ["5/2", "-3/2"],
+        "horizon": 10, "budgets": {"factor_rho_budget": 200000},
+    })
+    calls = _counting(monkeypatch)
+    verdicts = run_sweep(spec, LEAN)
+    reached = [v for v in verdicts if v.details["horizon_used"] == 10]
+    assert len(reached) == 6
+    for v in reached:
+        bits = [b for poly, b in calls if poly == v.polynomial]
+        assert len(bits) == 9 and max(bits) < 400_000, v.polynomial
