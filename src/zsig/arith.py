@@ -86,7 +86,7 @@ def _strong_lucas_prp(n: int) -> bool:
         d //= 2
         s += 1
     # Lucas sequences U_d, V_d via binary ladder
-    U, V, k = 1, 1, (1 << (d.bit_length() - 1))
+    U, V = 1, 1
     Qk = Q % n
     inv2 = pow(2, -1, n)
     for bit in bin(d)[3:]:

@@ -28,7 +28,7 @@ from .heights import (
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
 from .polynomials import PolyQ, parse_poly, parse_rational
-from .verifiers import CLAIMS, SweepSpec, iter_sweep, verify
+from .verifiers import BINOMIAL, CLAIMS, SweepSpec, iter_sweep, verify
 from .zsigmondy import zsigmondy_set
 
 EXIT_OK = 0
@@ -161,11 +161,14 @@ def cmd_zsig(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
+    if args.iterations is not None and args.hhat != "telescope":
+        raise ValueError("--iterations is read only by --hhat telescope")
     f = _parse_target(args)
     gc = global_C(f)
     if args.hhat == "telescope":
+        iterations = 6 if args.iterations is None else args.iterations
         interval = canonical_height_interval(
-            f, f.constant, args.iterations, digit_budget=cfg.digit_budget
+            f, f.constant, iterations, digit_budget=cfg.digit_budget
         )
         c_used = gc.total_C
     else:
@@ -204,17 +207,24 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.theorem == "ezsig":
-        equalities, violations = omega_inequality_audit(args.d, args.n_max)
+    ezsig = args.theorem == "ezsig"
+    unread = {"--c": args.c, "--e": args.e, "-N": args.N} if ezsig else {"--n-max": args.n_max}
+    if not ezsig and CLAIMS[args.theorem].family == BINOMIAL:
+        unread["--e"] = args.e
+    if given := [flag for flag, value in unread.items() if value is not None]:
+        raise ValueError(f"verify {args.theorem} does not read {given[0]}")
+    if ezsig:
+        n_max = 10_000 if args.n_max is None else args.n_max
+        equalities, violations = omega_inequality_audit(args.d, n_max)
         payload = {
             "check": "2*omega(n) + 1 < d^(n/2)",
             "d": args.d,
-            "n_max": args.n_max,
+            "n_max": n_max,
             "equalities": equalities,
             "strict_violations": violations,
         }
         _emit(cfg, lambda: payload, lambda: [
-            f"audit of 2*omega(n)+1 < d^(n/2) for d={args.d}, n <= {args.n_max}",
+            f"audit of 2*omega(n)+1 < d^(n/2) for d={args.d}, n <= {n_max}",
             f"  boundary equalities at n = {equalities or 'none'}",
             f"  strict violations at n = {violations or 'none'}",
         ])
@@ -348,8 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="canonical-height lower-bound method",
     )
     p_bound.add_argument(
-        "--iterations", type=int, default=6,
-        help="telescoping depth for --hhat telescope",
+        "--iterations", type=int, help="telescoping depth for --hhat telescope (default 6)"
     )
     _add_knobs(p_bound, "output_format", "digit_budget")
     p_bound.set_defaults(func=cmd_bound)
@@ -357,10 +366,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="check one claim at one parameter point")
     p_verify.add_argument("theorem", choices=(*CLAIMS, "ezsig"))
     p_verify.add_argument("--d", type=int, required=True)
-    p_verify.add_argument("--e", type=int, default=None)
-    p_verify.add_argument("--c", default=None, help="rational constant, e.g. -7/3")
-    p_verify.add_argument("-N", type=int, default=None, help="horizon override")
-    p_verify.add_argument("--n-max", type=int, default=10_000, help="ezsig audit range")
+    p_verify.add_argument("--e", type=int)
+    p_verify.add_argument("--c", help="rational constant, e.g. -7/3")
+    p_verify.add_argument("-N", type=int, help="horizon override")
+    p_verify.add_argument("--n-max", type=int, help="ezsig audit range (default 10000)")
     _add_knobs(p_verify, "output_format", "digit_budget", "factor_rho_budget")
     p_verify.set_defaults(func=cmd_verify)
 

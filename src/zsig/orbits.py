@@ -69,6 +69,16 @@ class OrbitEntry:
         a = self.value.numerator
         return (a > 0) - (a < 0)
 
+    built = True  # a ``PendingEntry`` is not until its value is read
+
+    def compare(self, lhs: list, rhs: list, numerator: bool = False) -> int:
+        """The sign of |v| + sum(lhs) - sum(rhs), v the value (its numerator
+        with ``numerator``), for terms as ``compare_sums`` takes them."""
+        v = abs(self.A) if numerator else abs(self.value)
+        if not lhs and len(rhs) == 1 and len(rhs[0]) == 1 and rhs[0][0][1] == 1:
+            return (v > rhs[0][0][0]) - (v < rhs[0][0][0])  # against one rational: compare it
+        return compare_sums([[(v, 1)], *lhs], rhs)
+
 
 class PendingEntry(OrbitEntry):
     """Entry n = f(x), its iterate built only when ``value`` is first read.
@@ -99,12 +109,15 @@ class PendingEntry(OrbitEntry):
         return sum(terms) % modulus
 
     def compare(self, lhs: list, rhs: list, numerator: bool = False) -> int:
-        """The sign of |v| + sum(lhs) - sum(rhs) for v = A / B (v = A with
-        ``numerator``): both sides times m q^d (times g) against the terms of
-        acc.  0 where ``compare_sums(..., exact=False)`` leaves it undecided."""
-        unit = [(self.g, 1)] if numerator else self.den
-        lhs, rhs = ([*t, *unit] for t in lhs), ([*t, *unit] for t in rhs)
-        return compare_sums([*self.big, *lhs], [*self.small, *rhs], exact=False)
+        """``OrbitEntry.compare``, first from the terms of acc: both sides times
+        m q^d (times g with ``numerator``).  The value is built only where
+        ``compare_sums(..., exact=False)`` leaves the sign undecided."""
+        if not self.built:
+            unit = [(self.g, 1)] if numerator else self.den
+            lhs_, rhs_ = ([*t, *unit] for t in lhs), ([*t, *unit] for t in rhs)
+            if sign := compare_sums([*self.big, *lhs_], [*self.small, *rhs_], exact=False):
+                return sign
+        return super().compare(lhs, rhs, numerator)
 
 
 WANDERING = "wandering"
@@ -185,7 +198,7 @@ def _signed_terms(f: PolyQ, x: Fraction) -> tuple[list, list]:
 def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fraction | None:
     """f(x), or None when its numerator or denominator has B bits or more.
     Given the ``earlier`` values, ending in x, f(x) may instead come unbuilt
-    as a ``PendingEntry`` (see ``_pending``).
+    as a ``PendingEntry`` past ``_PENDING_BITS``.
 
     Write x = p/q, f = f1/m, d = deg f and acc = sum f1_i p^i q^(d-i), so that
     f(x) = acc / (m q^d) and the reducing gcd divides m gcd(acc, q^d).  Since
@@ -201,6 +214,8 @@ def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fractio
     B: bits(acc) <= max_i(bits(f1_i) + i bits(p) + (d-i) bits(q)) + (term
     count) and bits(m q^d) <= bits(m) + d bits(q).  So the screen runs only
     near the budget, and every early rejection is one the post-check makes.
+    Below B the post-check would pass, so an unbuilt entry needs only
+    G = |f1_d|, a sign and a denominator or |numerator| past every earlier one.
     """
     f1, m = f.cleared
     d = f1[0][0]
@@ -208,38 +223,27 @@ def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fractio
     bp, bq = abs(p).bit_length(), q.bit_length()
     ceiling = max(a.bit_length() + i * bp + (d - i) * bq for i, a in f1) + len(f1)
     ceiling = max(ceiling, m.bit_length() + d * bq)
-    if earlier and _PENDING_BITS < ceiling < B and (entry := _pending(f, earlier)):
-        return entry
+    pending = earlier is not None and _PENDING_BITS < ceiling < B
+    if pending or ceiling >= B:
+        G, (pos, neg) = _gcd_ceiling(f1, q), _signed_terms(f, x)
     if ceiling >= B:
-        G = _gcd_ceiling(f1, q)
-        if compare_sums([[(q, d)]], [[(2, B - 1), *G]], exact=False) > 0:
-            return None
-        pos, neg = _signed_terms(f, x)
         floor = [(2, B - 1), (m, 1), *G]
-        if (compare_sums(pos, [*neg, floor], exact=False) > 0
+        if (compare_sums([[(q, d)]], [[(2, B - 1), *G]], exact=False) > 0
+                or compare_sums(pos, [*neg, floor], exact=False) > 0
                 or compare_sums(neg, [*pos, floor], exact=False) > 0):
             return None
+    elif pending and G[0][1] == 1 and (sign := compare_sums(pos, neg, exact=False)):
+        entry = PendingEntry(len(earlier), f, x, *((pos, neg) if sign > 0 else (neg, pos)), sign)
+        B_max, A_max = max(v.denominator for v in earlier), max(abs(v.numerator) for v in earlier)
+        # bracket-only, like the sign: a near-tie builds f(x) once, below
+        g = (entry.g, 1)
+        if (compare_sums([entry.den], [[g, (B_max, 1)]], exact=False) > 0
+                or compare_sums(entry.big, [*entry.small, [g, (A_max, 1)]], exact=False) > 0):
+            return entry
     y = f.evaluate(x)
     if max(y.numerator.bit_length(), y.denominator.bit_length()) >= B:
         return None
     return y
-
-
-def _pending(f: PolyQ, values: list[Fraction]) -> PendingEntry | None:
-    """f of the last of ``values`` unbuilt, or None where it must be built.
-    ``_step`` asks only below B, so the post-check would pass; the entry needs
-    G = |f1_d| and a denominator or |numerator| past every earlier one."""
-    x = values[-1]
-    pos, neg = _signed_terms(f, x)
-    sign = compare_sums(pos, neg, exact=False)
-    if _gcd_ceiling(f.cleared[0], x.denominator)[0][1] > 1 or not sign:  # G = q^d
-        return None
-    entry = PendingEntry(len(values), f, x, *((pos, neg) if sign > 0 else (neg, pos)), sign)
-    B_max, A_max = max(v.denominator for v in values), max(abs(v.numerator) for v in values)
-    if (compare_sums([entry.den], [[(entry.g, 1), (B_max, 1)]], exact=False) > 0
-            or entry.compare([], [[(A_max, 1)]], numerator=True) > 0):
-        return entry
-    return None
 
 
 def orbit(
@@ -250,9 +254,9 @@ def orbit(
     if N < 1:
         raise ValueError("N must be >= 1")
     values = iterate_point(f, Fraction(0), N, digit_budget=digit_budget, lazy=lazy)
-    if isinstance(values[-1], PendingEntry):  # new and under budget: the orbit wanders
-        entries = [OrbitEntry(i, x) for i, x in enumerate(values[1:-1], 1)]
-        return Orbit(WANDERING, entries + values[-1:])
+    *head, last = values
+    if isinstance(last, PendingEntry):  # new and under budget: the orbit wanders
+        return Orbit(WANDERING, [OrbitEntry(i, x) for i, x in enumerate(head[1:], 1)] + [last])
     n = len(values) - 1
     entries = [OrbitEntry(i, x) for i, x in enumerate(values[1:], 1)]
     # a finite orbit ends on its first repeat, and a return to 0 repeats index 0
@@ -283,10 +287,8 @@ def iterate_point(
         x = _step(f, x, bits, values if lazy and k == 1 else None)
         if x is None:
             break
-        if isinstance(x, PendingEntry):
-            return values + [x]
         values.append(x)
-        if x in seen:
+        if isinstance(x, PendingEntry) or x in seen:  # an unbuilt entry is new
             break
         seen.add(x)
     return values

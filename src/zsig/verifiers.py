@@ -35,7 +35,7 @@ from .heights import (
     ingram_lower_bound,
     trinomial_family_lower,
 )
-from .orbits import DigitBudgetError, OrbitEntry, PendingEntry, orbit
+from .orbits import DigitBudgetError, OrbitEntry, orbit
 from .polynomials import PolyQ, parse_rational
 from .zsigmondy import zsigmondy_report_from_entries
 
@@ -167,7 +167,7 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
 
     Returns (entries, report, error).  A finite orbit yields an error string;
     a digit-budget stop truncates the horizon to what was computed.  The last
-    entry may come unbuilt (``orbits.PendingEntry``; see ``_size``).
+    entry may come unbuilt; ``OrbitEntry.compare`` answers its size questions.
     """
     try:
         orb = orbit(f, horizon, digit_budget=cfg.digit_budget, lazy=True)
@@ -185,26 +185,13 @@ def _observe(f: PolyQ, horizon: int, cfg: RunConfig):
     return entries, report, None
 
 
-def _size(x: OrbitEntry, lhs: list, rhs: list, numerator: bool = False) -> int:
-    """The sign of |v| + sum(lhs) - sum(rhs), v the entry's value (its
-    numerator with ``numerator``), for terms as ``compare_sums`` takes them.
-    An unbuilt entry is compared through the terms of its acc and is built
-    only when that leaves the sign undecided."""
-    if isinstance(x, PendingEntry) and not x.built and (sign := x.compare(lhs, rhs, numerator)):
-        return sign
-    v = abs(x.A) if numerator else abs(x.value)
-    if not lhs and len(rhs) == 1 and len(rhs[0]) == 1 and rhs[0][0][1] == 1:
-        return (v > rhs[0][0][0]) - (v < rhs[0][0][0])  # against one rational: compare it
-    return compare_sums([[(v, 1)], *lhs], rhs)
-
-
 def _divisibility_screen_inconclusive(entries: Sequence[OrbitEntry]) -> list[int]:
     """Indices n >= 2 where |A_n| <= prod |A_(n/q)| (the screen that should
     rule every index out for the emptiness claims fails to bite)."""
     A = [abs(x.A) for x in entries[:-1]]  # the last is no A_(n/q): leave it unbuilt
     return [
         n for n in range(2, len(entries) + 1)
-        if _size(entries[n - 1], [], [[(A[n // q - 1], 1) for q in distinct_primes(n)]], True) <= 0
+        if entries[n - 1].compare([], [[(A[n // q - 1], 1) for q in distinct_primes(n)]], True) <= 0
     ]
 
 
@@ -214,7 +201,7 @@ def _check_sandwich(
     """c_abs <= |f^n(0)| <= alpha^((d^(n-1)-1)/(d-1)) * c_abs, exactly."""
     for x in entries:
         k = (d ** (x.n - 1) - 1) // (d - 1)
-        if _size(x, [], [[(c_abs, 1)]]) < 0 or _size(x, [], [[(c_abs, 1), (alpha, k)]]) > 0:
+        if x.compare([], [[(c_abs, 1)]]) < 0 or x.compare([], [[(c_abs, 1), (alpha, k)]]) > 0:
             return False
     return True
 
@@ -225,7 +212,7 @@ def _check_sandwich(
 
 def _cor12_checks(f, d, e, c, entries) -> dict:
     # exact growth certificate: every computed iterate stays beyond 2
-    return {"growth_verified": all(_size(x, [], [[(2, 1)]]) > 0 for x in entries)}
+    return {"growth_verified": all(x.compare([], [[(2, 1)]]) > 0 for x in entries)}
 
 
 def _thm13_checks(f, d, e, c, entries) -> dict:
@@ -263,10 +250,10 @@ def _prop53_checks(f, d, e, c, entries) -> dict:
     return {
         "case": "even middle exponent",
         "confinement_verified": all(
-            x.sign < 0 and _size(x, [], [[(c_abs, 1)]]) <= 0 for x in entries
+            x.sign < 0 and x.compare([], [[(c_abs, 1)]]) <= 0 for x in entries
         ),
         "lower_bound_verified": all(
-            _size(x, [[(c_abs, e)]], [[(c_abs, 1)]]) >= 0 for x in entries[1:]
+            x.compare([[(c_abs, e)]], [[(c_abs, 1)]]) >= 0 for x in entries[1:]
         ),
     }
 
@@ -275,16 +262,16 @@ def _prop54_checks(f, d, e, c, entries) -> dict:
     # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1)); 3^k is never built
     c_abs = abs(c)
     upper_ok = all(
-        _size(x, [], [[(3, (d ** (x.n - 1) - 1) // (d - 1)), (c_abs, d ** (x.n - 1))]]) <= 0
+        x.compare([], [[(3, (d ** (x.n - 1) - 1) // (d - 1)), (c_abs, d ** (x.n - 1))]]) <= 0
         for x in entries
     )
     if d % 2 == 1:
         case = "odd degree"
-        growth_ok = all(x.sign < 0 and _size(x, [], [[(c_abs, 1)]]) >= 0 for x in entries)
+        growth_ok = all(x.sign < 0 and x.compare([], [[(c_abs, 1)]]) >= 0 for x in entries)
     else:
         case = "even degree and middle exponent"
         growth_ok = all(
-            x.sign > 0 and _size(x, [], [[(c_abs, d ** (x.n - 1))]]) >= 0 for x in entries[1:]
+            x.sign > 0 and x.compare([], [[(c_abs, d ** (x.n - 1))]]) >= 0 for x in entries[1:]
         )
     return {"upper_bound_verified": upper_ok, "case": case, "growth_verified": growth_ok}
 

@@ -17,7 +17,7 @@ The primes of L obey no such law, so the strip of A_n runs against |A_(n/q)|
 for the omega(n) primes q | n plus the small gcd(A_m, L) for each m < n.
 Without a polynomial (L = 0) the second list is every earlier |A_m|.
 
-A report without witnesses decides an unbuilt last entry (``PendingEntry``)
+A report without witnesses decides an unbuilt last entry (not ``built``)
 from residues when gcd(A_m, L) = 1 for m < N and the law of
 ``rigid_law_holds`` holds below N.  Then the primes of the A_(N/q) are those
 of P, the product of the S_k over k | N, k < N, and P is prime to L.  With
@@ -35,7 +35,7 @@ from typing import Sequence
 
 from .arith import distinct_primes, factor, v_p
 from .config import RunConfig
-from .orbits import OrbitEntry, PendingEntry, wandering_entries
+from .orbits import OrbitEntry, wandering_entries
 from .polynomials import PolyQ
 
 
@@ -132,7 +132,7 @@ def zsigmondy_report_from_entries(
     once, and only when it fails are violations listed at the witness primes.
     With ``witnesses=False`` nothing is factored unless it fails: witness lists
     and the k(p) table stay empty, and ``rigid_violations`` is the same either way.
-    A last ``PendingEntry`` is decided unbuilt where ``_unbuilt_primitive`` can.
+    An unbuilt last entry stays unbuilt where ``_unbuilt_primitive`` decides it.
     """
     if any(not e.sign for e in entries):
         raise ValueError("a zero numerator has no stripped part: the orbit returns to 0")
@@ -162,10 +162,10 @@ def zsigmondy_report_from_entries(
 
 
 def _unbuilt_primitive(entries: Sequence[OrbitEntry], stripped: Sequence[int], L: int) -> bool:
-    """Whether a last ``PendingEntry`` N is shown, unbuilt, to obey the law and
+    """Whether the last entry N, still unbuilt, is shown to obey the law and
     to have a primitive prime divisor (module docstring); ``stripped`` holds
     S_1 .. S_(N-1).  False leaves A_N to be built."""
-    if not (L and entries and isinstance(entries[-1], PendingEntry)):
+    if not (L and entries and not entries[-1].built):
         return False
     last, N = entries[-1], len(entries)
     if any(gcd(e.A, L) > 1 for e in entries[:-1]) or not rigid_law_holds(entries[:-1], stripped):

@@ -770,6 +770,38 @@ def test_a_command_takes_only_the_knob_flags_it_reads(capsys, command, flag):
         assert code == 2 and out == "" and f"unrecognized arguments: {flag}" in err
 
 
+def _assert_unread_flag(capsys, flag, *argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and flag in err
+
+
+@pytest.mark.parametrize("flag, value", [("--c", "5/2"), ("--e", "2"), ("-N", "5")])
+def test_verify_ezsig_rejects_a_claim_flag(capsys, flag, value):
+    _assert_unread_flag(capsys, flag, "verify", "ezsig", "--d", "3", flag, value)
+
+
+def test_verify_claim_rejects_n_max(capsys):
+    argv = ["verify", "thm13", "--d", "3", "--e", "2", "--c", "3", "--n-max", "5"]
+    _assert_unread_flag(capsys, "--n-max", *argv)
+
+
+def test_verify_cor12_rejects_e(capsys):
+    _assert_unread_flag(capsys, "--e", "verify", "cor12", "--d", "3", "--c", "5/2", "--e", "7")
+
+
+@pytest.mark.parametrize("hhat", ["ingram", "family"])
+def test_bound_rejects_iterations_outside_telescope(capsys, hhat):
+    argv = ["bound", "--coeffs", "5/2,0,1,0,1", "--hhat", hhat, "--iterations", "99"]
+    _assert_unread_flag(capsys, "--iterations", *argv)
+
+
+def test_verify_ezsig_prints_its_default_n_max(capsys):
+    # the default resolves where it is read, so an unread --n-max stays None
+    code, out, _ = run(capsys, "verify", "ezsig", "--d", "3", "--format", "json")
+    assert code == 0 and json.loads(out)["n_max"] == 10_000
+
+
 def test_readme_knob_table_matches_the_parser():
     lines = README.read_text().splitlines()
     start = lines.index("| flag | variable | orbit | zsig | bound | verify | sweep |")

@@ -14,6 +14,7 @@ from __future__ import annotations
 import math
 import os
 from fractions import Fraction as F
+from functools import cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -209,6 +210,61 @@ def test_a_pending_entry_holds_acc_and_its_gcd(monkeypatch, f):
     assert entry.residue(10**9 + 7) == acc % (10**9 + 7)
     assert not entry.built and entry.g == math.gcd(acc, m * q**d)
     assert acc == entry.g * entry.A and entry.built
+
+
+_COMPARED = [  # (f, N): f^N(0) comes unbuilt at a threshold of 0; A_N past _EXACT_BITS
+    (trinomial(4, 2, F(5, 2)), 7),
+    (trinomial(5, 3, F(-8, 5)), 6),
+    (PolyQ(((3, 2), (2, 1), (0, 3))), 8),
+    (trinomial(3, 2, F(-1, 3)), 9),
+]
+
+
+def _unbuilt(f: PolyQ, N: int) -> PendingEntry:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_PENDING_BITS", 0)
+        entry = orbit(f, N, lazy=True).entries[-1]
+    assert isinstance(entry, PendingEntry) and not entry.built
+    return entry
+
+
+@cache
+def _built_entry(i: int) -> OrbitEntry:
+    f, N = _COMPARED[i]
+    return orbit(f, N).entries[-1]
+
+
+@st.composite
+def _comparisons(draw):
+    """(which entry, lhs, rhs, numerator): small terms on both sides, and on
+    the right at times one term of about |v|, which ties or nearly ties it."""
+    i = draw(st.integers(0, len(_COMPARED) - 1))
+    numerator = draw(st.booleans())
+    v = abs(_built_entry(i).A) if numerator else abs(_built_entry(i).value)
+    base = st.fractions(0, 16, max_denominator=16)
+    terms = st.lists(st.lists(st.tuples(base, st.integers(0, 3)), max_size=2), max_size=2)
+    lhs, rhs = draw(terms), draw(terms)
+    if draw(st.booleans()):
+        rhs.append([(draw(st.sampled_from([v, v + 1, v - 1, F(v) / 2, 2 * v])), 1)])
+    return i, lhs, rhs, numerator
+
+
+@given(_comparisons())
+@settings(max_examples=60, deadline=None)
+def test_pending_compare_equals_the_built_compare(comparison):
+    i, lhs, rhs, numerator = comparison
+    entry = _unbuilt(*_COMPARED[i])
+    assert entry.compare(lhs, rhs, numerator) == _built_entry(i).compare(lhs, rhs, numerator)
+
+
+def test_a_near_tie_builds_the_pending_entry_for_the_exact_sign():
+    f, N = _COMPARED[0]
+    A = abs(_built_entry(0).A)
+    entry = _unbuilt(f, N)
+    assert entry.compare([], [[(A // 2, 1)]], numerator=True) == 1 and not entry.built
+    for rhs, sign in ((A - 1, 1), (A, 0), (A + 1, -1)):
+        entry = _unbuilt(f, N)
+        assert entry.compare([], [[(rhs, 1)]], numerator=True) == sign and entry.built
 
 
 def test_fallback_when_the_valuation_rule_is_refused():

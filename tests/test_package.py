@@ -61,3 +61,10 @@ def test_public_names_follow_a_tracer_install_and_uninstall():
         assert getattr(zsig, name) is originals[name] is _defining_object(name)
     # nothing is cached in the package, where a wrapper seen once would outlive uninstall
     assert not set(zsig.__all__) & set(vars(zsig))
+
+
+def test_only_orbits_names_the_unbuilt_entry_type():
+    # other modules ask an entry ``built`` and ``compare``; the source text is
+    # read, so an import added later fails too
+    modules = (SRC / "zsig").glob("*.py")
+    assert {path.stem for path in modules if "PendingEntry" in path.read_text()} == {"orbits"}
