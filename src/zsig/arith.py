@@ -231,27 +231,36 @@ def _exact_sign(lhs: Sequence[Term], rhs: Sequence[Term]) -> int:
     return (num > 0) - (num < 0)
 
 
+def sum_bracket(lhs: Sequence[Term], rhs: Sequence[Term]) -> tuple[int, int, int]:
+    """(lo, hi, e) with lo 2^e <= sum(lhs) - sum(rhs) <= hi 2^e, for sides as
+    ``compare_sums`` takes them.  Each term is bracketed as given, and both
+    sides are summed on the grid 2^e, _MANTISSA_BITS below the top term of
+    either side, so a degree-sized power is never built."""
+    highs = [[_term_bracket(t, True) for t in side] for side in (lhs, rhs)]
+    grid = max((m.bit_length() + s for m, s in chain(*highs) if m), default=0) - _MANTISSA_BITS
+    lhs_hi, rhs_hi = (_grid_sum(side, grid, True) for side in highs)
+    lhs_lo, rhs_lo = (_grid_sum([_term_bracket(t, False) for t in side], grid, False)
+                      for side in (lhs, rhs))
+    return lhs_lo - rhs_hi, lhs_hi - rhs_lo, grid
+
+
 def compare_sums(lhs: Sequence[Term], rhs: Sequence[Term], *, exact: bool = True) -> int:
     """The sign of sum(lhs) - sum(rhs), for sides of terms: lists of (b, k) pairs
     standing for prod(b^k), rationals b >= 0 and integers k >= 0 (an empty term
-    is 1, an empty side 0, and 0^0 = 1).  Past ``_EXACT_BITS``, each term is
-    bracketed as given, and disjoint sums of the brackets on one grid decide, so
-    a degree-sized power is never built.  Otherwise (small sides, a tie or a
-    near-tie) an exact integer sum of the same terms decides: no Fraction, no
-    float.  With ``exact=False`` a near-tie past ``_EXACT_BITS`` gives 0 instead,
-    for a screen that would build those sums anyway if it cannot decide.
+    is 1, an empty side 0, and 0^0 = 1).  Past ``_EXACT_BITS``, the sign of
+    ``sum_bracket`` decides where the bracket excludes 0.  Otherwise (small
+    sides, a tie or a near-tie) an exact integer sum of the same terms decides:
+    no Fraction, no float.  With ``exact=False`` a near-tie past
+    ``_EXACT_BITS`` gives 0 instead, for a screen that would build those sums
+    anyway if it cannot decide.
     """
     bits = 0
     for term in chain(lhs, rhs):
         for b, k in term:
             bits += (b.numerator.bit_length() + b.denominator.bit_length()) * k
     if bits > _EXACT_BITS:
-        highs = [[_term_bracket(t, True) for t in side] for side in (lhs, rhs)]
-        grid = max((m.bit_length() + s for m, s in chain(*highs) if m), default=0) - _MANTISSA_BITS
-        lhs_hi, rhs_hi = (_grid_sum(side, grid, True) for side in highs)
-        lhs_lo, rhs_lo = (_grid_sum([_term_bracket(t, False) for t in side], grid, False)
-                          for side in (lhs, rhs))
-        sign = (rhs_hi < lhs_lo) - (lhs_hi < rhs_lo)
+        lo, hi, _ = sum_bracket(lhs, rhs)
+        sign = (lo > 0) - (hi < 0)
         if sign or not exact:
             return sign
     return _exact_sign(lhs, rhs)

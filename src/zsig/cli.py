@@ -161,8 +161,9 @@ def cmd_zsig(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
-    if args.iterations is not None and args.hhat != "telescope":
-        raise ValueError("--iterations is read only by --hhat telescope")
+    unread = {"--iterations": args.iterations, "--digit-budget": args.digit_budget}
+    if args.hhat != "telescope" and (given := [k for k, v in unread.items() if v is not None]):
+        raise ValueError(f"{given[0]} is read only by --hhat telescope")
     f = _parse_target(args)
     gc = global_C(f)
     if args.hhat == "telescope":
@@ -208,7 +209,8 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     ezsig = args.theorem == "ezsig"
-    unread = {"--c": args.c, "--e": args.e, "-N": args.N} if ezsig else {"--n-max": args.n_max}
+    unread = {"--c": args.c, "--e": args.e, "-N": args.N, "--digit-budget": args.digit_budget,
+              "--rho-budget": args.factor_rho_budget} if ezsig else {"--n-max": args.n_max}
     if not ezsig and CLAIMS[args.theorem].family == BINOMIAL:
         unread["--e"] = args.e
     if given := [flag for flag, value in unread.items() if value is not None]:

@@ -5,6 +5,15 @@ terminate early when an iterate repeats (preperiodic) or returns to 0, and a
 digit budget guards against runaway growth (sizes scale like d^n digits).  An
 iterate is over the budget when A_n or B_n has B bits or more, B fixed by the
 budget; ``_step`` rejects one whose size provably reaches B before building it.
+
+With ``lazy`` (the verdict path) an iterate past ``_PENDING_BITS`` may stay
+unbuilt, as a ``PendingEntry`` that keeps a bracket lo <= |acc| <= hi of the
+Horner sum acc = g A_n: at the horizon, and where the next step may reach B.
+That step's screen then runs on the bracket: each of its inequalities puts
+terms increasing in |A_n| on both sides, taken at lo on the side that must
+be large and at hi on the side that must be small, so a rejection holds for
+the true A_n.  A case left open builds A_n and steps on as from any value,
+so every stop falls at the index it would with A_n built.
 """
 
 from __future__ import annotations
@@ -14,12 +23,12 @@ from fractions import Fraction
 from functools import cached_property
 from math import gcd
 
-from .arith import _EXACT_BITS, compare_sums
+from .arith import _EXACT_BITS, compare_sums, sum_bracket
 from .config import DEFAULT_DIGIT_BUDGET
 from .polynomials import PolyQ
 
 # Up to this size ceiling an iterate costs less to build than the comparisons
-# that stand in for it (they break even at 12k-25k bits for d = 3..5).
+# that stand in for it (they break even at 10k-16k bits for d = 3..5).
 _PENDING_BITS = 4 * _EXACT_BITS
 
 # decimal digits <= floor(bits * log10(2)) + 1
@@ -85,14 +94,19 @@ class PendingEntry(OrbitEntry):
 
     With x = p/q and f = f1/m of degree d, acc = sum f1_i p^i q^(d-i) is kept
     as its terms of sign ``sign`` (``big``) and of the other sign (``small``),
-    so |acc| = sum(big) - sum(small).  f(x) = acc / (m q^d) = A / B with
-    g = gcd(acc, m q^d) = |acc / A|.  Under ``_step``'s valuation rule g
-    divides K = m |f1_d|, so g = gcd(acc mod K, m q^d mod K, K).
+    so |acc| = sum(big) - sum(small), and as ``bracket`` = (lo, hi, e) with
+    lo 2^e <= |acc| <= hi 2^e, from one ``sum_bracket``.  f(x) = acc / (m q^d)
+    = A / B with g = gcd(acc, m q^d) = |acc / A|.  Under ``_step``'s valuation
+    rule g divides K = m |f1_d|, so g = gcd(acc mod K, m q^d mod K, K).
+    ``sign`` is 0 where the bracket leaves it open.
     """
 
-    def __init__(self, n: int, f: PolyQ, x: Fraction, big: list, small: list, sign: int):
+    def __init__(self, n: int, f: PolyQ, x: Fraction, pos: list, neg: list):
         object.__setattr__(self, "n", n)  # a frozen field
-        self.f, self.x, self.big, self.small, self._sign = f, x, big, small, sign
+        lo, hi, e = sum_bracket(pos, neg)
+        self.f, self.x, self._sign = f, x, (lo > 0) - (hi < 0)
+        self.big, self.small = (neg, pos) if self._sign < 0 else (pos, neg)
+        self.bracket = (-hi, -lo, e) if self._sign < 0 else (lo, hi, e)
         (f1, m), q, d = f.cleared, x.denominator, f.degree
         K = m * abs(f1[0][1])
         self.g = gcd(self.residue(K), m * pow(q, d, K), K)
@@ -108,14 +122,23 @@ class PendingEntry(OrbitEntry):
         terms = (a * pow(p, i, modulus) * pow(q, d - i, modulus) for i, a in self.f.cleared[0])
         return sum(terms) % modulus
 
-    def compare(self, lhs: list, rhs: list, numerator: bool = False) -> int:
-        """``OrbitEntry.compare``, first from the terms of acc: both sides times
-        m q^d (times g with ``numerator``).  The value is built only where
-        ``compare_sums(..., exact=False)`` leaves the sign undecided."""
+    def den_residue(self, modulus: int) -> int:
+        """B mod ``modulus``, from m q^d mod g ``modulus`` (B = m q^d / g)."""
+        (_, m), mod = self.f.cleared, self.g * modulus
+        return m * pow(self.x.denominator, self.f.degree, mod) % mod // self.g
+
+    def compare(self, lhs: list, rhs: list, numerator: bool = False, exact: bool = True) -> int:
+        """``OrbitEntry.compare``, first from ``bracket``: the other terms, times
+        m q^d (times g with ``numerator``), are bracketed on their own and added
+        to it.  The value is built only where that leaves the sign undecided;
+        with ``exact=False`` such a sign is 0 and nothing is built."""
         if not self.built:
             unit = [(self.g, 1)] if numerator else self.den
-            lhs_, rhs_ = ([*t, *unit] for t in lhs), ([*t, *unit] for t in rhs)
-            if sign := compare_sums([*self.big, *lhs_], [*self.small, *rhs_], exact=False):
+            lo, hi, e = sum_bracket([[*t, *unit] for t in lhs], [[*t, *unit] for t in rhs])
+            acc_lo, acc_hi, acc_e = self.bracket
+            s = min(e, acc_e)  # the finer grid: both sums are exact on it
+            lo, hi = (acc_lo << acc_e - s) + (lo << e - s), (acc_hi << acc_e - s) + (hi << e - s)
+            if (sign := (lo > 0) - (hi < 0)) or not exact:
                 return sign
         return super().compare(lhs, rhs, numerator)
 
@@ -172,6 +195,8 @@ def _gcd_ceiling(f1: tuple[tuple[int, int], ...], q: int) -> list[tuple[int, int
     ``f1`` holds the (degree, coefficient) pairs of the cleared polynomial,
     leading term first.  G = |f1_d| when the leading term of acc has the
     strictly smallest valuation at every prime of gcd(q, f1_d), else q^d.
+    That test reads q only modulo f1_d^2.  G has exponent 1 only where
+    |f1_d| holds: at d = 1 it always does, as gcd(acc, q) = gcd(f1_1, q).
     """
     d, lead = f1[0][0], abs(f1[0][1])
     # at a prime r of gcd(q0, f1_d) (those of gcd(q, f1_d)), v_r(f1_d) < cap
@@ -184,21 +209,39 @@ def _gcd_ceiling(f1: tuple[tuple[int, int], ...], q: int) -> list[tuple[int, int
     return [(lead, 1)] if pow(t // gcd(t, lead), cap, gcd(q0, lead)) == 0 else [(q, d)]
 
 
-def _signed_terms(f: PolyQ, x: Fraction) -> tuple[list, list]:
-    """acc's terms of sign +1 and of sign -1, each a product of powers."""
-    f1, d = f.cleared[0], f.degree
-    p, q = x.numerator, x.denominator
-    pos, neg = [], []
+def _pow(term: list, k: int) -> list:  # the k-th power of a product of powers
+    return [(b, j * k) for b, j in term]
+
+
+def _signed_terms(f1: tuple, negative: bool, p: list, q: list) -> tuple[list, list]:
+    """acc's terms of sign +1 and of sign -1, each a product of powers, for
+    x = -p/q if ``negative`` else p/q, p >= 0 and q > 0 products of powers."""
+    d, pos, neg = f1[0][0], [], []
     for i, a in f1:
-        side = neg if (a < 0) != (p < 0 and i % 2 == 1) else pos
-        side.append([(abs(a), 1), (abs(p), i), (q, d - i)])
+        side = neg if (a < 0) != (negative and i % 2 == 1) else pos
+        side.append([(abs(a), 1), *_pow(p, i), *_pow(q, d - i)])
     return pos, neg
 
 
-def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fraction | None:
+def _over_budget(B: int, m: int, G: list, qd: list, low: tuple, high: tuple) -> bool:
+    """The screen of ``_step``: whether q^d > 2^(B-1) G or |acc| > 2^(B-1) m G,
+    given G and q^d as products of powers and the signed terms of acc at a
+    lower (``low``) and an upper (``high``) bound of |p|.  Each side that must
+    be large takes ``low`` and each side that must be small takes ``high``, so
+    a rejection holds for every |p| in between.  A near-tie rejects nothing."""
+    floor = [(2, B - 1), (m, 1), *G]
+    return (compare_sums([qd], [[(2, B - 1), *G]], exact=False) > 0
+            or compare_sums(low[0], [*high[1], floor], exact=False) > 0
+            or compare_sums(low[1], [*high[0], floor], exact=False) > 0)
+
+
+def _step(
+    f: PolyQ, x: Fraction, B: int, earlier: list | None = None, last: bool = True
+) -> Fraction | None:
     """f(x), or None when its numerator or denominator has B bits or more.
     Given the ``earlier`` values, ending in x, f(x) may instead come unbuilt
-    as a ``PendingEntry`` past ``_PENDING_BITS``.
+    as a ``PendingEntry`` past ``_PENDING_BITS``: if it is the ``last`` step,
+    or if the next step's size ceiling may reach B.
 
     Write x = p/q, f = f1/m, d = deg f and acc = sum f1_i p^i q^(d-i), so that
     f(x) = acc / (m q^d) and the reducing gcd divides m gcd(acc, q^d).  Since
@@ -216,6 +259,9 @@ def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fractio
     near the budget, and every early rejection is one the post-check makes.
     Below B the post-check would pass, so an unbuilt entry needs only
     G = |f1_d|, a sign and a denominator or |numerator| past every earlier one.
+    Its bits are at most the ceiling C, so the next step's ceiling is at most
+    d C + bits(max(m, |f1_i|)) + (term count); ``_unbuilt_over_budget`` runs
+    that step's screen on the entry's bracket.
     """
     f1, m = f.cleared
     d = f1[0][0]
@@ -223,22 +269,21 @@ def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fractio
     bp, bq = abs(p).bit_length(), q.bit_length()
     ceiling = max(a.bit_length() + i * bp + (d - i) * bq for i, a in f1) + len(f1)
     ceiling = max(ceiling, m.bit_length() + d * bq)
-    pending = earlier is not None and _PENDING_BITS < ceiling < B
+    reach = d * ceiling + max(m, *(abs(a) for _, a in f1)).bit_length() + len(f1)
+    pending = earlier is not None and _PENDING_BITS < ceiling < B and (last or reach >= B)
     if pending or ceiling >= B:
-        G, (pos, neg) = _gcd_ceiling(f1, q), _signed_terms(f, x)
+        G, terms = _gcd_ceiling(f1, q), _signed_terms(f1, p < 0, [(abs(p), 1)], [(q, 1)])
     if ceiling >= B:
-        floor = [(2, B - 1), (m, 1), *G]
-        if (compare_sums([[(q, d)]], [[(2, B - 1), *G]], exact=False) > 0
-                or compare_sums(pos, [*neg, floor], exact=False) > 0
-                or compare_sums(neg, [*pos, floor], exact=False) > 0):
+        if _over_budget(B, m, G, [(q, d)], terms, terms):
             return None
-    elif pending and G[0][1] == 1 and (sign := compare_sums(pos, neg, exact=False)):
-        entry = PendingEntry(len(earlier), f, x, *((pos, neg) if sign > 0 else (neg, pos)), sign)
+    elif pending and G[0][1] == 1:
+        entry = PendingEntry(len(earlier), f, x, *terms)
         B_max, A_max = max(v.denominator for v in earlier), max(abs(v.numerator) for v in earlier)
         # bracket-only, like the sign: a near-tie builds f(x) once, below
-        g = (entry.g, 1)
-        if (compare_sums([entry.den], [[g, (B_max, 1)]], exact=False) > 0
-                or compare_sums(entry.big, [*entry.small, [g, (A_max, 1)]], exact=False) > 0):
+        if entry.sign and (
+            compare_sums([entry.den], [[(entry.g, 1), (B_max, 1)]], exact=False) > 0
+            or entry.compare([], [[(A_max, 1)]], numerator=True, exact=False) > 0
+        ):
             return entry
     y = f.evaluate(x)
     if max(y.numerator.bit_length(), y.denominator.bit_length()) >= B:
@@ -246,21 +291,36 @@ def _step(f: PolyQ, x: Fraction, B: int, earlier: list | None = None) -> Fractio
     return y
 
 
+def _unbuilt_over_budget(f: PolyQ, x: PendingEntry, B: int) -> bool:
+    """``_step``'s screen for f(x), x = A/B' unbuilt: x = f(p/q), so g |A| = |acc|
+    lies in x's ``bracket`` [lo 2^e, hi 2^e] and g B' = m q^d.  Every term of
+    the next acc has degree d in (A, B'), so the screen times g^d reads the
+    same on g |A| and g B', with g^d G for G.  The valuation rule reads B'
+    only mod f1_d^2.  False leaves x to be built."""
+    f1, m = f.cleared
+    d, g, (lo, hi, e) = f1[0][0], x.g, x.bracket
+    G = _gcd_ceiling(f1, x.den_residue(f1[0][1] ** 2))
+    G = [(abs(f1[0][1]), 1), (g, d)] if G[0][1] == 1 else _pow(x.den, d)
+    two = (2, e) if e >= 0 else (Fraction(1, 2), -e)
+    low, high = (_signed_terms(f1, x.sign < 0, [(b, 1), two], x.den) for b in (lo, hi))
+    return _over_budget(B, m, G, _pow(x.den, d), low, high)
+
+
 def orbit(
     f: PolyQ, N: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET, lazy: bool = False
 ) -> Orbit:
     """Compute f^1(0) .. f^N(0), stopping early on a finite orbit.  With
-    ``lazy``, entry N may be a ``PendingEntry`` (see ``iterate_point``)."""
+    ``lazy``, the last entry may be a ``PendingEntry`` (see ``iterate_point``),
+    also when it ends the orbit at a budget stop."""
     if N < 1:
         raise ValueError("N must be >= 1")
     values = iterate_point(f, Fraction(0), N, digit_budget=digit_budget, lazy=lazy)
-    *head, last = values
-    if isinstance(last, PendingEntry):  # new and under budget: the orbit wanders
-        return Orbit(WANDERING, [OrbitEntry(i, x) for i, x in enumerate(head[1:], 1)] + [last])
     n = len(values) - 1
-    entries = [OrbitEntry(i, x) for i, x in enumerate(values[1:], 1)]
-    # a finite orbit ends on its first repeat, and a return to 0 repeats index 0
-    first = values.index(values[-1])
+    entries = [x if isinstance(x, PendingEntry) else OrbitEntry(i, x)
+               for i, x in enumerate(values[1:], 1)]
+    # a finite orbit ends on its first repeat, and a return to 0 repeats index 0;
+    # an unbuilt entry is new
+    first = n if isinstance(values[-1], PendingEntry) else values.index(values[-1])
     if first == n:
         if n < N:
             raise DigitBudgetError(
@@ -280,17 +340,26 @@ def iterate_point(
     On budget exhaustion the values computed so far are returned (callers use
     the deepest iterate they got).  A finite orbit stops at its first repeated
     value, which ends the list: every later iterate repeats one already there.
-    With ``lazy``, f^N(x) may come unbuilt, as a ``PendingEntry`` (``_step``).
+    With ``lazy``, an iterate may come unbuilt, as a ``PendingEntry`` (``_step``).
+    The next step's budget screen then runs on it (``_unbuilt_over_budget``):
+    a rejection ends the list with it unbuilt, and otherwise it is built and
+    the step runs as on any value.  So only the last item can be unbuilt.
     """
     values, seen, bits = [x], {x}, _budget_bits(digit_budget)
     for k in range(N, 0, -1):
-        x = _step(f, x, bits, values if lazy and k == 1 else None)
+        if isinstance(x, PendingEntry):
+            if _unbuilt_over_budget(f, x, bits):
+                break
+            x = values[-1] = x.value
+            seen.add(x)
+        x = _step(f, x, bits, values if lazy else None, k == 1)
         if x is None:
             break
         values.append(x)
-        if isinstance(x, PendingEntry) or x in seen:  # an unbuilt entry is new
-            break
-        seen.add(x)
+        if not isinstance(x, PendingEntry):  # an unbuilt entry is new
+            if x in seen:
+                break
+            seen.add(x)
     return values
 
 

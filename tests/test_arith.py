@@ -14,6 +14,7 @@ from zsig.arith import (
     _mr_witness,
     compare_sums,
     distinct_primes,
+    sum_bracket,
     trial_division,
 )
 
@@ -329,6 +330,17 @@ def test_compare_sums_matches_fraction_sums(lhs, rhs):
     assert compare_sums(lhs, rhs) == _sign(left - right)
     assert compare_sums(rhs, lhs) == _sign(right - left)
     assert compare_sums(lhs + rhs, rhs[::-1] + lhs[::-1]) == 0
+
+
+@settings(deadline=None)
+@given(_sides, _sides)
+@example([[(Fraction(1, 3), 5000)]], [])  # a grid below 2^0
+@example([[(2**200, 60)], [(1, 1)]], [[(2**200, 60)]])
+def test_sum_bracket_holds_the_exact_difference(lhs, rhs):
+    # compare_sums reads its sign from this bracket, and an unbuilt orbit
+    # entry keeps it for every size question about its Horner sum
+    lo, hi, e = sum_bracket(lhs, rhs)
+    assert lo * Fraction(2) ** e <= _fraction_sum(lhs) - _fraction_sum(rhs) <= hi * Fraction(2) ** e
 
 
 @settings(max_examples=10, deadline=None)

@@ -796,6 +796,28 @@ def test_bound_rejects_iterations_outside_telescope(capsys, hhat):
     _assert_unread_flag(capsys, "--iterations", *argv)
 
 
+@pytest.mark.parametrize("flag", ["--rho-budget", "--digit-budget"])
+def test_verify_ezsig_rejects_a_budget_flag(capsys, flag):
+    # the audit factors nothing and builds no orbit
+    _assert_unread_flag(capsys, flag, "verify", "ezsig", "--d", "3", "--n-max", "10", flag, "5")
+
+
+@pytest.mark.parametrize("hhat", ["ingram", "family"])
+def test_bound_rejects_digit_budget_outside_telescope(capsys, hhat):
+    argv = ["bound", "--coeffs", "7/2,0,0,1", "--hhat", hhat, "--digit-budget", "1"]
+    _assert_unread_flag(capsys, "--digit-budget", *argv)
+
+
+def test_budget_variables_still_hold_where_their_flags_are_refused(capsys, monkeypatch):
+    monkeypatch.setenv("ZSIG_DIGIT_BUDGET", "5")
+    monkeypatch.setenv("ZSIG_FACTOR_RHO_BUDGET", "5")
+    assert run(capsys, "verify", "ezsig", "--d", "3", "--n-max", "10")[0] == 0
+    assert run(capsys, "bound", "--coeffs", "7/2,0,0,1", "--hhat", "ingram")[0] == 0
+    monkeypatch.setenv("ZSIG_DIGIT_BUDGET", "0")
+    code, out, err = run(capsys, "bound", "--coeffs", "7/2,0,0,1", "--hhat", "ingram")
+    assert code == 2 and out == "" and "digit_budget must be positive" in err
+
+
 def test_verify_ezsig_prints_its_default_n_max(capsys):
     # the default resolves where it is read, so an unread --n-max stays None
     code, out, _ = run(capsys, "verify", "ezsig", "--d", "3", "--format", "json")

@@ -2,11 +2,12 @@
 
 On the verdict-only path (``verify`` and ``sweep``) the orbit leaves f^N(0)
 unbuilt, as an ``orbits.PendingEntry``, wherever its size ceiling is past
-``orbits._PENDING_BITS``.  The report and every claim check then read it
-through residues and the signed terms of acc, and build it only where those
-cannot decide.  These tests pin that every verdict is the one the built
-iterate gives, that each fallback builds it, and that the README grid at
-horizon 10 builds no last iterate on the points that reach it.
+``orbits._PENDING_BITS``; N is the horizon, or the last index kept under the
+digit budget, whose next step's screen then runs on the entry's bracket.
+The report and every claim check read it through residues and a bracket of
+acc, and build it only where those cannot decide.  These tests pin that
+every verdict is the one the built iterate gives, that each fallback builds
+it, and that the README grid at horizon 10 builds no last iterate.
 """
 
 from __future__ import annotations
@@ -17,12 +18,12 @@ from fractions import Fraction as F
 from functools import cache
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from zsig import orbits
-from zsig.orbits import OrbitEntry, PendingEntry, orbit
+from zsig.orbits import DigitBudgetError, OrbitEntry, PendingEntry, orbit
 from zsig.polynomials import PolyQ
-from zsig.verifiers import BINOMIAL, CLAIMS, SweepSpec, run_sweep, trinomial, verify
+from zsig.verifiers import BINOMIAL, CLAIMS, SweepSpec, classify_point, run_sweep, trinomial, verify
 from zsig.zsigmondy import zsigmondy_report_from_entries
 from tests.conftest import LEAN
 from tests.test_acceptance import TRINOMIAL_CS, TRINOMIAL_DES
@@ -193,6 +194,19 @@ def test_a_repeat_at_the_last_index_is_built():
     assert lazy == orbit(f, 3) and lazy.kind == "preperiodic"
 
 
+def test_a_repeat_of_an_entry_built_for_the_next_screen_is_found():
+    # z^2 + 3z - 3: 0, -3, -3.  At 3 digits step 2 may reach the budget, so
+    # f(0) comes unbuilt; step 2's screen builds it, and f(-3) repeats it
+    f = PolyQ(((2, 1), (1, 3), (0, -3)))
+    screened, screen = [], orbits._unbuilt_over_budget
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_PENDING_BITS", 0)
+        mp.setattr(orbits, "_unbuilt_over_budget", lambda *a: screened.append(a[1].n) or screen(*a))
+        lazy = orbit(f, 5, digit_budget=3, lazy=True)
+    assert screened == [1] and lazy == orbit(f, 5, digit_budget=3)
+    assert (lazy.kind, lazy.tail, lazy.period) == ("preperiodic", 1, 1)
+
+
 @pytest.mark.parametrize("f", [
     trinomial(4, 2, F(5, 2)),  # g = 2
     trinomial(5, 3, F(-8, 5)),
@@ -208,6 +222,7 @@ def test_a_pending_entry_holds_acc_and_its_gcd(monkeypatch, f):
     terms = [sum(math.prod(b**k for b, k in t) for t in side) for side in (entry.big, entry.small)]
     assert terms[0] - terms[1] == abs(acc)
     assert entry.residue(10**9 + 7) == acc % (10**9 + 7)
+    assert entry.den_residue(10**9 + 7) == m * q**d // entry.g % (10**9 + 7)
     assert not entry.built and entry.g == math.gcd(acc, m * q**d)
     assert acc == entry.g * entry.A and entry.built
 
@@ -217,6 +232,7 @@ _COMPARED = [  # (f, N): f^N(0) comes unbuilt at a threshold of 0; A_N past _EXA
     (trinomial(5, 3, F(-8, 5)), 6),
     (PolyQ(((3, 2), (2, 1), (0, 3))), 8),
     (trinomial(3, 2, F(-1, 3)), 9),
+    (trinomial(4, 3, F(-5, 4)), 7),  # x < 0: the sign of x splits the next acc's terms
 ]
 
 
@@ -255,6 +271,26 @@ def test_pending_compare_equals_the_built_compare(comparison):
     i, lhs, rhs, numerator = comparison
     entry = _unbuilt(*_COMPARED[i])
     assert entry.compare(lhs, rhs, numerator) == _built_entry(i).compare(lhs, rhs, numerator)
+
+
+def test_the_next_step_screen_on_a_bracket():
+    # step N + 1's screen on the unbuilt f^N(0) answers as it does on the
+    # built value at every budget near the size S of f^(N+1)(0); on a bracket
+    # widened 2^20-fold both ways it still rejects no budget that fits it
+    for i, (f, N) in enumerate(_COMPARED):
+        entry, x = _unbuilt(f, N), _built_entry(i).value
+        (f1, m), p, q, d = f.cleared, x.numerator, x.denominator, f.degree
+        terms = orbits._signed_terms(f1, p < 0, [(abs(p), 1)], [(q, 1)])
+        G, y = orbits._gcd_ceiling(f1, q), f.evaluate(x)
+        S = max(y.numerator.bit_length(), y.denominator.bit_length())
+        for B in range(S - 64, S + 64):
+            built = orbits._over_budget(B, m, G, [(q, d)], terms, terms)
+            assert orbits._unbuilt_over_budget(f, entry, B) == built, (i, B)
+        lo, hi, e = entry.bracket
+        entry.bracket = (lo >> 20, hi << 20, e)
+        assert orbits._unbuilt_over_budget(f, entry, S // 2)
+        assert not any(orbits._unbuilt_over_budget(f, entry, B) for B in range(S + 1, S + 129))
+        assert not entry.built
 
 
 def test_a_near_tie_builds_the_pending_entry_for_the_exact_sign():
@@ -304,13 +340,16 @@ def test_fallback_at_a_ceiling_of_at_most_the_pending_bits(monkeypatch):
     assert verify(claim, d, c, e, LEAN, N) == want and len(calls) == N
 
 
+_README_GRID = {
+    "family": "z^d+z^e+c", "d": [3, 4, 5], "e": [2, 3], "c": ["5/2", "-3/2"],
+    "horizon": 10, "budgets": {"factor_rho_budget": 200000},
+}
+
+
 def test_readme_grid_at_horizon_10_builds_no_last_iterate(monkeypatch):
     # a work count, not a timing: the last iterates of the d <= 4 points reach
     # 430k-645k bits, the unbuilt ones stop at index 9 (under 170k bits)
-    spec = SweepSpec.from_dict({
-        "family": "z^d+z^e+c", "d": [3, 4, 5], "e": [2, 3], "c": ["5/2", "-3/2"],
-        "horizon": 10, "budgets": {"factor_rho_budget": 200000},
-    })
+    spec = SweepSpec.from_dict(_README_GRID)
     calls = _counting(monkeypatch)
     verdicts = run_sweep(spec, LEAN)
     reached = [v for v in verdicts if v.details["horizon_used"] == 10]
@@ -318,3 +357,70 @@ def test_readme_grid_at_horizon_10_builds_no_last_iterate(monkeypatch):
     for v in reached:
         bits = [b for poly, b in calls if poly == v.polynomial]
         assert len(bits) == 9 and max(bits) < 400_000, v.polynomial
+
+
+def test_readme_grid_at_horizon_10_decides_its_budget_stops_unbuilt(monkeypatch):
+    # a work count, not a timing: each d = 5 point stops on the digit budget
+    # and leaves its last kept iterate unbuilt, since the next step's screen
+    # rejects on its bracket; built, those four reached 135k-607k bits
+    spec = SweepSpec.from_dict(_README_GRID)
+    calls = _counting(monkeypatch)
+    verdicts = run_sweep(spec, LEAN)
+    stopped = [v for v in verdicts if v.details["horizon_used"] < 10]
+    assert [v.details["horizon_used"] for v in stopped] == [8, 9, 8, 8]
+    for v in stopped:
+        builds = [b for poly, b in calls if poly == v.polynomial]
+        assert len(builds) == v.details["horizon_used"] - 1, v.polynomial
+    assert len(calls) == 83 and max(b for _, b in calls) == 161_283
+    monkeypatch.undo()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orbits, "_PENDING_BITS", math.inf)
+        assert run_sweep(spec, LEAN) == verdicts
+
+
+def _stop(f: PolyQ, N: int, budget: int, lazy: bool) -> list:
+    with pytest.raises(DigitBudgetError) as exc:
+        orbit(f, N, digit_budget=budget, lazy=lazy)
+    return exc.value.entries
+
+
+@pytest.mark.parametrize("d, e, c, n, unbuilt", [
+    (5, 2, F(5, 2), 8, True),  # the screen rejects step 9 on A_8's bracket
+    (5, 3, F(-3, 2), 8, True),
+    (5, 3, F(5, 2), 8, False),  # A_9 has exactly B bits: too close for the bracket
+])
+def test_budget_boundary_with_an_unbuilt_predecessor(d, e, c, n, unbuilt):
+    # the budget boundary of step n + 1, whose predecessor A_n is a candidate
+    # to stay unbuilt: B at the size S of f^(n+1)(0) rejects it, B past S keeps it
+    f = trinomial(d, e, c)
+    y = orbit(f, n + 1, digit_budget=10**7).entries[-1].value
+    S = max(y.numerator.bit_length(), y.denominator.bit_length())
+    digits = orbits._digits_for_bits(S)
+    for budget, kept in ((digits - 1, n), (digits, n + 1)):
+        assert (orbits._budget_bits(budget) > S) is (kept == n + 1)
+        lazy, eager = _stop(f, n + 3, budget, True), _stop(f, n + 3, budget, False)
+        assert len(lazy) == len(eager) == kept
+        last = lazy[-1]
+        assert (isinstance(last, PendingEntry) and not last.built) is (unbuilt and kept == n)
+        assert [x.value for x in lazy] == [x.value for x in eager]
+
+
+@st.composite
+def _budget_points(draw):
+    """(claim, d, e, c, digit budget) over z^d + z^e + c, with stops past
+    ``orbits._PENDING_BITS``: 5,000 digits are about 16,600 bits."""
+    d = draw(st.integers(3, 6))
+    e = draw(st.integers(2, d - 1))
+    c = F(draw(st.integers(-30, 30)), draw(st.integers(1, 9)))
+    claim = classify_point(d, e, c)
+    assume(claim is not None)
+    return claim, d, e, c, draw(st.integers(5_000, 60_000))
+
+
+@given(_budget_points())
+@settings(max_examples=25, deadline=None)
+def test_budget_stops_unbuilt_give_the_built_verdict(point):
+    claim, d, e, c, budget = point
+    cfg = LEAN.with_overrides(digit_budget=budget)
+    want = _built(claim, d, c, e, cfg, 12)
+    assert verify(claim, d, c, e, cfg, 12) == want
