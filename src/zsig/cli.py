@@ -413,9 +413,5 @@ def main(argv: list[str] | None = None) -> int:
         return codes.get(type(exc), EXIT_PARSE)
 
 
-def entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    entry()
+    sys.exit(main())

@@ -93,9 +93,8 @@ class PendingEntry(OrbitEntry):
     """Entry n = f(x), its iterate built only when ``value`` is first read.
 
     With x = p/q and f = f1/m of degree d, acc = sum f1_i p^i q^(d-i) is kept
-    as its terms of sign ``sign`` (``big``) and of the other sign (``small``),
-    so |acc| = sum(big) - sum(small), and as ``bracket`` = (lo, hi, e) with
-    lo 2^e <= |acc| <= hi 2^e, from one ``sum_bracket``.  f(x) = acc / (m q^d)
+    as ``bracket`` = (lo, hi, e) with lo 2^e <= |acc| <= hi 2^e, from one
+    ``sum_bracket`` of its positive and negative terms.  f(x) = acc / (m q^d)
     = A / B with g = gcd(acc, m q^d) = |acc / A|.  Under ``_step``'s valuation
     rule g divides K = m |f1_d|, so g = gcd(acc mod K, m q^d mod K, K).
     ``sign`` is 0 where the bracket leaves it open.
@@ -105,7 +104,6 @@ class PendingEntry(OrbitEntry):
         object.__setattr__(self, "n", n)  # a frozen field
         lo, hi, e = sum_bracket(pos, neg)
         self.f, self.x, self._sign = f, x, (lo > 0) - (hi < 0)
-        self.big, self.small = (neg, pos) if self._sign < 0 else (pos, neg)
         self.bracket = (-hi, -lo, e) if self._sign < 0 else (lo, hi, e)
         (f1, m), q, d = f.cleared, x.denominator, f.degree
         K = m * abs(f1[0][1])

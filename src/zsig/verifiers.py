@@ -18,10 +18,9 @@ as unit-numerator exceptions rather than inconsistencies.
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 from math import gcd
 from typing import Callable, Container, Iterator, Sequence
 
@@ -428,53 +427,6 @@ def _run_point(args) -> tuple[str, TheoremVerdict]:
     return key, verify(theorem_id, d, c, e, cfg, horizon)
 
 
-# Largest number of points in one pool task.  Chunks grow 1, 2, 4, ... up to
-# it, so the first verdict waits for one point, a short grid of heavy points
-# still reaches every worker, and a long grid pays one dispatch per _CHUNK.
-_CHUNK = 32
-
-
-def _run_chunk(chunk: list) -> list[tuple[str, TheoremVerdict]]:
-    return [_run_point(task) for task in chunk]
-
-
-def _pool(workers: int):
-    """A process pool of ``workers``; only a pooled sweep imports one.  Its
-    workers ignore SIGINT, so a Ctrl-C to the process group stops the parent alone."""
-    import signal
-    from concurrent.futures import ProcessPoolExecutor
-
-    ignore = (signal.SIGINT, signal.SIG_IGN)
-    return ProcessPoolExecutor(workers, initializer=signal.signal, initargs=ignore)
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-def _pooled(workers: int, tasks: Iterator) -> Iterator[tuple[str, TheoremVerdict]]:
-    """``_run_point`` of each task, in order, over a pool of ``workers``.
-
-    At most 2 x workers chunks are in flight, so the walk is read only as far
-    as the window reaches; closing the generator cancels the queued chunks
-    and waits for the running ones.
-    """
-    sizes = chain((2**i for i in range(_CHUNK.bit_length() - 1)), repeat(_CHUNK))
-    chunks = iter(lambda: list(islice(tasks, next(sizes))), [])
-    pool = _pool(workers)
-    try:
-        window = deque(pool.submit(_run_chunk, c) for c in islice(chunks, 2 * workers))
-        while window:
-            results = window.popleft().result()
-            window.extend(pool.submit(_run_chunk, c) for c in islice(chunks, 1))
-            yield from results
-    finally:
-        pool.shutdown(cancel_futures=True)
-
-
 def iter_sweep(
     spec: SweepSpec, config: RunConfig | None = None, done: Container[str] = frozenset()
 ):
@@ -483,8 +435,8 @@ def iter_sweep(
     Each grid point is classified and keyed once, here; a point whose key is
     in ``done`` is skipped (resume support).  The serial path computes one
     point per verdict taken; the pool path reads the walk at most
-    2 x workers x _CHUNK points ahead.  Per-point failures are captured inside
-    the verdicts, never aborting the sweep.
+    2 x workers x ``pool._CHUNK`` points ahead.  Per-point failures are
+    captured inside the verdicts, never aborting the sweep.
     """
     cfg = (config or RunConfig()).with_overrides(**dict(spec.budgets))
 
@@ -495,11 +447,17 @@ def iter_sweep(
             if key not in done:
                 yield key, theorem_id, d, e, c, spec.horizon, cfg
 
-    # fork starts every worker at once: never more than points to do or usable CPUs
+    # the pool forks every worker at once: never more than points to do or
+    # usable CPUs, and none where the platform cannot fork
     stream = tasks()
-    first = list(islice(stream, min(cfg.workers, _usable_cpus())))
+    workers = cfg.workers if hasattr(os, "fork") else 1
+    if workers > 1:
+        from . import pool
+
+        workers = min(workers, pool.usable_cpus())
+    first = list(islice(stream, workers))
     if len(first) > 1:
-        yield from _pooled(len(first), chain(first, stream))
+        yield from pool.imap(_run_point, len(first), chain(first, stream))
     else:
         yield from map(_run_point, chain(first, stream))
 

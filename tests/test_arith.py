@@ -238,7 +238,7 @@ def _counting_exact(mp):
 )
 @example(Fraction(3, 2), 1, 100_000, 0, False)
 @example(Fraction(2, 3), Fraction(7, 5), 100_001, -1, True)
-def test_compare_abs_falls_back_on_near_ties(base, scale, expo, ulp, negative):
+def test_compare_sums_falls_back_on_near_ties_of_single_terms(base, scale, expo, ulp, negative):
     # |value| and scale * base^expo are equal, or one unit apart in the larger
     # of a numerator and a denominator of ~300k bits: the brackets overlap
     # and only the exact products decide

@@ -3,6 +3,7 @@ import csv
 import io
 import json
 import os
+import random
 import signal
 import subprocess
 import sys
@@ -861,14 +862,65 @@ def test_python_dash_m_entry_points(tmp_path):
 
 
 def test_import_loads_no_process_pool(tmp_path):
-    # only a sweep over more than one worker needs concurrent.futures
+    # the pool forks its own children: neither the CLI nor a pooled sweep
+    # loads concurrent.futures or multiprocessing
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps({"family": "z^d+c", "d": [3], "c": ["5/2", "7/2"], "horizon": 4}))
+    code = (
+        "import sys\n"
+        "from zsig.cli import main\n"
+        "executors = ('concurrent.futures', 'multiprocessing')\n"
+        "print([m for m in executors if m in sys.modules])\n"
+        f"print(main(['sweep', {str(spec)!r}, '-o', 'out.jsonl', '--workers', '2']))\n"
+        "print([m for m in executors if m in sys.modules])\n"
+    )
     env = dict(os.environ, PYTHONPATH=str(SRC))
     proc = subprocess.run(
-        [sys.executable, "-c", "import zsig.cli, sys; print('concurrent.futures' in sys.modules)"],
-        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        [sys.executable, "-c", code], capture_output=True, text=True, env=env, cwd=tmp_path,
+        timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+    assert proc.stdout.splitlines()[-2:] == ["0", "[]"] and proc.stdout.startswith("[]\n")
+
+
+# Run by the interpreter at start-up, from the front of PYTHONPATH: each raises
+# a KeyboardInterrupt while zsig.verifiers imports, before main can catch one.
+_IMPORT_INTERRUPTS = {
+    "at-import": (
+        "import sys\n"
+        "class Interrupt:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name == 'zsig.verifiers':\n"
+        "            raise KeyboardInterrupt\n"
+        "sys.meta_path.insert(0, Interrupt())\n"
+    ),
+    # inside a method that dataclasses builds with exec(): under python -m,
+    # CPython then ends the process by SIGINT at exit unless that is blocked
+    "in-exec": (
+        "import sys\n"
+        "def interrupt(frame, event, arg):\n"
+        "    if event == 'call' and frame.f_code.co_filename == '<string>' \\\n"
+        "            and 'zsig.verifiers' in sys.modules:\n"
+        "        sys.setprofile(None)\n"
+        "        raise KeyboardInterrupt\n"
+        "sys.setprofile(interrupt)\n"
+    ),
+}
+
+
+@pytest.mark.parametrize("launch", [
+    ["-m", "zsig"],
+    ["-c", "from zsig.__main__ import entry; entry()"],  # what the zsig script runs
+], ids=["python-m-zsig", "zsig-script"])
+@pytest.mark.parametrize("interrupt", sorted(_IMPORT_INTERRUPTS))
+def test_ctrl_c_while_the_cli_loads_exits_130(tmp_path, launch, interrupt):
+    (tmp_path / "sitecustomize.py").write_text(_IMPORT_INTERRUPTS[interrupt])
+    proc = subprocess.run(
+        [sys.executable, *launch, "orbit", "--coeffs", "1,0,1", "-N", "3"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=120,
+        env=dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)])),
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "interrupted\n")
 
 
 @pytest.mark.skipif(
@@ -958,14 +1010,17 @@ def test_orbit_whose_top_terms_cancel_prints_as_before(capsys):
     assert (code, out, err) == (4, "preperiodic: 0 -> 3 -> 3\n", "")
 
 
+# 1520 points, about a second of work
+_CTRL_C_SPEC = {
+    "family": "z^d+c", "d": [3, 4], "c_grid": {"num": [-100, 100], "den": [1, 6]}, "horizon": 5,
+}
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_interrupted_by_ctrl_c_exits_130_and_resumes(tmp_path, workers):
     spec = tmp_path / "grid.json"
-    spec.write_text(json.dumps({
-        "family": "z^d+c", "d": [3, 4], "c_grid": {"num": [-100, 100], "den": [1, 6]},
-        "horizon": 5,
-    }))
+    spec.write_text(json.dumps(_CTRL_C_SPEC))
     env = dict(os.environ, PYTHONPATH=str(SRC))
 
     def sweep(out, **kwargs):
@@ -991,3 +1046,49 @@ def test_sweep_interrupted_by_ctrl_c_exits_130_and_resumes(tmp_path, workers):
     clean = tmp_path / "clean.jsonl"
     assert sweep(clean).wait(timeout=120) == 0
     assert out.read_bytes() == clean.read_bytes()
+
+
+@pytest.mark.exhaustive
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_ctrl_c_at_seeded_moments_never_hangs_or_prints_a_traceback(tmp_path):
+    # 120 Ctrl-Cs to a pooled sweep's process group, from the time an empty
+    # interpreter takes to start and exit, to past the end of the run.  One
+    # that lands earlier, before the interpreter has installed its handler or
+    # run site, kills the process by the signal or prints a traceback from
+    # site: no code of the program has run yet.
+    spec = tmp_path / "grid.json"
+    spec.write_text(json.dumps(_CTRL_C_SPEC))
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+
+    def sweep(out):
+        argv = [sys.executable, "-m", "zsig", "sweep", str(spec), "-o", str(out), *FAST,
+                "--workers", "2"]
+        return subprocess.Popen(argv, env=env, cwd=tmp_path, text=True, start_new_session=True,
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+    start = time.monotonic()
+    subprocess.run([sys.executable, "-c", "pass"], env=env, check=True, timeout=120)
+    floor = time.monotonic() - start
+    clean = tmp_path / "clean.jsonl"
+    start = time.monotonic()
+    assert sweep(clean).wait(timeout=120) == 0
+    length, rng = time.monotonic() - start, random.Random(0)
+    for i in range(120):
+        out = tmp_path / f"run{i}.jsonl"
+        proc = sweep(out)
+        time.sleep(rng.uniform(floor, 1.2 * length))
+        os.killpg(proc.pid, signal.SIGINT)
+        try:
+            stdout, err = proc.communicate(timeout=20)
+        except subprocess.TimeoutExpired:
+            os.killpg(proc.pid, signal.SIGKILL)
+            proc.communicate()
+            pytest.fail(f"run {i} hung")
+        assert "Traceback" not in err, (i, err)
+        finished = stdout.startswith("sweep complete")
+        assert proc.returncode in (0, 130) or (proc.returncode == -signal.SIGINT and finished), (
+            i, proc.returncode, stdout, err,
+        )
+        resumed = sweep(out)
+        assert resumed.communicate(timeout=120)[0] == f"sweep complete: 1520 points in {out}\n"
+        assert out.read_bytes() == clean.read_bytes(), i

@@ -219,8 +219,8 @@ def test_a_pending_entry_holds_acc_and_its_gcd(monkeypatch, f):
     (f1, m), p, q, d = f.cleared, x.numerator, x.denominator, f.degree
     acc = sum(a * p**i * q ** (d - i) for i, a in f1)
     assert isinstance(entry, PendingEntry) and entry.sign == (acc > 0) - (acc < 0)
-    terms = [sum(math.prod(b**k for b, k in t) for t in side) for side in (entry.big, entry.small)]
-    assert terms[0] - terms[1] == abs(acc)
+    lo, hi, e = entry.bracket
+    assert lo * F(2) ** e <= abs(acc) <= hi * F(2) ** e
     assert entry.residue(10**9 + 7) == acc % (10**9 + 7)
     assert entry.den_residue(10**9 + 7) == m * q**d // entry.g % (10**9 + 7)
     assert not entry.built and entry.g == math.gcd(acc, m * q**d)

@@ -1,14 +1,15 @@
-import multiprocessing
+import os
+import signal
 import time
 import tracemalloc
-from concurrent.futures import Future
+from contextlib import contextmanager
 from fractions import Fraction
 from itertools import count
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsig import RunConfig, run_sweep, verify, verifiers
+from zsig import RunConfig, pool, run_sweep, verify, verifiers
 from zsig.cli import build_parser
 from zsig.orbits import OrbitEntry
 from zsig.verifiers import (
@@ -163,23 +164,51 @@ def test_sweep_spec_grid_and_keys():
     assert [key for key, _ in iter_sweep(spec, LEAN, set(keys[1::2]))] == keys[::2]
 
 
-def _no_children_within(seconds: float) -> bool:
+@pytest.fixture
+def forked(monkeypatch):
+    """The pid of every child the pool forks in this test, in order."""
+    pids, fork = [], os.fork
+
+    def recording_fork():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(pool.os, "fork", recording_fork)
+    return pids
+
+
+def _reaped_within(pids: list[int], seconds: float) -> bool:
+    """Whether the pool reaped each of ``pids`` within ``seconds``.  Only a pid
+    already reaped makes waitpid fail; a child still running past the time, or
+    one that ended but was left unreaped, counts against the pool."""
     deadline = time.monotonic() + seconds
-    while multiprocessing.active_children():
+    while True:
+        running = []
+        for pid in pids:
+            try:
+                if os.waitpid(pid, os.WNOHANG) != (0, 0):
+                    return False
+                running.append(pid)
+            except ChildProcessError:
+                pass
+        if not running:
+            return True
         if time.monotonic() > deadline:
             return False
+        pids = running
         time.sleep(0.05)
-    return True
 
 
 def _read_ahead(workers: int) -> int:
     """The most points a sweep may classify before its first verdict: the
     peek plus, on the pool path, a full window of full chunks."""
-    return 1 if workers == 1 else 2 * workers * verifiers._CHUNK + workers
+    return 1 if workers == 1 else 2 * workers * pool._CHUNK + workers
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_sweep_classifies_each_point_once_and_streams(monkeypatch, workers):
+def test_sweep_classifies_each_point_once_and_streams(monkeypatch, forked, workers):
     calls = []
     classify = verifiers.classify_point
     monkeypatch.setattr(
@@ -204,7 +233,8 @@ def test_sweep_classifies_each_point_once_and_streams(monkeypatch, workers):
     assert key == "cor12:d=3:c=1" and verdict.details["horizon_used"] == 1
     assert len(calls) <= _read_ahead(workers)
     assert calls == wide.points()[: len(calls)]
-    assert _no_children_within(5)
+    # two pooled sweeps, one run to its end and one closed at its first verdict
+    assert len(forked) == (0 if workers == 1 else 4) and _reaped_within(forked, 5)
 
 
 def test_sweep_spec_c_grid_lowest_terms():
@@ -264,7 +294,7 @@ def test_walk_is_the_eager_expansion_without_repeats(data):
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_first_verdict_of_a_huge_grid_comes_at_once(monkeypatch, workers):
+def test_first_verdict_of_a_huge_grid_comes_at_once(monkeypatch, forked, workers):
     # about 1.2e12 points: neither the spec nor the sweep may build anything
     # that grows with the grid
     data = {"family": "z^d+c", "d": [3], "horizon": 1,
@@ -291,7 +321,7 @@ def test_first_verdict_of_a_huge_grid_comes_at_once(monkeypatch, workers):
         tracemalloc.stop()
     assert key == "cor12:d=3:c=-1000000" and verdict.details["horizon_used"] == 1
     assert elapsed < 1 and peak < 5 * 2**20
-    assert _no_children_within(5)
+    assert len(forked) == (0 if workers == 1 else 2) and _reaped_within(forked, 5)
 
 
 def test_sweep_spec_budgets():
@@ -351,7 +381,7 @@ def test_run_sweep_carries_finite_orbit_error():
     assert "0 -> -1 -> 0" in v.details["error"]
 
 
-def test_run_sweep_parallel_matches_serial():
+def test_run_sweep_parallel_matches_serial(forked):
     spec = SweepSpec.from_dict(
         {"family": "z^d+z^e+c", "d": [3, 4], "e": [2], "c": ["5/2", "-3/2"], "horizon": 6}
     )
@@ -361,11 +391,13 @@ def test_run_sweep_parallel_matches_serial():
     # chunks of 1, 2, ..., 32, then a full one and a short one of 8
     wide = SweepSpec.from_dict(
         {"family": "z^d+c", "d": [3], "horizon": 2,
-         "c_grid": {"num": [1, 3 * verifiers._CHUNK + 7], "den": [1, 1]}}
+         "c_grid": {"num": [1, 3 * pool._CHUNK + 7], "den": [1, 1]}}
     )
     pooled = list(iter_sweep(wide, RunConfig(factor_rho_budget=200_000, workers=2)))
-    assert len(pooled) == 3 * verifiers._CHUNK + 7
+    assert len(pooled) == 3 * pool._CHUNK + 7
     assert pooled == list(iter_sweep(wide, LEAN))
+    # two sweeps run to their end, and each reaped both its children
+    assert len(forked) == 4 and _reaped_within(forked, 5)
 
 
 def test_point_key_format():
@@ -385,46 +417,22 @@ def test_claim_table_drives_routing_and_cli():
     assert verify("cor12", 3, Fraction(7, 2), 2, LEAN, horizon=4).polynomial == "z^3 + 7/2"
 
 
-class _LazyFuture(Future):
-    """A future that runs its call when its result is first asked for."""
-
-    def __init__(self, fn, args):
-        super().__init__()
-        self._call = fn, args
-
-    def result(self, timeout=None):
-        if self.set_running_or_notify_cancel():
-            fn, args = self._call
-            self.set_result(fn(*args))
-        return super().result(timeout)
-
-
-def _recording_pool(monkeypatch, cpus, affinity=None):
-    """Replace the process pool by a lazy serial one; the list records its
-    sizes.  ``cpus`` is the CPU count and ``affinity`` the affinity mask, or
-    None for a platform without one."""
+def _recording_pool(monkeypatch, cpus, affinity=None, fork=True):
+    """Replace the pool by a serial map; the list records the worker counts it
+    is started with.  ``cpus`` is the CPU count, ``affinity`` the affinity
+    mask or None for a platform without one, and ``fork`` whether the
+    platform can fork."""
     created = []
-
-    class RecordingPool:
-        def __init__(self, max_workers):
-            created.append(max_workers)
-            self.futures = []
-
-        def submit(self, fn, *args):
-            self.futures.append(_LazyFuture(fn, args))
-            return self.futures[-1]
-
-        def shutdown(self, wait=True, cancel_futures=False):
-            if cancel_futures:
-                for future in self.futures:
-                    future.cancel()
-
-    monkeypatch.setattr(verifiers, "_pool", RecordingPool)
-    monkeypatch.setattr(verifiers.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(
+        pool, "imap", lambda run, workers, tasks: created.append(workers) or map(run, tasks)
+    )
+    monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
     if affinity is None:
-        monkeypatch.delattr(verifiers.os, "sched_getaffinity", raising=False)
+        monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
     else:
-        monkeypatch.setattr(verifiers.os, "sched_getaffinity", lambda pid: set(affinity))
+        monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(affinity))
+    if not fork:
+        monkeypatch.delattr(pool.os, "fork")
     return created
 
 
@@ -435,7 +443,9 @@ _POOL_CS = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"]
     "workers, n_points, cpus, expected",
     [(64, 3, 8, [3]), (64, 6, 4, [4]), (2, 6, 8, [2]), (64, 6, None, []), (64, 1, 8, []),
      # (CPU count, affinity mask): two workers would share one CPU
-     pytest.param(64, 6, (8, {0}), [], id="64-6-8-affinity0-expected5")],
+     pytest.param(64, 6, (8, {0}), [], id="64-6-8-affinity0-expected5"),
+     # (CPU count, affinity mask, fork): a platform without fork runs serial
+     pytest.param(64, 6, (8, {0, 1}, False), [], id="64-6-8-nofork-expected6")],
 )
 def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected):
     created = _recording_pool(monkeypatch, *(cpus if isinstance(cpus, tuple) else (cpus,)))
@@ -457,26 +467,86 @@ def test_resume_with_at_most_one_point_left_starts_no_pool(monkeypatch, left):
     assert created == []
 
 
-def test_closing_a_pooled_sweep_cancels_its_queued_chunks(monkeypatch):
-    pools = []
-    _recording_pool(monkeypatch, 8)
-    recording = verifiers._pool
-    monkeypatch.setattr(verifiers, "_pool", lambda n: pools.append(recording(n)) or pools[-1])
-    computed = []
-    run_point = verifiers._run_point
+_LONG_GRID = SweepSpec.from_dict(
+    {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 1000], "den": [1, 1]}, "horizon": 1}
+)
+
+
+def test_closing_a_pooled_sweep_cancels_its_queued_chunks(monkeypatch, forked):
+    posted = []
+    post = pool._post
     monkeypatch.setattr(
-        verifiers, "_run_point", lambda task: computed.append(task[0]) or run_point(task)
+        pool, "_post", lambda child, chunk: posted.append(len(chunk)) or post(child, chunk)
     )
-    spec = SweepSpec.from_dict(
-        {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 1000], "den": [1, 1]},
-         "horizon": 1}
-    )
-    sweep = iter_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=2))
+    run_point = verifiers._run_point
+
+    def slow_after_the_first(task):  # runs in the children
+        if task[0] != "cor12:d=3:c=1":
+            time.sleep(60)
+        return run_point(task)
+
+    monkeypatch.setattr(verifiers, "_run_point", slow_after_the_first)
+    sweep = iter_sweep(_LONG_GRID, RunConfig(factor_rho_budget=200_000, workers=2))
     assert next(sweep)[0] == "cor12:d=3:c=1"
+    start = time.monotonic()
     sweep.close()
-    (pool,) = pools
     # a window of 2 x 2 chunks of 1, 2, 4 and 8 points, refilled by one of 16
-    # once the first was taken; only the first ever ran
-    assert [len(f._call[1][0]) for f in pool.futures] == [1, 2, 4, 8, 16]
-    assert [f.cancelled() for f in pool.futures] == [False] + [True] * 4
-    assert computed == ["cor12:d=3:c=1"]
+    # once the first was taken; the running chunks are killed, not waited for
+    assert posted == [1, 2, 4, 8, 16]
+    assert time.monotonic() - start < 5
+    assert len(forked) == 2 and _reaped_within(forked, 0)
+
+
+@pytest.mark.parametrize("call, nth", [("_post", 3), ("_collect", 2), ("kill", 1)])
+def test_an_interrupt_at_a_pool_call_reaps_every_child(monkeypatch, forked, call, nth):
+    # the dispatch write, the result read and the cleanup's kill
+    module, parent, calls = os if call == "kill" else pool, os.getpid(), count(1)
+    real = getattr(module, call)
+
+    def interrupted(*args):
+        if os.getpid() == parent and next(calls) == nth:
+            raise KeyboardInterrupt
+        return real(*args)
+
+    monkeypatch.setattr(module, call, interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        for _ in iter_sweep(_LONG_GRID, RunConfig(factor_rho_budget=200_000, workers=2)):
+            pass
+    assert next(calls) > nth  # the interrupt was raised
+    assert len(forked) == 2 and _reaped_within(forked, 5)
+
+
+@contextmanager
+def _alarm(seconds: float):
+    """Raise TimeoutError here if the block runs longer than ``seconds``."""
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    old = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, old)
+
+
+def test_chunks_larger_than_a_pipe_round_trip(forked):
+    # tasks of 300 kB and results of 600 kB, far past a pipe's buffer: a parent
+    # blocked writing a task to a child blocked writing a result would hang
+    tasks = [bytes([i]) * 300_000 for i in range(12)]
+    with _alarm(60):
+        results = list(pool.imap(lambda task: task + task, 2, iter(tasks)))
+    assert results == [task + task for task in tasks]
+    assert len(forked) == 2 and _reaped_within(forked, 5)
+
+
+def test_an_exception_in_a_child_re_raises_in_the_parent(forked):
+    def run(task):
+        if task == 5:
+            raise ZeroDivisionError(f"task {task}")
+        return task
+
+    with _alarm(60), pytest.raises(ZeroDivisionError, match="task 5"):
+        list(pool.imap(run, 2, iter(range(40))))
+    assert len(forked) == 2 and _reaped_within(forked, 5)
