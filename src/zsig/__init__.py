@@ -12,7 +12,7 @@ from importlib import import_module
 _MODULES = {
     "arith": "FactorReport factor is_prime v_p",
     "bounds": "BoundResult SignSets check_condition3 compute_sign_sets omega "
-    "omega_inequality_audit prop31_check theorem1_bound",
+    "omega_inequality_audit theorem1_bound",
     "config": "RunConfig config_from_env",
     "heights": "GlobalC HeightInterval canonical_height_interval family_C global_C "
     "global_height ingram_lower_bound lemma41_lower_bound local_C_v "

@@ -419,7 +419,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
 
 @dataclass(frozen=True)
 class FactorReport:
-    """Partial factorization: input = prod(p^e) * cofactor.
+    """Partial factorization: the factored input is prod(p^e) * cofactor.
 
     cofactor_status "composite_unfactored" also covers cofactors whose
     primality was never established because the work budget ran out first.
@@ -429,16 +429,9 @@ class FactorReport:
     and a factor found only past the budget stays in the cofactor.
     """
 
-    input: int
     factored: tuple[tuple[int, int], ...]
     cofactor: int
     cofactor_status: str  # "one" | "probable_prime" | "composite_unfactored"
-
-    def reconstruct(self) -> int:
-        acc = self.cofactor
-        for p, e in self.factored:
-            acc *= p**e
-        return acc
 
     @property
     def complete(self) -> bool:
@@ -454,7 +447,7 @@ def factor(
     if m < 1:
         raise ValueError("factor expects a positive integer")
     if m == 1:
-        return FactorReport(1, (), 1, "one")
+        return FactorReport((), 1, "one")
     found, rest = trial_division(m)
     budget = rho_budget
     pending = [rest] if rest > 1 else []
@@ -486,4 +479,4 @@ def factor(
     else:
         status = "composite_unfactored"
     factored = tuple(sorted(found.items()))
-    return FactorReport(m, factored, cofactor, status)
+    return FactorReport(factored, cofactor, status)

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import compare_sums, distinct_primes
-from .config import DEFAULT_DIGIT_BUDGET
-from .orbits import iterate_point
 from .polynomials import PolyQ
 
 # Directed-rounding slack: bound comparisons must fail safe toward larger n.
@@ -25,19 +23,10 @@ _REL_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SignSets:
-    degree: int
     N_plus: frozenset[int]
     N_minus: frozenset[int]
     n_plus: int
     n_minus: int
-
-    @property
-    def P_plus(self) -> frozenset[int]:
-        return frozenset(range(self.degree + 1)) - self.N_plus
-
-    @property
-    def P_minus(self) -> frozenset[int]:
-        return frozenset(range(self.degree + 1)) - self.N_minus
 
 
 def _sgn(x: Fraction) -> int:
@@ -50,14 +39,13 @@ def _alt_sgn(i: int, a: Fraction) -> int:
 
 
 def compute_sign_sets(f: PolyQ) -> SignSets:
-    """Split indices 0..d by whether the (alternating-)sign of a_i matches the
-    leading coefficient; zero coefficients side with the matching set, so the
-    off-sign sets N are read from the nonzero terms and the P sets are their
-    complements in 0..d."""
+    """The off-sign sets N: the indices in 0..d where the (alternating-)sign
+    of a_i differs from that of the leading coefficient, read from the
+    nonzero terms (a zero coefficient is never off-sign), and n = max(N, 1)."""
     d, lead = f.terms[0]
     n_plus = frozenset(i for i, a in f.terms if _sgn(a) != _sgn(lead))
     n_minus = frozenset(i for i, a in f.terms if _alt_sgn(i, a) != _alt_sgn(d, lead))
-    return SignSets(d, n_plus, n_minus, max({1, *n_plus}), max({1, *n_minus}))
+    return SignSets(n_plus, n_minus, max({1, *n_plus}), max({1, *n_minus}))
 
 
 def check_condition3(f: PolyQ, z: Fraction) -> bool:
@@ -78,23 +66,6 @@ def check_condition3(f: PolyQ, z: Fraction) -> bool:
         if compare_sums(lhs, rhs) < 0:
             return False
     return True
-
-
-def prop31_check(
-    f: PolyQ, z: Fraction, K: int, *, digit_budget: int = DEFAULT_DIGIT_BUDGET
-) -> bool:
-    """Empirically confirm |f^k(z)| >= |z| for k = 1..K with exact rationals.
-
-    Preconditions (|z| >= 1 and the domination inequality) are enforced;
-    a False return is a contradiction flag, not an expected outcome.
-    """
-    az = abs(z)
-    if az < 1:
-        raise ValueError("requires |z| >= 1")
-    if not check_condition3(f, z):
-        raise ValueError("coefficient-domination inequality fails at z")
-    values = iterate_point(f, z, K, digit_budget=digit_budget)
-    return all(abs(v) >= az for v in values[1:])
 
 
 def omega(n: int) -> int:

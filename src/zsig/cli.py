@@ -57,11 +57,9 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
     return merged
 
 
-def _elide(s: str, width: int = 40) -> str:
-    if len(s) <= width:
-        return s
-    half = (width - 3) // 2
-    return f"{s[:half]}...{s[-half:]}"
+def _elide(s: str) -> str:
+    """s, or its first and last 18 characters around "..." past 40."""
+    return s if len(s) <= 40 else f"{s[:18]}...{s[-18:]}"
 
 
 def _dump_json(payload: dict) -> str:

@@ -166,14 +166,12 @@ class Orbit:
         return self.kind == WANDERING
 
     def describe_cycle(self) -> str:
-        if self.kind == HIT_ZERO:
-            vals = ["0"] + [str(e.value) for e in self.entries]
-            return " -> ".join(vals)
-        if self.kind == PREPERIODIC:
-            vals = ["0"] + [str(e.value) for e in self.entries]
+        if self.wandering:
+            return "wandering"
+        vals = ["0"] + [str(e.value) for e in self.entries]
+        if self.kind == PREPERIODIC:  # back to the first value of the cycle
             vals.append(str(self.entries[self.tail - 1].value))
-            return " -> ".join(vals)
-        return "wandering"
+        return " -> ".join(vals)
 
 
 def _budget_bits(budget: int) -> int:

@@ -210,7 +210,7 @@ _nonneg = st.fractions(min_value=0, max_value=50, max_denominator=50)
     _nonneg,
     st.integers(min_value=0, max_value=40),
 )
-def test_compare_abs_matches_fraction_form(value, scale, base, expo):
+def test_compare_sums_matches_fraction_form_of_a_scaled_power(value, scale, base, expo):
     assert compare_sums([[(abs(value), 1)]], [[(scale, 1), (base, expo)]]) == _sign(
         abs(value) - Fraction(scale) * base**expo
     )
@@ -385,7 +385,7 @@ def test_factor_reconstructs():
     for _ in range(60):
         m = rng.randrange(2, 10**14)
         rep = factor(m, rho_budget=10**6)
-        assert rep.reconstruct() == m
+        assert rep.cofactor * math.prod(p**e for p, e in rep.factored) == m
         for p, e in rep.factored:
             assert e >= 1
             assert is_prime(p)
@@ -408,7 +408,7 @@ def test_factor_deterministic():
     a = factor(m, rho_budget=10**6)
     random.seed(2)
     b = factor(m, rho_budget=10**6)
-    assert a == b and a.reconstruct() == m
+    assert a == b and a.cofactor * math.prod(p**e for p, e in a.factored) == m
 
 
 def test_factor_budget_exhaustion_reports_cofactor():
@@ -417,7 +417,7 @@ def test_factor_budget_exhaustion_reports_cofactor():
     rep = factor(p * q, rho_budget=1_000)
     assert rep.cofactor == p * q
     assert rep.cofactor_status == "composite_unfactored"
-    assert rep.reconstruct() == p * q
+    assert rep.cofactor * math.prod(r**e for r, e in rep.factored) == p * q
 
 
 def test_factor_loses_a_factor_found_only_past_the_budget():

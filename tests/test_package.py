@@ -13,6 +13,7 @@ import zsig.cli  # noqa: F401  (the tracer wraps names in every zsig module)
 from perfbench.tracing import Tracer
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+README = SRC.parent / "README.md"
 
 
 def _defining_object(name):
@@ -38,13 +39,27 @@ def test_import_loads_no_submodule(tmp_path):
 
 
 def test_every_public_name_is_its_defining_modules_object():
-    assert len(zsig.__all__) == len(set(zsig.__all__)) == 45
+    assert len(zsig.__all__) == len(set(zsig.__all__)) == 44
     listed = dir(zsig)
     for name in zsig.__all__:
         assert getattr(zsig, name) is _defining_object(name)
         assert name in listed
     with pytest.raises(AttributeError, match="no attribute 'nope'"):
         zsig.nope
+
+
+def test_readme_library_api_list_matches_the_package():
+    lines = README.read_text().splitlines()
+    start = lines.index("Library API, the names of `zsig.__all__` by defining module:") + 2
+    documented = {}
+    for line in lines[start:]:
+        if not line.startswith("- "):
+            break
+        module, names = line[2:].split(": ")
+        for name in names.split(", "):
+            documented[name.strip("`")] = module.strip("`")
+    assert documented == zsig._HOME
+    assert list(documented) == zsig.__all__ and len(documented) == 44
 
 
 def test_public_names_follow_a_tracer_install_and_uninstall():
