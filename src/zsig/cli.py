@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import reports
 from .bounds import omega_inequality_audit, theorem1_bound
-from .config import RunConfig, config_from_env, env_name
+from .config import OUTPUT_FORMATS, RunConfig, config_from_env, env_name
 from .heights import (
     canonical_height_interval,
     family_C,
@@ -311,7 +311,7 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 # each knob's flag and its argparse options, by the RunConfig field it sets
 _KNOB_FLAGS = {
-    "output_format": ("--format", {"choices": ("text", "json", "csv")}),
+    "output_format": ("--format", {"choices": OUTPUT_FORMATS}),
     "digit_budget": ("--digit-budget", {"type": int}),
     "factor_rho_budget": ("--rho-budget", {"type": int}),
     "workers": ("--workers", {"type": int}),

@@ -15,6 +15,7 @@ DEFAULT_DIGIT_BUDGET = 200_000
 DEFAULT_RHO_BUDGET = 100_000_000
 
 _ENV_PREFIX = "ZSIG_"
+OUTPUT_FORMATS = ("text", "json", "csv")
 
 
 @dataclass(frozen=True)
@@ -32,7 +33,7 @@ class RunConfig:
         for name in INT_KNOBS:
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive")
-        if self.output_format not in ("json", "csv", "text"):
+        if self.output_format not in OUTPUT_FORMATS:
             raise ValueError(f"unknown output format: {self.output_format!r}")
 
     def with_overrides(self, **kwargs) -> "RunConfig":

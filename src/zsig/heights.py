@@ -143,47 +143,46 @@ def canonical_height_interval(
     )
 
 
-def resultant_constant(f: PolyQ) -> int:
-    """|Res(f1, f2)| = m^d after writing f = f1/m with integer f1."""
-    return f.cleared[1] ** f.degree
-
-
 def lemma41_lower_bound(
     f: PolyQ,
     x: Fraction,
     iterations: int,
-    D_lower: Fraction,
+    D_lower: tuple[Fraction, int],
     *,
     digit_budget: int = DEFAULT_DIGIT_BUDGET,
 ) -> HeightInterval:
     """One-sided certified bound d^(-i) * [h(f^i(x)) - log(|R|/D) / (d-1)],
-    where R is the cleared-denominator resultant and D a certified lower
-    bound on the projective minimum of f."""
-    if D_lower <= 0:
+    where |R| = m^d is the resultant after writing f = f1/m with integer f1,
+    and D = base^exponent, given as that pair, a certified lower bound on the
+    projective minimum of f (a plain D is ``(D, 1)``).  Only logs are taken,
+    so neither power is built."""
+    base, exponent = D_lower
+    if base <= 0:
         raise ValueError("D_lower must be positive")
+    if iterations < 0:
+        raise ValueError("iterations must be >= 0")
     d = f.degree
-    R = resultant_constant(f)
-    log_D = math.log(D_lower.numerator) - math.log(D_lower.denominator)
+    log_R = d * math.log(f.cleared[1])
+    log_D = exponent * (math.log(base.numerator) - math.log(base.denominator))
     values = iterate_point(f, x, iterations, digit_budget=digit_budget)
     if values[-1] in values[:-1]:  # a finite orbit: the canonical height is 0
         return HeightInterval(0.0, math.inf, "lemma41", iterations)
     i = len(values) - 1
     h_i = global_height(values[i])
-    lower = float(Fraction(h_i - (math.log(R) - log_D) / (d - 1)) / d**i)
+    lower = float(Fraction(h_i - (log_R - log_D) / (d - 1)) / d**i)
     return HeightInterval(max(0.0, lower), math.inf, "lemma41", iterations=i)
 
 
-def trinomial_D_lower(f: PolyQ) -> Fraction:
+def trinomial_D_lower(f: PolyQ) -> tuple[Fraction, int]:
     """Certified projective-minimum bound 1/s^d, s = max(2, |c|), for the
-    family z^d [+ z^e] + c with |c| >= 1."""
+    family z^d [+ z^e] + c with |c| >= 1, as the pair (1/s, d)."""
     form = f.trinomial_form()
     if form is None:
         raise ValueError("polynomial is not of the form z^d [+ z^e] + c")
     d, _, c = form
     if abs(c) < 1:
         raise ValueError("family bound requires |c| >= 1")
-    s = max(Fraction(2), abs(c))
-    return 1 / s**d
+    return 1 / max(Fraction(2), abs(c)), d
 
 
 def ingram_lower_bound(f: PolyQ) -> HeightInterval:

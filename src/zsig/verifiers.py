@@ -432,34 +432,38 @@ def iter_sweep(
 ):
     """Yield ``(key, verdict)`` in grid order as the verdicts complete.
 
-    Each grid point is classified and keyed once, here; a point whose key is
-    in ``done`` is skipped (resume support).  The serial path computes one
-    point per verdict taken; the pool path reads the walk at most
-    2 x workers x ``pool._CHUNK`` points ahead.  Per-point failures are
-    captured inside the verdicts, never aborting the sweep.
+    Each grid point is classified and keyed by the process that runs it; a
+    point whose key is in ``done`` is skipped (resume support).  The serial
+    path routes each point once and computes one per verdict taken.  On the
+    pool path the parent routes only the points it peeks at to size the pool,
+    and each child walks the grid and routes its own share.  Per-point
+    failures are captured inside the verdicts, never aborting the sweep.
     """
     cfg = (config or RunConfig()).with_overrides(**dict(spec.budgets))
 
-    def tasks():
-        for d, e, c in spec.walk():
-            theorem_id = classify_point(d, e, c)
-            key = point_key(theorem_id or "unclassified", d, e, c)
-            if key not in done:
-                yield key, theorem_id, d, e, c, spec.horizon, cfg
+    def task(point):
+        d, e, c = point
+        theorem_id = classify_point(d, e, c)
+        key = point_key(theorem_id or "unclassified", d, e, c)
+        return None if key in done else (key, theorem_id, d, e, c, spec.horizon, cfg)
+
+    def run(point):
+        args = task(point)
+        return None if args is None else _run_point(args)
 
     # the pool forks every worker at once: never more than points to do or
     # usable CPUs, and none where the platform cannot fork
-    stream = tasks()
+    todo = filter(None, map(task, spec.walk()))
     workers = cfg.workers if hasattr(os, "fork") else 1
     if workers > 1:
         from . import pool
 
         workers = min(workers, pool.usable_cpus())
-    first = list(islice(stream, workers))
+    first = list(islice(todo, workers))
     if len(first) > 1:
-        yield from pool.imap(_run_point, len(first), chain(first, stream))
+        yield from filter(None, pool.imap(run, len(first), spec.walk()))
     else:
-        yield from map(_run_point, chain(first, stream))
+        yield from map(_run_point, chain(first, todo))
 
 
 def run_sweep(spec: SweepSpec, config: RunConfig | None = None) -> list[TheoremVerdict]:

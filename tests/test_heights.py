@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -16,7 +17,7 @@ from zsig import (
     trinomial_D_lower,
     trinomial_family_lower,
 )
-from zsig.heights import hypothesis_abs_c_exceeds, resultant_constant
+from zsig.heights import hypothesis_abs_c_exceeds
 from zsig.verifiers import binomial, trinomial
 
 
@@ -96,16 +97,11 @@ def test_interval_contains_later_estimates():
     assert iv3.lower - 1e-9 <= iv6.midpoint <= iv3.upper + 1e-9
 
 
-def test_resultant_constant():
-    assert resultant_constant(parse_poly("z^3+7/2")) == 8
-    assert resultant_constant(parse_poly("1,0,1")) == 1
-    assert resultant_constant(parse_poly("z^4+z^2+5/2")) == 16
-
-
 def test_trinomial_D_lower_examples():
-    assert trinomial_D_lower(parse_poly("z^3+7/2")) == Fraction(8, 343)
-    assert trinomial_D_lower(trinomial(4, 3, Fraction(3, 2))) == Fraction(1, 16)
-    assert trinomial_D_lower(trinomial(4, 2, Fraction(5, 2))) == Fraction(16, 625)
+    # the pair (1/s, d) of D = 1/s^d with s = max(2, |c|)
+    assert trinomial_D_lower(parse_poly("z^3+7/2")) == (Fraction(2, 7), 3)
+    assert trinomial_D_lower(trinomial(4, 3, Fraction(3, 2))) == (Fraction(1, 2), 4)
+    assert trinomial_D_lower(trinomial(4, 2, Fraction(5, 2))) == (Fraction(2, 5), 4)
     with pytest.raises(ValueError):
         trinomial_D_lower(parse_poly("z^3-2z^2+3"))
     with pytest.raises(ValueError):
@@ -129,7 +125,23 @@ def test_lemma41_clips_at_zero():
     iv = lemma41_lower_bound(f, Fraction(1), 0, trinomial_D_lower(f))
     assert iv.lower == 0.0
     with pytest.raises(ValueError):
-        lemma41_lower_bound(f, Fraction(1), 0, Fraction(0))
+        lemma41_lower_bound(f, Fraction(1), 0, (Fraction(0), 1))
+    with pytest.raises(ValueError, match="iterations"):
+        lemma41_lower_bound(f, Fraction(1), -5, trinomial_D_lower(f))
+
+
+def test_lemma41_at_a_huge_degree_builds_no_power():
+    # |R| = 3^d and D = (3/7)^d at d = 10^7 are millions of bits each; only
+    # their logs are read
+    f = trinomial(10**7, 2, Fraction(7, 3))
+    tracemalloc.start()
+    try:
+        iv = lemma41_lower_bound(f, f.constant, 0, trinomial_D_lower(f))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert iv.lower == 0.0 and iv.iterations == 0
+    assert peak < 2**20
 
 
 def test_deep_preperiodic_bounds_do_not_overflow():

@@ -1,6 +1,7 @@
 """The lazy package namespace: ``import zsig`` loads no submodule, and each
 public name is its defining module's object."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -83,3 +84,16 @@ def test_only_orbits_names_the_unbuilt_entry_type():
     # read, so an import added later fails too
     modules = (SRC / "zsig").glob("*.py")
     assert {path.stem for path in modules if "PendingEntry" in path.read_text()} == {"orbits"}
+
+
+def test_pool_imports_nothing_from_zsig():
+    # so that any zsig module may import the pool lazily without a cycle; the
+    # source is read, so an import added later fails too
+    imported = []
+    for node in ast.walk(ast.parse((SRC / "zsig" / "pool.py").read_text())):
+        if isinstance(node, ast.Import):
+            imported += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            imported.append("." * node.level + (node.module or ""))
+    assert "os" in imported
+    assert not [name for name in imported if name.startswith((".", "zsig"))]

@@ -53,15 +53,15 @@ ALLOWLIST: dict[str, str] = {
     "tests/test_acceptance.py::test_criterion_08_height_machinery",
     "heights.lemma41_lower_bound": f"{_API}; "
     "tests/test_acceptance.py::test_criterion_08_height_machinery",
-    "heights.resultant_constant": "the resultant |R| of lemma41_lower_bound, its one caller",
     "heights.trinomial_D_lower": f"{_API}, the D of lemma41_lower_bound; "
     "tests/test_acceptance.py::test_criterion_08_height_machinery",
     "orbits.PendingEntry.<lambda>#1": "PendingEntry.value builds an unbuilt iterate, which "
     "no golden or grid point reads; "
     "tests/test_last_index.py::test_budget_boundary_with_an_unbuilt_predecessor",
-    "pool._fork.<locals>.<genexpr>": f"the parent's pipe ends that a new child closes; {_CHILD}",
     "pool._serve": f"a pool child's whole life; {_CHILD}; "
     "tests/test_golden.py::test_pooled_sweep_bytes_match_golden",
+    "verifiers.iter_sweep.<locals>.run": f"routes and runs one point of a pooled sweep; {_CHILD}; "
+    "tests/test_verifiers.py::test_run_sweep_parallel_matches_serial",
     "verifiers.SweepSpec.points": "the sweep's grid as a list; "
     "perfbench/tests/test_perfbench.py::test_grid_order_matches_the_sweep_engine",
     "verifiers.run_sweep": f"{_API}: the in-process sweep; "

@@ -1,4 +1,5 @@
 import os
+import pickle
 import signal
 import time
 import tracemalloc
@@ -201,12 +202,6 @@ def _reaped_within(pids: list[int], seconds: float) -> bool:
         time.sleep(0.05)
 
 
-def _read_ahead(workers: int) -> int:
-    """The most points a sweep may classify before its first verdict: the
-    peek plus, on the pool path, a full window of full chunks."""
-    return 1 if workers == 1 else 2 * workers * pool._CHUNK + workers
-
-
 @pytest.mark.parametrize("workers", [1, 2])
 def test_sweep_classifies_each_point_once_and_streams(monkeypatch, forked, workers):
     calls = []
@@ -220,7 +215,9 @@ def test_sweep_classifies_each_point_once_and_streams(monkeypatch, forked, worke
          "horizon": 2}
     )
     assert [v.theorem_id for _, v in iter_sweep(spec, cfg)].count("unclassified") == 3
-    assert calls == spec.points()
+    # a serial sweep routes each point once; a pooled one's parent routes only
+    # the points it peeks at to size the pool, and its children the rest
+    assert calls == (spec.points() if workers == 1 else spec.points()[:workers])
     calls.clear()
     wide = SweepSpec.from_dict(
         {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 10_000], "den": [1, 1]},
@@ -231,8 +228,7 @@ def test_sweep_classifies_each_point_once_and_streams(monkeypatch, forked, worke
     key, verdict = next(sweep)
     sweep.close()
     assert key == "cor12:d=3:c=1" and verdict.details["horizon_used"] == 1
-    assert len(calls) <= _read_ahead(workers)
-    assert calls == wide.points()[: len(calls)]
+    assert calls == wide.points()[:workers]
     # two pooled sweeps, one run to its end and one closed at its first verdict
     assert len(forked) == (0 if workers == 1 else 4) and _reaped_within(forked, 5)
 
@@ -299,15 +295,16 @@ def test_first_verdict_of_a_huge_grid_comes_at_once(monkeypatch, forked, workers
     # that grows with the grid
     data = {"family": "z^d+c", "d": [3], "horizon": 1,
             "c_grid": {"num": [-10**6, 10**6], "den": [1, 10**6]}}
-    classified, classify = count(1), verifiers.classify_point
+    classified, classify, parent = count(1), verifiers.classify_point, os.getpid()
 
-    def classify_within_the_window(*pt):
-        # a sweep that reads the whole walk would otherwise fill the memory
-        if next(classified) > _read_ahead(workers):
-            raise AssertionError("the sweep read past its window")
+    def classify_within_the_peek(*pt):
+        # a parent that routes the whole walk would otherwise fill the memory;
+        # the children route their own shares
+        if os.getpid() == parent and next(classified) > workers:
+            raise AssertionError("the parent routed past its peek")
         return classify(*pt)
 
-    monkeypatch.setattr(verifiers, "classify_point", classify_within_the_window)
+    monkeypatch.setattr(verifiers, "classify_point", classify_within_the_peek)
     cfg = RunConfig(factor_rho_budget=200_000, workers=workers)
     tracemalloc.start()
     start = time.perf_counter()
@@ -388,13 +385,14 @@ def test_run_sweep_parallel_matches_serial(forked):
     serial = run_sweep(spec, LEAN)
     parallel = run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=2))
     assert serial == parallel
-    # chunks of 1, 2, ..., 32, then a full one and a short one of 8
+    # shares of 52 and 51 points: each child sends batches of 1, 2, ..., 16,
+    # then a short one and an empty one
     wide = SweepSpec.from_dict(
         {"family": "z^d+c", "d": [3], "horizon": 2,
-         "c_grid": {"num": [1, 3 * pool._CHUNK + 7], "den": [1, 1]}}
+         "c_grid": {"num": [1, 3 * 32 + 7], "den": [1, 1]}}
     )
     pooled = list(iter_sweep(wide, RunConfig(factor_rho_budget=200_000, workers=2)))
-    assert len(pooled) == 3 * pool._CHUNK + 7
+    assert len(pooled) == 3 * 32 + 7
     assert pooled == list(iter_sweep(wide, LEAN))
     # two sweeps run to their end, and each reaped both its children
     assert len(forked) == 4 and _reaped_within(forked, 5)
@@ -473,11 +471,6 @@ _LONG_GRID = SweepSpec.from_dict(
 
 
 def test_closing_a_pooled_sweep_cancels_its_queued_chunks(monkeypatch, forked):
-    posted = []
-    post = pool._post
-    monkeypatch.setattr(
-        pool, "_post", lambda child, chunk: posted.append(len(chunk)) or post(child, chunk)
-    )
     run_point = verifiers._run_point
 
     def slow_after_the_first(task):  # runs in the children
@@ -490,17 +483,15 @@ def test_closing_a_pooled_sweep_cancels_its_queued_chunks(monkeypatch, forked):
     assert next(sweep)[0] == "cor12:d=3:c=1"
     start = time.monotonic()
     sweep.close()
-    # a window of 2 x 2 chunks of 1, 2, 4 and 8 points, refilled by one of 16
-    # once the first was taken; the running chunks are killed, not waited for
-    assert posted == [1, 2, 4, 8, 16]
+    # the children, each still running its share, are killed, not waited for
     assert time.monotonic() - start < 5
     assert len(forked) == 2 and _reaped_within(forked, 0)
 
 
-@pytest.mark.parametrize("call, nth", [("_post", 3), ("_collect", 2), ("kill", 1)])
+@pytest.mark.parametrize("call, nth", [("fork", 2), ("load", 2), ("kill", 1)])
 def test_an_interrupt_at_a_pool_call_reaps_every_child(monkeypatch, forked, call, nth):
-    # the dispatch write, the result read and the cleanup's kill
-    module, parent, calls = os if call == "kill" else pool, os.getpid(), count(1)
+    # the second fork, the second result read and the cleanup's kill
+    module, parent, calls = pickle if call == "load" else os, os.getpid(), count(1)
     real = getattr(module, call)
 
     def interrupted(*args):
@@ -509,11 +500,14 @@ def test_an_interrupt_at_a_pool_call_reaps_every_child(monkeypatch, forked, call
         return real(*args)
 
     monkeypatch.setattr(module, call, interrupted)
+    open_fds = len(os.listdir("/dev/fd"))
     with pytest.raises(KeyboardInterrupt):
         for _ in iter_sweep(_LONG_GRID, RunConfig(factor_rho_budget=200_000, workers=2)):
             pass
     assert next(calls) > nth  # the interrupt was raised
-    assert len(forked) == 2 and _reaped_within(forked, 5)
+    # an interrupt at the second fork leaves one child to reap, and no pipe end
+    assert len(forked) == (1 if call == "fork" else 2) and _reaped_within(forked, 5)
+    assert len(os.listdir("/dev/fd")) == open_fds
 
 
 @contextmanager
@@ -532,8 +526,8 @@ def _alarm(seconds: float):
 
 
 def test_chunks_larger_than_a_pipe_round_trip(forked):
-    # tasks of 300 kB and results of 600 kB, far past a pipe's buffer: a parent
-    # blocked writing a task to a child blocked writing a result would hang
+    # results of 600 kB, in batches of up to 1.8 MB, far past a pipe's buffer:
+    # each child blocks on its full pipe until the parent reads its turn
     tasks = [bytes([i]) * 300_000 for i in range(12)]
     with _alarm(60):
         results = list(pool.imap(lambda task: task + task, 2, iter(tasks)))
@@ -550,3 +544,34 @@ def test_an_exception_in_a_child_re_raises_in_the_parent(forked):
     with _alarm(60), pytest.raises(ZeroDivisionError, match="task 5"):
         list(pool.imap(run, 2, iter(range(40))))
     assert len(forked) == 2 and _reaped_within(forked, 5)
+
+
+def test_an_exception_in_a_childs_tasks_re_raises_as_itself(forked):
+    def tasks():
+        yield from range(5)
+        raise LookupError("the walk broke")
+
+    with _alarm(60), pytest.raises(LookupError, match="the walk broke"):
+        list(pool.imap(lambda task: task, 2, tasks()))
+    assert len(forked) == 2 and _reaped_within(forked, 5)
+
+
+def test_a_child_that_dies_mid_share_raises_runtime_error(forked):
+    def run(task):
+        if task == 5:
+            os._exit(3)  # in the child: its pipe ends without the end marker
+        return task
+
+    with _alarm(60), pytest.raises(RuntimeError, match="ended without its results"):
+        list(pool.imap(run, 2, iter(range(40))))
+    assert len(forked) == 2 and _reaped_within(forked, 5)
+
+
+@pytest.mark.parametrize("workers, n_tasks", [(5, 3), (3, 10), (2, 0), (3, 3 * 32 + 7)])
+def test_results_keep_their_order_over_any_shares(forked, workers, n_tasks):
+    # more workers than tasks leaves a child with no share; shares differ by one
+    with _alarm(60):
+        assert list(pool.imap(lambda task: -task, workers, iter(range(n_tasks)))) == [
+            -task for task in range(n_tasks)
+        ]
+    assert len(forked) == workers and _reaped_within(forked, 5)
