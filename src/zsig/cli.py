@@ -248,7 +248,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
-def _load_json(text: str):
+def _load_json(text: str | bytes):
     """json.loads that reports nesting too deep for its recursion as a ValueError."""
     try:
         return json.loads(text)
@@ -256,22 +256,30 @@ def _load_json(text: str):
         raise ValueError("JSON nested too deeply to parse") from None
 
 
-def _sweep_records(text: str) -> list[tuple[str, bool]]:
-    """(key, consistent) of each record on a sweep file's complete lines;
-    ValueError on a malformed one."""
-    records = []
-    for line in text.splitlines():
-        if not line.strip():
-            continue
-        record = _load_json(line)
-        if not (
-            isinstance(record, dict)
-            and isinstance(record.get("key"), str)
-            and isinstance(record.get("consistent"), bool)
-        ):
-            raise ValueError(f"malformed sweep record: {_elide(line)}")
-        records.append((record["key"], record["consistent"]))
-    return records
+_RECORD_START = b'{"v":1,"key":"'
+
+
+def _sweep_records(lines) -> tuple[list[str], list[str], int]:
+    """The keys of a sweep file's records in file order, the keys of its
+    inconsistent ones, and the length of its complete lines.  ValueError on a
+    malformed record, or on an unterminated last line that no sweep began."""
+    keys, inconsistent, complete = [], [], 0
+    for number, line in enumerate(lines, 1):
+        if line.endswith(b"\n"):
+            complete += len(line)
+            record = _load_json(line)
+            if not (
+                isinstance(record, dict)
+                and isinstance(record.get("key"), str)
+                and isinstance(record.get("consistent"), bool)
+            ):
+                raise ValueError(f"malformed sweep record on line {number}")
+            keys.append(record["key"])
+            if not record["consistent"]:
+                inconsistent.append(record["key"])
+        elif not _RECORD_START.startswith(line[:len(_RECORD_START)]):  # nor a torn record
+            raise ValueError("the output file ends in a line that no sweep wrote")
+    return keys, inconsistent, complete
 
 
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
@@ -280,27 +288,21 @@ def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
         asked = getattr(cfg, key)
         if asked != pinned and (getattr(args, key) is not None or env_name(key) in os.environ):
             raise ValueError(f"the spec pins {key} = {pinned}, a flag or variable sets {asked}")
-    out = Path(args.out)
-    data = out.read_bytes() if out.exists() else b""
-    complete = data.rfind(b"\n") + 1
-    records = _sweep_records(data[:complete].decode())
-    done = {key for key, _ in records}
-    inconsistent = [key for key, consistent in records if not consistent]
-    if complete < len(data):
+    with open(args.out, "a+b") as out:
+        out.seek(0)
+        done, inconsistent, complete = _sweep_records(out)
+        verdicts = iter_sweep(spec, cfg, done)  # refuses a file that another grid wrote
         # a run killed mid-write leaves an unterminated last line: drop it
         # so the point is recomputed and the file stays line-aligned
-        with out.open("r+b") as handle:
-            handle.truncate(complete)
-    written = 0
-    # stream one line per verdict so an interrupted run resumes cleanly
-    with out.open("a") as handle:
-        for key, verdict in iter_sweep(spec, cfg, done):
-            handle.write(_dump_json({"v": 1, "key": key, **vars(verdict)}) + "\n")
-            handle.flush()
-            written += 1
+        out.truncate(complete)
+        points = len(done)
+        # stream one line per verdict so an interrupted run resumes cleanly
+        for points, (key, verdict) in enumerate(verdicts, points + 1):
+            out.write(_dump_json({"v": 1, "key": key, **vars(verdict)}).encode() + b"\n")
+            out.flush()
             if not verdict.consistent:
                 inconsistent.append(key)
-    print(f"sweep complete: {len(done) + written} points in {out}")
+    print(f"sweep complete: {points} points in {args.out}")
     if inconsistent:
         print("INCONSISTENT VERDICTS (counterexample candidates):", file=sys.stderr)
         for key in inconsistent:
@@ -396,9 +398,8 @@ def main(argv: list[str] | None = None) -> int:
         # decimal strings are the output format for big integers: clear the
         # interpreter's int->str guard for every size the digit budget allows,
         # up to 2^31 - 1, the largest C int set_int_max_str_digits takes
-        if hasattr(sys, "set_int_max_str_digits"):
-            guard = max(sys.get_int_max_str_digits(), 400_000, cfg.digit_budget)
-            sys.set_int_max_str_digits(min(guard, 2**31 - 1))
+        guard = max(sys.get_int_max_str_digits(), 400_000, cfg.digit_budget)
+        sys.set_int_max_str_digits(min(guard, 2**31 - 1))
         return args.func(args, cfg)
     except KeyboardInterrupt:
         # a sweep has flushed every finished record, and a resume drops a torn line

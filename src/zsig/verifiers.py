@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import chain, islice
 from math import gcd
-from typing import Callable, Container, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .arith import compare_sums, distinct_primes
 from .bounds import theorem1_bound
@@ -410,60 +410,59 @@ def classify_point(d: int, e: int | None, c: Fraction) -> str | None:
     )
 
 
-def point_key(theorem_id: str, d: int, e: int | None, c: Fraction) -> str:
+def point_key(theorem_id: str | None, d: int, e: int | None, c: Fraction) -> str:
     middle = "" if e is None else f":e={e}"
-    return f"{theorem_id}:d={d}{middle}:c={c}"
+    return f"{theorem_id or 'unclassified'}:d={d}{middle}:c={c}"
 
 
-def _run_point(args) -> tuple[str, TheoremVerdict]:
-    key, theorem_id, d, e, c, horizon, cfg = args
+def _run_point(point, horizon: int | None, cfg: RunConfig) -> tuple[str, TheoremVerdict]:
+    d, e, c = point
+    theorem_id = classify_point(d, e, c)
     if theorem_id is None:
         f = binomial(d, c) if e is None else trinomial(d, e, c)
-        return key, TheoremVerdict(
+        return point_key(None, d, e, c), TheoremVerdict(
             "unclassified", str(f), False,
             "no claim covers this parameter range", [], True,
             {"d": d, "e": e, "c": str(c)},
         )
-    return key, verify(theorem_id, d, c, e, cfg, horizon)
+    return point_key(theorem_id, d, e, c), verify(theorem_id, d, c, e, cfg, horizon)
 
 
 def iter_sweep(
-    spec: SweepSpec, config: RunConfig | None = None, done: Container[str] = frozenset()
-):
-    """Yield ``(key, verdict)`` in grid order as the verdicts complete.
+    spec: SweepSpec, config: RunConfig | None = None, done: Sequence[str] = ()
+) -> Iterator[tuple[str, TheoremVerdict]]:
+    """Yield ``(key, verdict)`` in grid order as the verdicts complete, past
+    the first ``len(done)`` points (resume support).
 
-    Each grid point is classified and keyed by the process that runs it; a
-    point whose key is in ``done`` is skipped (resume support).  The serial
-    path routes each point once and computes one per verdict taken.  On the
-    pool path the parent routes only the points it peeks at to size the pool,
-    and each child walks the grid and routes its own share.  Per-point
-    failures are captured inside the verdicts, never aborting the sweep.
+    ``done`` is a sweep file's keys in file order.  Unless they are the keys of
+    the grid's first points, this raises ValueError before it returns, so a
+    caller can refuse the file before writing to it.  One ``run`` classifies,
+    keys and verifies a point, here or in pool children that carry the walk on
+    from here.  Per-point failures are captured in the verdicts.
     """
     cfg = (config or RunConfig()).with_overrides(**dict(spec.budgets))
-
-    def task(point):
-        d, e, c = point
-        theorem_id = classify_point(d, e, c)
-        key = point_key(theorem_id or "unclassified", d, e, c)
-        return None if key in done else (key, theorem_id, d, e, c, spec.horizon, cfg)
+    walk = spec.walk()
+    for n, key in enumerate(done, 1):
+        point = next(walk, None)
+        if point is None or key != point_key(classify_point(*point), *point):
+            raise ValueError(f"record {n} of the file is not point {n} of this grid")
 
     def run(point):
-        args = task(point)
-        return None if args is None else _run_point(args)
+        return _run_point(point, spec.horizon, cfg)
 
-    # the pool forks every worker at once: never more than points to do or
-    # usable CPUs, and none where the platform cannot fork
-    todo = filter(None, map(task, spec.walk()))
-    workers = cfg.workers if hasattr(os, "fork") else 1
-    if workers > 1:
-        from . import pool
+    def verdicts():
+        # the pool forks every worker at once: never more than points left or
+        # usable CPUs, and none where the platform cannot fork
+        workers = cfg.workers if hasattr(os, "fork") else 1
+        if workers > 1:
+            from . import pool
 
-        workers = min(workers, pool.usable_cpus())
-    first = list(islice(todo, workers))
-    if len(first) > 1:
-        yield from filter(None, pool.imap(run, len(first), spec.walk()))
-    else:
-        yield from map(_run_point, chain(first, todo))
+            workers = min(workers, pool.usable_cpus())
+        first = list(islice(walk, workers))
+        tasks = chain(first, walk)
+        yield from pool.imap(run, len(first), tasks) if len(first) > 1 else map(run, tasks)
+
+    return verdicts()
 
 
 def run_sweep(spec: SweepSpec, config: RunConfig | None = None) -> list[TheoremVerdict]:

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import csv
 import io
 import json
@@ -7,14 +8,17 @@ import random
 import signal
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from zsig import reports, verifiers
+from zsig import pool, reports, verifiers
 from zsig.cli import build_parser, main
 from zsig.config import RunConfig, env_name
 from zsig.verifiers import SweepSpec, TheoremVerdict, run_sweep
@@ -665,6 +669,136 @@ def test_sweep_resume_over_an_inconsistent_record_exits_5(tmp_path, capsys):
     assert out_path.read_bytes() == flagged
 
 
+def _records(*cs: str) -> bytes:
+    """Records of the points z^3 + c, as much of each as a resume reads."""
+    return b"".join(b'{"v":1,"key":"cor12:d=3:c=%s","consistent":true}\n' % c.encode() for c in cs)
+
+
+@pytest.mark.parametrize("cs", [["9/2"], ["5/2", "7/2"], ["7/2", "5/2", "9/2"]],
+                         ids=["another-grid", "out-of-order", "past-the-grid"])
+def test_sweep_refuses_a_file_that_is_no_prefix_of_its_grid(tmp_path, capsys, cs):
+    # each resumed with exit 0: it appended to another grid's records, left
+    # this grid's records out of order, or kept a record past the grid
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(_GOOD_SPEC))
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_bytes(_records(*cs) + b'{"v":1,"ke')
+    _assert_sweep_usage_error(capsys, spec_path, out_path, _records(*cs) + b'{"v":1,"ke')
+
+
+@pytest.mark.parametrize("tail", [b"{}", b" ", b"\xff", b'{"v":2,"key":"', b'{"key":"cor12:d=3'])
+def test_sweep_refuses_a_last_line_that_no_sweep_began(tmp_path, capsys, tail):
+    # a torn record starts as every record does; any other unterminated line was cut
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(_GOOD_SPEC))
+    out_path = tmp_path / "results.jsonl"
+    out_path.write_bytes(_records("7/2") + tail)
+    _assert_sweep_usage_error(capsys, spec_path, out_path, _records("7/2") + tail)
+
+
+def test_sweep_refuses_its_own_spec_as_output(tmp_path, capsys):
+    # with no newline at its end the spec read as a torn line: it was cut to
+    # 0 bytes and overwritten with the results
+    spec = b'{"family":"z^d+c","d":[3],"c":["9/2"],"horizon":4}'
+    spec_path = tmp_path / "g.json"
+    for data in (spec, spec + b"\n"):
+        spec_path.write_bytes(data)
+        _assert_sweep_usage_error(capsys, spec_path, spec_path, data)
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_sweep_continues_a_file_that_a_shorter_grid_wrote(tmp_path, capsys, monkeypatch, workers):
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    spec_path = tmp_path / "grid.json"
+    short = tmp_path / "short.jsonl"
+    spec_path.write_text(json.dumps({**_GOOD_SPEC, "c": ["7/2"]}))
+    assert run(capsys, "sweep", str(spec_path), "-o", str(short), *FAST)[0] == 0
+    spec_path.write_text(json.dumps({**_GOOD_SPEC, "c": ["7/2", "5/2", "9/2", "11/2"]}))
+    flags = [*FAST, "--workers", workers]
+    clean = tmp_path / "clean.jsonl"
+    assert run(capsys, "sweep", str(spec_path), "-o", str(clean), *flags)[0] == 0
+    code, out, _ = run(capsys, "sweep", str(spec_path), "-o", str(short), *flags)
+    assert (code, out) == (0, f"sweep complete: 4 points in {short}\n")
+    assert short.read_bytes() == clean.read_bytes()
+
+
+def test_a_resume_holds_less_than_its_file_in_memory(tmp_path, capsys):
+    # the file was read whole, decoded and split into lines: three copies of it
+    spec_path = tmp_path / "grid.json"
+    spec_path.write_text(json.dumps(
+        {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 2000], "den": [1, 1]}, "horizon": 1}
+    ))
+    out_path = tmp_path / "results.jsonl"
+    assert run(capsys, "sweep", str(spec_path), "-o", str(out_path), *FAST)[0] == 0
+    before = out_path.read_bytes()
+    tracemalloc.start()
+    try:
+        code = main(["sweep", str(spec_path), "-o", str(out_path), *FAST])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and out_path.read_bytes() == before
+    assert peak < len(before)
+
+
+_RESUME_CS = ["5/2", "7/2", "-3/2", "1/2", "3", "1"]
+
+
+@st.composite
+def _resume_specs(draw):
+    """A grid of at most 6 points, at horizon 1 and the default budgets."""
+    family = draw(st.sampled_from(["z^d+c", "z^d+z^e+c"]))
+    return {
+        "family": family,
+        "d": draw(st.lists(st.integers(2, 4), min_size=1, max_size=2, unique=True)),
+        "e": [2],
+        "c": draw(st.lists(st.sampled_from(_RESUME_CS), min_size=1, max_size=3, unique=True)),
+        "horizon": 1,
+    }
+
+
+def _sweep_in_process(spec: dict, out: Path, tmp: Path) -> tuple[int, str, str]:
+    spec_path = tmp / "grid.json"
+    spec_path.write_text(json.dumps(spec))
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(["sweep", str(spec_path), "-o", str(out), *FAST, "--workers", "1"])
+    return code, stdout.getvalue(), stderr.getvalue()
+
+
+@given(_resume_specs(), _resume_specs(), st.data())
+@settings(max_examples=150, deadline=None, derandomize=True)
+def test_a_resume_of_a_cut_file_is_one_clean_run_or_exits_2(a, b, data):
+    # clean(A) or clean(B) cut at any byte, then an unterminated tail: either
+    # a prefix of how every record starts, or any bytes but a newline
+    tail = data.draw(st.one_of(
+        st.integers(0, 14).map(lambda n: b'{"v":1,"key":"'[:n]),
+        st.binary(max_size=16).map(lambda tail: tail.replace(b"\n", b"")),
+    ))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        clean = []
+        for name, spec in (("a", a), ("b", b)):
+            assert _sweep_in_process(spec, tmp / f"{name}.jsonl", tmp)[0] == 0
+            clean.append((tmp / f"{name}.jsonl").read_bytes())
+        lines = data.draw(st.sampled_from(clean)).splitlines(keepends=True) + [b""]
+        kept = data.draw(st.integers(0, len(lines) - 1))  # whole lines, then a cut one
+        cut = b"".join(lines[:kept]) + lines[kept][:data.draw(st.integers(0, 400))] + tail
+        out = tmp / "resumed.jsonl"
+        out.write_bytes(cut)
+        code, stdout, stderr = _sweep_in_process(a, out, tmp)
+        resumed = out.read_bytes()
+    complete, last = cut[:cut.rfind(b"\n") + 1], cut[cut.rfind(b"\n") + 1:]
+    keys = [json.loads(line)["key"] for line in complete.splitlines()]
+    a_keys = [json.loads(line)["key"] for line in clean[0].splitlines()]
+    assert "Traceback" not in stderr
+    if keys == a_keys[:len(keys)] and b'{"v":1,"key":"'.startswith(last[:14]):
+        assert (code, stderr) == (0, "") and resumed == clean[0]
+    else:
+        assert (code, stdout) == (2, "") and stderr.startswith("error: ")
+        assert resumed == cut
+
+
 def test_sweep_new_inconsistent_verdict_exits_5(tmp_path, capsys, monkeypatch):
     real_verify = verifiers.verify
 
@@ -923,9 +1057,6 @@ def test_ctrl_c_while_the_cli_loads_exits_130(tmp_path, launch, interrupt):
     assert (proc.returncode, proc.stdout, proc.stderr) == (130, "", "interrupted\n")
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit before 3.11"
-)
 def test_import_leaves_int_str_limit_alone(tmp_path):
     # the CLI raises the interpreter's int->str digit limit; importing the
     # package must not
@@ -943,9 +1074,6 @@ def test_import_leaves_int_str_limit_alone(tmp_path):
     assert proc.returncode == 0, proc.stderr
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit before 3.11"
-)
 def test_digit_budget_raises_the_int_str_limit(capsys):
     before = sys.get_int_max_str_digits()
     try:
@@ -971,9 +1099,6 @@ def test_fresh_process_prints_a_long_numerator(tmp_path):
     assert last["n"] == 15 and int(last["B"]) == 2**16384
 
 
-@pytest.mark.skipif(
-    not hasattr(sys, "get_int_max_str_digits"), reason="no int->str digit limit before 3.11"
-)
 @pytest.mark.parametrize("how", ["flag", "env"])
 def test_digit_budget_past_a_c_int_runs(capsys, monkeypatch, how):
     # sys.set_int_max_str_digits takes a C int: the guard stops at 2^31 - 1

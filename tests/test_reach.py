@@ -60,8 +60,6 @@ ALLOWLIST: dict[str, str] = {
     "tests/test_last_index.py::test_budget_boundary_with_an_unbuilt_predecessor",
     "pool._serve": f"a pool child's whole life; {_CHILD}; "
     "tests/test_golden.py::test_pooled_sweep_bytes_match_golden",
-    "verifiers.iter_sweep.<locals>.run": f"routes and runs one point of a pooled sweep; {_CHILD}; "
-    "tests/test_verifiers.py::test_run_sweep_parallel_matches_serial",
     "verifiers.SweepSpec.points": "the sweep's grid as a list; "
     "perfbench/tests/test_perfbench.py::test_grid_order_matches_the_sweep_engine",
     "verifiers.run_sweep": f"{_API}: the in-process sweep; "

@@ -161,8 +161,13 @@ def test_sweep_spec_grid_and_keys():
     assert len(keys) == len(points) == 6  # (3,2), (4,2), (4,3) pairs
     assert keys == [point_key(classify_point(*pt), *pt) for pt in points]
     assert keys[0] == "thm13:d=3:e=2:c=5/2"
-    # a resume skips the keys already done, in grid order
-    assert [key for key, _ in iter_sweep(spec, LEAN, set(keys[1::2]))] == keys[::2]
+    # a resume skips the file's records, which must be the grid's first points
+    for n in range(len(keys) + 1):
+        assert [key for key, _ in iter_sweep(spec, LEAN, keys[:n])] == keys[n:]
+    # raised before any verdict: a file another grid wrote, or one past the grid
+    for done in (keys[1::2], keys[::-1], [*keys, keys[0]]):
+        with pytest.raises(ValueError, match="is not point"):
+            iter_sweep(spec, LEAN, done)
 
 
 @pytest.fixture
@@ -215,9 +220,9 @@ def test_sweep_classifies_each_point_once_and_streams(monkeypatch, forked, worke
          "horizon": 2}
     )
     assert [v.theorem_id for _, v in iter_sweep(spec, cfg)].count("unclassified") == 3
-    # a serial sweep routes each point once; a pooled one's parent routes only
-    # the points it peeks at to size the pool, and its children the rest
-    assert calls == (spec.points() if workers == 1 else spec.points()[:workers])
+    # a serial sweep routes each point once; a pooled one's parent routes none,
+    # since its peek to size the pool takes raw points, and its children all
+    assert calls == (spec.points() if workers == 1 else [])
     calls.clear()
     wide = SweepSpec.from_dict(
         {"family": "z^d+c", "d": [3], "c_grid": {"num": [1, 10_000], "den": [1, 1]},
@@ -228,7 +233,7 @@ def test_sweep_classifies_each_point_once_and_streams(monkeypatch, forked, worke
     key, verdict = next(sweep)
     sweep.close()
     assert key == "cor12:d=3:c=1" and verdict.details["horizon_used"] == 1
-    assert calls == wide.points()[:workers]
+    assert calls == wide.points()[:1 if workers == 1 else 0]
     # two pooled sweeps, one run to its end and one closed at its first verdict
     assert len(forked) == (0 if workers == 1 else 4) and _reaped_within(forked, 5)
 
@@ -284,7 +289,9 @@ def test_walk_is_the_eager_expansion_without_repeats(data):
     points = spec.points()
     assert points == list(dict.fromkeys(_eager_points(data)))
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(verifiers, "_run_point", lambda task: (task[0], None))
+        mp.setattr(verifiers, "_run_point", lambda point, horizon, cfg: (
+            point_key(classify_point(*point), *point), None
+        ))
         keys = [key for key, _ in iter_sweep(spec, LEAN)]
     assert len(set(keys)) == len(keys) == len(points)
 
@@ -295,16 +302,16 @@ def test_first_verdict_of_a_huge_grid_comes_at_once(monkeypatch, forked, workers
     # that grows with the grid
     data = {"family": "z^d+c", "d": [3], "horizon": 1,
             "c_grid": {"num": [-10**6, 10**6], "den": [1, 10**6]}}
-    classified, classify, parent = count(1), verifiers.classify_point, os.getpid()
+    classify, parent = verifiers.classify_point, os.getpid()
 
-    def classify_within_the_peek(*pt):
-        # a parent that routes the whole walk would otherwise fill the memory;
+    def classify_only_serially(*pt):
+        # a pooled parent that routes the walk would otherwise fill the memory;
         # the children route their own shares
-        if os.getpid() == parent and next(classified) > workers:
-            raise AssertionError("the parent routed past its peek")
+        if os.getpid() == parent and workers > 1:
+            raise AssertionError("the pooled parent routed a point")
         return classify(*pt)
 
-    monkeypatch.setattr(verifiers, "classify_point", classify_within_the_peek)
+    monkeypatch.setattr(verifiers, "classify_point", classify_only_serially)
     cfg = RunConfig(factor_rho_budget=200_000, workers=workers)
     tracemalloc.start()
     start = time.perf_counter()
@@ -459,10 +466,34 @@ def test_resume_with_at_most_one_point_left_starts_no_pool(monkeypatch, left):
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": _POOL_CS, "horizon": 3})
     results = list(iter_sweep(spec, LEAN))
     created = _recording_pool(monkeypatch, 8)
-    done = {key for key, _ in results[: len(results) - left]}
+    done = [key for key, _ in results[: len(results) - left]]
     cfg = RunConfig(factor_rho_budget=200_000, workers=64)
     assert list(iter_sweep(spec, cfg, done)) == results[len(results) - left:]
     assert created == []
+
+
+def test_a_pooled_resume_routes_the_done_prefix_in_the_parent_only(
+    monkeypatch, forked, tmp_path
+):
+    # the parent and then every child routed the whole done prefix
+    log, classify, parent = tmp_path / "routed.txt", verifiers.classify_point, str(os.getpid())
+
+    def logged(*pt):  # a line per routed point, from whichever process routes it
+        with open(log, "a") as handle:
+            handle.write(f"{os.getpid()} {pt}\n")
+        return classify(*pt)
+
+    spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": _POOL_CS, "horizon": 3})
+    points = spec.points()
+    keys = [point_key(classify(*pt), *pt) for pt in points]
+    monkeypatch.setattr(verifiers, "classify_point", logged)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    cfg = RunConfig(factor_rho_budget=200_000, workers=2)
+    assert [key for key, _ in iter_sweep(spec, cfg, keys[:2])] == keys[2:]
+    routed = [line.split(" ", 1) for line in log.read_text().splitlines()]
+    assert [pt for pid, pt in routed if pid == parent] == [str(pt) for pt in points[:2]]
+    assert sorted(pt for pid, pt in routed if pid != parent) == sorted(map(str, points[2:]))
+    assert len(forked) == 2 and _reaped_within(forked, 5)
 
 
 _LONG_GRID = SweepSpec.from_dict(
@@ -473,10 +504,10 @@ _LONG_GRID = SweepSpec.from_dict(
 def test_closing_a_pooled_sweep_cancels_its_queued_chunks(monkeypatch, forked):
     run_point = verifiers._run_point
 
-    def slow_after_the_first(task):  # runs in the children
-        if task[0] != "cor12:d=3:c=1":
+    def slow_after_the_first(point, horizon, cfg):  # runs in the children
+        if point != (3, None, 1):
             time.sleep(60)
-        return run_point(task)
+        return run_point(point, horizon, cfg)
 
     monkeypatch.setattr(verifiers, "_run_point", slow_after_the_first)
     sweep = iter_sweep(_LONG_GRID, RunConfig(factor_rho_budget=200_000, workers=2))
