@@ -20,7 +20,8 @@ _MODULES = {
     "orbits": "DigitBudgetError FiniteOrbitError Orbit OrbitEntry iterate_point orbit "
     "wandering_entries",
     "polynomials": "ParseError PolyQ parse_poly",
-    "verifiers": "CLAIMS SweepSpec TheoremVerdict run_sweep verify",
+    "sweep": "run_sweep",
+    "verifiers": "CLAIMS SweepSpec TheoremVerdict verify",
     "zsigmondy": "PrimitiveVerdict ZsigmondyReport check_zsigmondy_divisibility "
     "verify_rigid_divisibility zsigmondy_set",
 }

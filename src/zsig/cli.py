@@ -14,11 +14,10 @@ import json
 import os
 import sys
 from dataclasses import fields
-from pathlib import Path
 
-from . import reports
+from . import reports, sweep
 from .bounds import omega_inequality_audit, theorem1_bound
-from .config import OUTPUT_FORMATS, RunConfig, config_from_env, env_name
+from .config import BUDGETS, OUTPUT_FORMATS, RunConfig, config_from_env, env_name
 from .heights import (
     canonical_height_interval,
     family_C,
@@ -28,7 +27,7 @@ from .heights import (
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
 from .polynomials import PolyQ, parse_poly, parse_rational
-from .verifiers import BINOMIAL, CLAIMS, SweepSpec, iter_sweep, verify
+from .verifiers import BINOMIAL, CLAIMS, verify
 from .zsigmondy import zsigmondy_set
 
 EXIT_OK = 0
@@ -62,10 +61,6 @@ def _elide(s: str) -> str:
     return s if len(s) <= 40 else f"{s[:18]}...{s[-18:]}"
 
 
-def _dump_json(payload: dict) -> str:
-    return json.dumps(payload, separators=(",", ":"))
-
-
 def _emit(cfg: RunConfig, payload, text, table=None) -> None:
     """Print one result in the configured format.  The views are callables so
     only the printed one is built.  The CSV lists every leaf of ``payload()``
@@ -73,7 +68,7 @@ def _emit(cfg: RunConfig, payload, text, table=None) -> None:
     a report's JSON turns every stripped part into a decimal string, quadratic
     in its length, where its CSV prints only the digit count."""
     if cfg.output_format == "json":
-        print(_dump_json(payload()))
+        print(json.dumps(payload(), separators=(",", ":")))
     elif cfg.output_format == "csv":
         rows = table() if table else [("field", "value"), *_fields(payload())]
         csv.writer(sys.stdout, lineterminator="\n").writerows(rows)
@@ -248,60 +243,9 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
-def _load_json(text: str | bytes):
-    """json.loads that reports nesting too deep for its recursion as a ValueError."""
-    try:
-        return json.loads(text)
-    except RecursionError:
-        raise ValueError("JSON nested too deeply to parse") from None
-
-
-_RECORD_START = b'{"v":1,"key":"'
-
-
-def _sweep_records(lines) -> tuple[list[str], list[str], int]:
-    """The keys of a sweep file's records in file order, the keys of its
-    inconsistent ones, and the length of its complete lines.  ValueError on a
-    malformed record, or on an unterminated last line that no sweep began."""
-    keys, inconsistent, complete = [], [], 0
-    for number, line in enumerate(lines, 1):
-        if line.endswith(b"\n"):
-            complete += len(line)
-            record = _load_json(line)
-            if not (
-                isinstance(record, dict)
-                and isinstance(record.get("key"), str)
-                and isinstance(record.get("consistent"), bool)
-            ):
-                raise ValueError(f"malformed sweep record on line {number}")
-            keys.append(record["key"])
-            if not record["consistent"]:
-                inconsistent.append(record["key"])
-        elif not _RECORD_START.startswith(line[:len(_RECORD_START)]):  # nor a torn record
-            raise ValueError("the output file ends in a line that no sweep wrote")
-    return keys, inconsistent, complete
-
-
 def cmd_sweep(args: argparse.Namespace, cfg: RunConfig) -> int:
-    spec = SweepSpec.from_dict(_load_json(Path(args.spec).read_text()))
-    for key, pinned in spec.budgets:  # a pin never silently overrides a flag or variable
-        asked = getattr(cfg, key)
-        if asked != pinned and (getattr(args, key) is not None or env_name(key) in os.environ):
-            raise ValueError(f"the spec pins {key} = {pinned}, a flag or variable sets {asked}")
-    with open(args.out, "a+b") as out:
-        out.seek(0)
-        done, inconsistent, complete = _sweep_records(out)
-        verdicts = iter_sweep(spec, cfg, done)  # refuses a file that another grid wrote
-        # a run killed mid-write leaves an unterminated last line: drop it
-        # so the point is recomputed and the file stays line-aligned
-        out.truncate(complete)
-        points = len(done)
-        # stream one line per verdict so an interrupted run resumes cleanly
-        for points, (key, verdict) in enumerate(verdicts, points + 1):
-            out.write(_dump_json({"v": 1, "key": key, **vars(verdict)}).encode() + b"\n")
-            out.flush()
-            if not verdict.consistent:
-                inconsistent.append(key)
+    fixed = {k for k in BUDGETS if getattr(args, k) is not None or env_name(k) in os.environ}
+    points, inconsistent = sweep.run_into(args.spec, args.out, cfg, fixed)
     print(f"sweep complete: {points} points in {args.out}")
     if inconsistent:
         print("INCONSISTENT VERDICTS (counterexample candidates):", file=sys.stderr)

@@ -7,7 +7,8 @@ hypothesis exactly (integer arithmetic, no floats), evaluates the certified
 bound chain where one exists, recomputes the observed Zsigmondy elements at
 desk scale, and reports whether the observation conforms.  ``consistent`` is
 always computed from observed data; an inconsistent verdict is a
-counterexample candidate and surfaces loudly.
+counterexample candidate and surfaces loudly.  What one sweep grid point is
+lives here too (``SweepSpec``, ``point_key``, ``_run_point``); ``sweep`` runs a spec.
 
 Unit numerators are a convention wrinkle: an index with |A_n| = 1 lands in
 the computed set, which can brush against an emptiness claim (only seen at
@@ -17,10 +18,8 @@ as unit-numerator exceptions rather than inconsistencies.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain, islice
 from math import gcd
 from typing import Callable, Iterator, Sequence
 
@@ -426,46 +425,3 @@ def _run_point(point, horizon: int | None, cfg: RunConfig) -> tuple[str, Theorem
             {"d": d, "e": e, "c": str(c)},
         )
     return point_key(theorem_id, d, e, c), verify(theorem_id, d, c, e, cfg, horizon)
-
-
-def iter_sweep(
-    spec: SweepSpec, config: RunConfig | None = None, done: Sequence[str] = ()
-) -> Iterator[tuple[str, TheoremVerdict]]:
-    """Yield ``(key, verdict)`` in grid order as the verdicts complete, past
-    the first ``len(done)`` points (resume support).
-
-    ``done`` is a sweep file's keys in file order.  Unless they are the keys of
-    the grid's first points, this raises ValueError before it returns, so a
-    caller can refuse the file before writing to it.  One ``run`` classifies,
-    keys and verifies a point, here or in pool children that carry the walk on
-    from here.  Per-point failures are captured in the verdicts.
-    """
-    cfg = (config or RunConfig()).with_overrides(**dict(spec.budgets))
-    walk = spec.walk()
-    for n, key in enumerate(done, 1):
-        point = next(walk, None)
-        if point is None or key != point_key(classify_point(*point), *point):
-            raise ValueError(f"record {n} of the file is not point {n} of this grid")
-
-    def run(point):
-        return _run_point(point, spec.horizon, cfg)
-
-    def verdicts():
-        # the pool forks every worker at once: never more than points left or
-        # usable CPUs, and none where the platform cannot fork
-        workers = cfg.workers if hasattr(os, "fork") else 1
-        if workers > 1:
-            from . import pool
-
-            workers = min(workers, pool.usable_cpus())
-        first = list(islice(walk, workers))
-        tasks = chain(first, walk)
-        yield from pool.imap(run, len(first), tasks) if len(first) > 1 else map(run, tasks)
-
-    return verdicts()
-
-
-def run_sweep(spec: SweepSpec, config: RunConfig | None = None) -> list[TheoremVerdict]:
-    """Dispatch every grid point to its applicable verifier; output order
-    equals grid order regardless of worker count."""
-    return [verdict for _, verdict in iter_sweep(spec, config)]

@@ -21,7 +21,8 @@ from hypothesis import given, settings, strategies as st
 from zsig import pool, reports, verifiers
 from zsig.cli import build_parser, main
 from zsig.config import RunConfig, env_name
-from zsig.verifiers import SweepSpec, TheoremVerdict, run_sweep
+from zsig.sweep import run_sweep
+from zsig.verifiers import SweepSpec, TheoremVerdict
 from tests.conftest import LEAN
 
 FAST = ["--rho-budget", "200000"]
@@ -636,13 +637,19 @@ def test_sweep_writes_a_repeated_point_once(tmp_path, capsys, spec):
     b"[1]", b"{}", b'{"key":"cor12:d=3:c=5/2"}', b'{"key":7,"consistent":true}',
     b'{"key":"cor12:d=3:c=5/2","consistent":"no"}', b'"cor12:d=3:c=5/2"',
     pytest.param(b"[" * 200_000, id="nested-200000-deep"),
+    # a JSON error named its place within the line, not the file's line:
+    # "line 1 column 24 (char 23)", and "line 2 column 1 (char 1)" for a blank line
+    b'{"v":1,"key":"cor12:d=3', b"",
 ])
 def test_sweep_rejects_malformed_resume_record(tmp_path, capsys, line):
     spec_path = tmp_path / "grid.json"
     spec_path.write_text(json.dumps(_GOOD_SPEC))
     out_path = tmp_path / "results.jsonl"
-    out_path.write_bytes(line + b"\n" + _PARTIAL)
-    _assert_sweep_usage_error(capsys, spec_path, out_path, line + b"\n" + _PARTIAL)
+    before = _records("7/2") + line + b"\n" + _PARTIAL  # the grid's first record, then line
+    out_path.write_bytes(before)
+    code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: malformed sweep record on line 2\n")
+    assert out_path.read_bytes() == before
 
 
 def test_sweep_missing_spec_or_directory_output(tmp_path, capsys):

@@ -23,7 +23,8 @@ from hypothesis import assume, given, settings, strategies as st
 from zsig import orbits
 from zsig.orbits import DigitBudgetError, OrbitEntry, PendingEntry, orbit
 from zsig.polynomials import PolyQ
-from zsig.verifiers import BINOMIAL, CLAIMS, SweepSpec, classify_point, run_sweep, trinomial, verify
+from zsig.sweep import run_sweep
+from zsig.verifiers import BINOMIAL, CLAIMS, SweepSpec, classify_point, trinomial, verify
 from zsig.zsigmondy import zsigmondy_report_from_entries
 from tests.conftest import LEAN
 from tests.test_acceptance import TRINOMIAL_CS, TRINOMIAL_DES

@@ -2,6 +2,7 @@
 public name is its defining module's object."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -86,14 +87,67 @@ def test_only_orbits_names_the_unbuilt_entry_type():
     assert {path.stem for path in modules if "PendingEntry" in path.read_text()} == {"orbits"}
 
 
-def test_pool_imports_nothing_from_zsig():
-    # so that any zsig module may import the pool lazily without a cycle; the
-    # source is read, so an import added later fails too
+def _imported(module: str) -> list[str]:
+    """Every name that ``src/zsig/<module>.py`` imports, at any depth, relative
+    ones with their dots; ``from a import b`` gives both ``a`` and ``a.b``."""
     imported = []
-    for node in ast.walk(ast.parse((SRC / "zsig" / "pool.py").read_text())):
+    for node in ast.walk(ast.parse((SRC / "zsig" / f"{module}.py").read_text())):
         if isinstance(node, ast.Import):
             imported += [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom):
-            imported.append("." * node.level + (node.module or ""))
+            base = "." * node.level + (node.module or "")
+            imported += [base, *(f"{base.rstrip('.')}.{alias.name}" for alias in node.names)]
+    return imported
+
+
+def test_pool_imports_nothing_from_zsig():
+    # so that any zsig module may import the pool lazily without a cycle; the
+    # source is read, so an import added later fails too
+    imported = _imported("pool")
     assert "os" in imported
     assert not [name for name in imported if name.startswith((".", "zsig"))]
+
+
+def test_verifiers_imports_nothing_from_sweep():
+    # sweep imports verifiers, never the other way; the source is read, so a
+    # lazy import added later fails too
+    imported = _imported("verifiers")
+    assert ".config" in imported and ".config.RunConfig" in imported
+    assert not [name for name in imported if name.split(".")[-1] == "sweep"]
+    assert ".sweep" in _imported("cli") and ".verifiers" in _imported("sweep")
+
+
+def test_every_module_imports_alone():
+    # an import cycle fails for the module imported first, so each module is
+    # imported first, in a fresh interpreter
+    modules = sorted(path.stem for path in (SRC / "zsig").glob("*.py"))
+    assert {"cli", "pool", "sweep", "verifiers"} <= set(modules)
+    for module in modules:
+        proc = subprocess.run(
+            [sys.executable, "-c", f"import zsig.{module}"], capture_output=True, text=True,
+            env=dict(os.environ, PYTHONPATH=str(SRC)), timeout=120,
+        )
+        assert proc.returncode == 0, f"zsig.{module}: {proc.stderr}"
+
+
+def test_a_traced_sweep_has_one_point_span_per_point(tmp_path, capsys):
+    # perfbench's per-point figures read the spans of the names it wraps; a
+    # sweep that called around those names would leave them at 0
+    spec_path, out_path = tmp_path / "grid.json", tmp_path / "out.jsonl"
+    spec_path.write_text(json.dumps(
+        {"family": "z^d+z^e+c", "d": [3], "e": [2], "c": ["5/2", "3/2", "1/2", "1"],
+         "horizon": 2}
+    ))
+    argv = ["sweep", str(spec_path), "-o", str(out_path), "--workers", "1"]
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code = sys.modules["zsig.cli"].main(argv)  # the tracer's wrapper of main
+    finally:
+        tracer.uninstall()
+    assert code == 0 and len(out_path.read_text().splitlines()) == 4
+    points = [i for i, span in enumerate(tracer.spans) if span[0] == "verifiers.point"]
+    verifies = [span for span in tracer.spans if span[0] == "verifiers.verify"]
+    # each of the three classified points is verified inside its own point
+    # span; c = 1 is unclassified, a point span with no verify
+    assert len(points) == 4 and [span[3] for span in verifies] == points[:3]

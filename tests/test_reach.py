@@ -60,10 +60,10 @@ ALLOWLIST: dict[str, str] = {
     "tests/test_last_index.py::test_budget_boundary_with_an_unbuilt_predecessor",
     "pool._serve": f"a pool child's whole life; {_CHILD}; "
     "tests/test_golden.py::test_pooled_sweep_bytes_match_golden",
+    "sweep.run_sweep": f"{_API}: the in-process sweep; "
+    "tests/test_verifiers.py::test_run_sweep_orders_and_dispatches",
     "verifiers.SweepSpec.points": "the sweep's grid as a list; "
     "perfbench/tests/test_perfbench.py::test_grid_order_matches_the_sweep_engine",
-    "verifiers.run_sweep": f"{_API}: the in-process sweep; "
-    "tests/test_verifiers.py::test_run_sweep_orders_and_dispatches",
     "zsigmondy.zsigmondy_report_from_entries.<locals>.<genexpr>#2": "the exempt primes "
     "when no polynomial is known (L = 0), which every product caller knows; "
     "tests/test_zsigmondy.py::test_primitive_verdict_stripping",

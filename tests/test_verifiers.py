@@ -13,14 +13,8 @@ from hypothesis import given, settings, strategies as st
 from zsig import RunConfig, pool, run_sweep, verify, verifiers
 from zsig.cli import build_parser
 from zsig.orbits import OrbitEntry
-from zsig.verifiers import (
-    CLAIMS,
-    SweepSpec,
-    classify_point,
-    default_horizon,
-    iter_sweep,
-    point_key,
-)
+from zsig.sweep import iter_sweep
+from zsig.verifiers import CLAIMS, SweepSpec, classify_point, default_horizon, point_key
 from tests.conftest import LEAN
 
 
