@@ -310,6 +310,13 @@ def _block_product(i: int) -> int:
     return _product(_segment_primes(i))
 
 
+def build_trial_products() -> None:
+    """Build every segment product now, as a process about to fork does so
+    that no child builds its own."""
+    for i in range(TRIAL_BOUND // _SEGMENT):
+        _block_product(i)
+
+
 def trial_division(m: int) -> tuple[dict[int, int], int]:
     """Strip all prime factors <= TRIAL_BOUND from m; return ({p: e}, remaining)."""
     if m < 1:

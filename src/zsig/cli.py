@@ -294,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_zsig = sub.add_parser("zsig", help="compute the Zsigmondy set up to a horizon")
     _add_poly_args(p_zsig)
     p_zsig.add_argument("-N", type=int, required=True)
-    _add_knobs(p_zsig, "output_format", "digit_budget", "factor_rho_budget")
+    _add_knobs(p_zsig, "output_format", "digit_budget", "factor_rho_budget", "workers")
     p_zsig.set_defaults(func=cmd_zsig)
 
     p_bound = sub.add_parser("bound", help="evaluate the Zsigmondy index bound")
@@ -356,5 +356,7 @@ def main(argv: list[str] | None = None) -> int:
         return codes.get(type(exc), EXIT_PARSE)
 
 
-if __name__ == "__main__":
-    sys.exit(main())
+if __name__ == "__main__":  # python -m zsig.cli: this module has loaded already
+    from .__main__ import entry
+
+    entry()

@@ -52,7 +52,10 @@ def env_name(field: str) -> str:
 
 def config_from_env() -> RunConfig:
     """Build a RunConfig with ZSIG_* environment overrides applied; any other
-    ZSIG_* variable is a misspelt knob and raises ValueError."""
+    ZSIG_* variable is a misspelt knob and raises ValueError.  Unless
+    ``ZSIG_WORKERS`` sets it, ``workers`` is the CPUs this process may use:
+    the command line's default, where ``RunConfig()`` keeps a library call
+    to one process."""
     knobs = {env_name(f.name): f for f in fields(RunConfig)}
     unknown = sorted(k for k in os.environ if k.startswith(_ENV_PREFIX) and k not in knobs)
     if unknown:
@@ -62,4 +65,8 @@ def config_from_env() -> RunConfig:
         for name, f in knobs.items()
         if name in os.environ
     }
+    if "workers" not in overrides:
+        from .pool import usable_cpus
+
+        overrides["workers"] = usable_cpus()
     return RunConfig(**overrides)

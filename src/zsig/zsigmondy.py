@@ -29,11 +29,13 @@ has a primitive prime divisor exactly when |A_N| > P, and is then no unit.
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass, field
+from functools import partial
 from math import gcd, lcm, prod
 from typing import Sequence
 
-from .arith import distinct_primes, factor, v_p
+from .arith import TRIAL_BOUND, build_trial_products, distinct_primes, factor, v_p
 from .config import RunConfig
 from .orbits import OrbitEntry, wandering_entries
 from .polynomials import PolyQ
@@ -100,17 +102,47 @@ def _witness_primes(stripped: int, cfg: RunConfig) -> tuple[int, ...]:
     return tuple(sorted(primes))
 
 
+# Trial division leaves a part below this 1 or a prime, so only the parts at
+# or above it can reach rho.
+_RHO_FLOOR = TRIAL_BOUND**2
+
+
+def _witness_lists(stripped: Sequence[int], cfg: RunConfig, workers: int) -> list[tuple]:
+    """``_witness_primes`` of each stripped part.  The parts that can reach rho
+    go to at most ``workers`` pool children, never more than usable CPUs or
+    than such parts, in decreasing bit length, and their results are put back
+    by index.  The rest, or all where no two children would start, are
+    factored here.  Each ``factor`` call has its own budget and seeds rho from
+    its input, so where a part runs changes nothing."""
+    witness = partial(_witness_primes, cfg=cfg)
+    large = [i for i, s in enumerate(stripped) if s >= _RHO_FLOOR]
+    large.sort(key=lambda i: stripped[i].bit_length(), reverse=True)
+    found = {}
+    if hasattr(os, "fork") and min(workers, len(large)) > 1:
+        from . import pool
+
+        workers = min(workers, len(large), pool.usable_cpus())
+        if workers > 1:
+            build_trial_products()  # once here, not once in each child
+            found = dict(zip(large, pool.imap(witness, workers, [stripped[i] for i in large])))
+    return [found[i] if i in found else witness(s) for i, s in enumerate(stripped)]
+
+
 def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> ZsigmondyReport:
     """Indices n <= N whose numerator lacks a primitive prime divisor.
 
     Requires a vanishing linear coefficient and a wandering orbit; a finite
-    orbit raises FiniteOrbitError since the set is not defined there.
+    orbit raises FiniteOrbitError since the set is not defined there.  The
+    stripped parts are factored over ``config.workers`` pool children
+    (``_witness_lists``).
     """
     if not f.admissible:
         raise ValueError("linear coefficient is nonzero; Zsigmondy computations require a_1 = 0")
     cfg = config or RunConfig()
     entries = wandering_entries(f, N, digit_budget=cfg.digit_budget)
-    return zsigmondy_report_from_entries(entries, cfg, denominator_lcm=f.cleared[1])
+    return zsigmondy_report_from_entries(
+        entries, cfg, denominator_lcm=f.cleared[1], workers=cfg.workers
+    )
 
 
 def zsigmondy_report_from_entries(
@@ -119,6 +151,7 @@ def zsigmondy_report_from_entries(
     *,
     witnesses: bool = True,
     denominator_lcm: int = 0,
+    workers: int = 1,
 ) -> ZsigmondyReport:
     """Per-index verdicts, elements and rigid-divisibility violations.
 
@@ -133,6 +166,8 @@ def zsigmondy_report_from_entries(
     With ``witnesses=False`` nothing is factored unless it fails: witness lists
     and the k(p) table stay empty, and ``rigid_violations`` is the same either way.
     An unbuilt last entry stays unbuilt where ``_unbuilt_primitive`` decides it.
+    ``workers`` caps the pool children that factor (``_witness_lists``); the
+    verifiers pass none, so a sweep's pool child never forks.
     """
     if any(not e.sign for e in entries):
         raise ValueError("a zero numerator has no stripped part: the orbit returns to 0")
@@ -145,10 +180,10 @@ def zsigmondy_report_from_entries(
         stripped.append(None if unbuilt else stripped_numerator(entries, N, denominator_lcm))
     holds = unbuilt or rigid_law_holds(entries, stripped, exempt)
     factoring = witnesses or not holds
+    witness_lists = _witness_lists(stripped, cfg, workers) if factoring else [()] * N
     per_index: list[PrimitiveVerdict] = []
     k_table: dict[int, int] = {}
-    for n, s in enumerate(stripped, start=1):
-        primes = _witness_primes(s, cfg) if factoring else ()
+    for n, (s, primes) in enumerate(zip(stripped, witness_lists), start=1):
         # s is None: primitive, so |A_n| > 1 is no unit
         unit = s is not None and entries[n - 1].is_unit
         per_index.append(PrimitiveVerdict(n, s is None or s > 1, s, primes, unit))

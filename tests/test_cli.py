@@ -983,7 +983,7 @@ def test_readme_knob_table_matches_the_parser():
     assert documented == {command: set(flags) for command, flags in _KNOB_FLAGS.items()}
     dests = {flag: dest for flags in _KNOB_FLAGS.values() for flag, dest in flags.items()}
     assert variables == {flag: env_name(dest) for flag, dest in dests.items()}
-    assert sum(map(len, _KNOB_FLAGS.values())) == 13
+    assert sum(map(len, _KNOB_FLAGS.values())) == 14
 
 
 def test_python_dash_m_entry_points(tmp_path):
@@ -1000,6 +1000,20 @@ def test_python_dash_m_entry_points(tmp_path):
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
     assert proc.returncode == 4
+
+
+def test_python_dash_m_zsig_cli_prints_what_python_dash_m_zsig_prints(tmp_path):
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    runs = [
+        subprocess.run(
+            [sys.executable, "-m", module, "orbit", "--coeffs", "3,0,1", "-N", "3"],
+            capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+        )
+        for module in ("zsig", "zsig.cli")
+    ]
+    (code, out, err), cli = [(run.returncode, run.stdout, run.stderr) for run in runs]
+    assert (code, err) == (0, "") and "147" in out
+    assert cli == (code, out, err)
 
 
 def test_import_loads_no_process_pool(tmp_path):
@@ -1178,6 +1192,51 @@ def test_sweep_interrupted_by_ctrl_c_exits_130_and_resumes(tmp_path, workers):
     clean = tmp_path / "clean.jsonl"
     assert sweep(clean).wait(timeout=120) == 0
     assert out.read_bytes() == clean.read_bytes()
+
+
+# Run by the interpreter at start-up: two usable CPUs, and a log line for each
+# child the parent forks and for each one it reaps.
+_LOGGED_POOL = (
+    "import os\n"
+    "fork, waitpid = os.fork, os.waitpid\n"
+    "def log(line):\n"
+    "    with open('pool.log', 'a') as out:\n"
+    "        out.write(line + '\\n')\n"
+    "def logged_fork():\n"
+    "    pid = fork()\n"
+    "    if pid:\n"
+    "        log(f'fork {pid}')\n"
+    "    return pid\n"
+    "def logged_waitpid(pid, options):\n"
+    "    result = waitpid(pid, options)\n"
+    "    log(f'reap {pid}')\n"
+    "    return result\n"
+    "os.fork, os.waitpid = logged_fork, logged_waitpid\n"
+    "os.sched_getaffinity = lambda pid: {0, 1}\n"
+)
+
+
+@pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
+def test_zsig_interrupted_by_ctrl_c_exits_130_and_reaps_its_pool(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(_LOGGED_POOL)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(tmp_path), str(SRC)]))
+    log = tmp_path / "pool.log"
+    # six stripped parts of at least 10^12, about 2 s of rho in all
+    argv = [sys.executable, "-m", "zsig", "zsig", "--coeffs", "5/2,0,1,0,1", "-N", "9",
+            "--workers", "2"]
+    # a Ctrl-C signals the whole process group, pool children included
+    proc = subprocess.Popen(argv, env=env, cwd=tmp_path, text=True, start_new_session=True,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    deadline = time.monotonic() + 60
+    while not (log.exists() and log.read_text().count("fork") == 2):
+        assert time.monotonic() < deadline and proc.poll() is None, "no pool started"
+        time.sleep(0.005)
+    os.killpg(proc.pid, signal.SIGINT)
+    out, err = proc.communicate(timeout=120)
+    assert (proc.returncode, out, err) == (130, "", "interrupted\n")
+    events = [line.split() for line in log.read_text().splitlines()]
+    forked = sorted(pid for event, pid in events if event == "fork")
+    assert len(forked) == 2 and sorted(pid for event, pid in events if event == "reap") == forked
 
 
 @pytest.mark.exhaustive

@@ -2,7 +2,7 @@ from dataclasses import fields
 
 import pytest
 
-from zsig import RunConfig, config_from_env
+from zsig import RunConfig, config_from_env, pool
 from zsig.config import BUDGETS, INT_KNOBS
 from zsig.verifiers import SweepSpec
 
@@ -22,6 +22,15 @@ def test_validation():
         RunConfig(workers=-1)
     with pytest.raises(ValueError):
         RunConfig(output_format="xml")
+
+
+def test_the_command_line_defaults_workers_to_the_usable_cpus(monkeypatch):
+    monkeypatch.delenv("ZSIG_WORKERS", raising=False)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 3)
+    assert config_from_env().workers == 3
+    assert RunConfig().workers == 1  # a library call forks only when asked to
+    monkeypatch.setenv("ZSIG_WORKERS", "1")
+    assert config_from_env().workers == 1
 
 
 def test_with_overrides_ignores_none():

@@ -13,6 +13,7 @@ intended:
 from __future__ import annotations
 
 import contextlib
+import hashlib
 import io
 import json
 import os
@@ -21,9 +22,11 @@ from pathlib import Path
 
 import pytest
 
+from zsig import pool
 from zsig.cli import main
 
-DATA = Path(__file__).resolve().parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "tests" / "data"
 
 SWEEPS = {
     "trinomial": {
@@ -176,6 +179,32 @@ def test_verify_output_matches_golden():
 
 def test_cli_output_matches_golden():
     _assert_matches("golden_cli.json", CLI_ARGV)
+
+
+def test_zsig_output_is_the_same_over_the_witness_pool(monkeypatch):
+    usable_cpus, imap, started = pool.usable_cpus, pool.imap, []
+    monkeypatch.setattr(pool, "usable_cpus", lambda: max(2, usable_cpus()))
+    monkeypatch.setattr(pool, "imap", lambda *args: started.append(args[1]) or imap(*args))
+    for argv in CLI_ARGV:
+        if argv[0] == "zsig":
+            assert _run([*argv, "--workers", "2"]) == _run([*argv, "--workers", "1"]), argv
+    assert started and set(started) == {2}
+
+
+@pytest.mark.exhaustive
+def test_benchmark_zsig_points_match_their_digests_over_the_witness_pool(monkeypatch):
+    # the three zsig commands of perfbench's cli_points at seed 0, default budgets
+    from perfbench.workloads import cli_commands
+
+    expected = json.loads((ROOT / "perfbench" / "digests.json").read_text())["cli_points"]
+    usable_cpus = pool.usable_cpus
+    monkeypatch.setattr(pool, "usable_cpus", lambda: max(2, usable_cpus()))
+    zsig_points = [(argv, want) for argv, want in zip(cli_commands(0), expected)
+                   if argv[0] == "zsig"]
+    assert len(zsig_points) == 3
+    for argv, want in zsig_points:
+        code, out = _run([*argv, "--workers", "2"])
+        assert (code, hashlib.sha256(out.encode()).hexdigest()) == (want["exit"], want["stdout"])
 
 
 def record() -> None:

@@ -4,9 +4,10 @@ listed in ``ALLOWLIST`` with the reason it is kept.
 The traffic is what the goldens and the benchmark run: every argv of
 ``golden_verify.json`` and ``golden_cli.json``, the three golden sweeps and
 the benchmark's ``grid_deep`` and ``grid_wide`` specs at seed 0, all serial
-and in one process under ``sys.setprofile``, then the binomial golden sweep
-at ``--workers 2`` with at least two usable CPUs, so that the parent side of
-the pool runs on any machine.  A function is named ``module.qualname``
+(``--workers 1`` where the command takes it) and in one process under
+``sys.setprofile``, then the binomial golden sweep and one ``zsig`` golden
+argv at ``--workers 2`` with at least two usable CPUs, so that the parent
+side of each pool runs on any machine.  A function is named ``module.qualname``
 (``co_qualname``), with ``#k`` on the k-th, in source order, of several that
 share a qualname.  Module and class bodies, and the comprehensions they run
 at import, are out of scope, and so is a function inside one that is not
@@ -35,6 +36,9 @@ from types import CodeType
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "zsig"
+# a zsig golden argv with stripped parts enough to start the witness pool
+POOLED_ZSIG_ARGV = ["zsig", "--coeffs", "7/2,0,0,1", "-N", "6", "--rho-budget", "200000",
+                    "--format", "json", "--workers", "2"]
 
 _API = "library API (zsig.__all__)"
 _CHILD = "runs only in a forked pool child, out of the parent's profile"
@@ -109,7 +113,7 @@ def traffic() -> None:
     from zsig import pool
 
     for argv in VERIFY_ARGV + CLI_ARGV:
-        _run(argv)
+        _run(argv + ["--workers", "1"] * (argv[0] == "zsig"))
     with tempfile.TemporaryDirectory() as tmp:
         spec_path, out_path = Path(tmp, "spec.json"), Path(tmp, "out.jsonl")
 
@@ -119,11 +123,12 @@ def traffic() -> None:
             _run(["sweep", str(spec_path), "-o", str(out_path), *flags])
 
         for spec in [*SWEEPS.values(), grid_spec("grid_deep", 0), grid_spec("grid_wide", 0)]:
-            sweep(spec)
+            sweep(spec, "--workers", "1")
         usable_cpus = pool.usable_cpus
         pool.usable_cpus = lambda: max(2, usable_cpus())
         try:
             sweep(SWEEPS["binomial"], "--workers", "2")
+            _run(POOLED_ZSIG_ARGV)
         finally:
             pool.usable_cpus = usable_cpus
 

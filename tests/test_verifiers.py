@@ -10,11 +10,13 @@ from itertools import count
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsig import RunConfig, pool, run_sweep, verify, verifiers
+from zsig import RunConfig, pool, run_sweep, verify, verifiers, zsigmondy
 from zsig.cli import build_parser
 from zsig.orbits import OrbitEntry
 from zsig.sweep import iter_sweep
-from zsig.verifiers import CLAIMS, SweepSpec, classify_point, default_horizon, point_key
+from zsig.verifiers import (
+    CLAIMS, SweepSpec, binomial, classify_point, default_horizon, point_key,
+)
 from tests.conftest import LEAN
 
 
@@ -600,3 +602,30 @@ def test_results_keep_their_order_over_any_shares(forked, workers, n_tasks):
             -task for task in range(n_tasks)
         ]
     assert len(forked) == workers and _reaped_within(forked, 5)
+
+
+def test_a_point_that_factors_never_starts_the_witness_pool(monkeypatch):
+    # with the valuation law taken to fail, verify and a sweep point factor
+    # every stripped part, but stay serial under workers=2: a sweep's pool
+    # child must not fork
+    monkeypatch.setattr(zsigmondy, "rigid_law_holds", lambda *args: False)
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
+    started, routes = [], []
+    monkeypatch.setattr(
+        pool, "imap", lambda run, workers, tasks: started.append(workers) or map(run, tasks)
+    )
+    witness_lists = zsigmondy._witness_lists
+
+    def recording_witness_lists(stripped, cfg, workers):
+        routes.append(workers)
+        return witness_lists(stripped, cfg, workers)
+
+    monkeypatch.setattr(zsigmondy, "_witness_lists", recording_witness_lists)
+    cfg = RunConfig(factor_rho_budget=200_000, workers=2)
+    assert verify("cor12", 3, Fraction(7, 2), None, cfg, horizon=6).consistent
+    spec = SweepSpec.from_dict({"family": "z^d+c", "d": [3], "c": ["7/2"], "horizon": 6})
+    assert [v.consistent for v in run_sweep(spec, cfg)] == [True]
+    assert routes == [1, 1] and started == []
+    # the same orbit through zsigmondy_set factors three parts of at least 10^12
+    zsigmondy.zsigmondy_set(binomial(3, Fraction(7, 2)), 6, cfg)
+    assert routes[2:] == [2] and started == [2]
