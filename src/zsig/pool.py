@@ -1,13 +1,19 @@
-"""The fork-and-pipe pool of a sweep over more than one worker; nothing else
-imports it, and it imports nothing from ``zsig``.
+"""The fork-and-pipe pool behind ``--workers``.  Its two callers, ``sweep``
+(the grid's points) and ``zsigmondy`` (the stripped parts that can reach rho),
+hand it a batch of tasks and a worker count, and ``imap`` alone decides where
+the batch runs: in this process where there is no ``os.fork``, fewer than two
+usable CPUs or workers, or fewer than two tasks, and else over one forked
+child per worker, CPU and task, whichever is fewest.  ``config`` reads
+``usable_cpus`` for the command line's default worker count.  It imports
+nothing from ``zsig``.
 
-``imap`` forks its children up front.  Child k runs tasks k, k + workers, ...
-of its own copy of the task iterator and sends the results back over its one
-pipe as pickles, in batches.  The parent reads result i from child
-i % workers and writes nothing to a child: a child that runs ahead blocks on
-its full pipe, and the parent waits only on the child whose result is next.
-Nothing here starts a thread, so the fork of a single-threaded caller (the
-CLI is one) copies no lock that another thread holds.
+Child k runs tasks k, k + N, ... of its own copy of the task iterator and
+sends the results back over its one pipe as pickles, in batches.  The parent
+reads result i from child i % N and writes nothing to a child: a child that
+runs ahead blocks on its full pipe, and the parent waits only on the child
+whose result is next.  Nothing here starts a thread, so the fork of a
+single-threaded caller (the CLI is one) copies no lock that another thread
+holds.
 """
 
 from __future__ import annotations
@@ -15,7 +21,7 @@ from __future__ import annotations
 import os
 import pickle
 import signal
-from itertools import cycle, islice
+from itertools import chain, cycle, islice
 from typing import BinaryIO, Callable, Iterable, Iterator
 
 # Largest batch of results: batches grow 1, 2, 4, ... up to it, so the first
@@ -32,19 +38,28 @@ def usable_cpus() -> int:
 
 
 def imap(run: Callable, workers: int, tasks: Iterable) -> Iterator:
-    """``run`` of each task, in order, over ``workers`` forked children.
+    """``run`` of each task, in order, here or over forked children (module
+    docstring).  On its first ``next`` it takes at most ``workers`` tasks to
+    count them; where it forks, this process takes no task after those.
 
     Each child reads ``tasks`` from the state it had at the fork, so its state
     must live in this process's memory (a generator or a list iterator, not a
-    file); this process never advances it.  An exception that ``run`` or
-    ``tasks`` raises in a child re-raises here, in place of the batch it
-    stopped.  However the iteration ends (exhausted, closed, an exception or a
-    Ctrl-C), every child is killed and reaped before it does.
+    file).  An exception that ``run`` or ``tasks`` raises in a child re-raises
+    here, in place of the batch it stopped.  However the iteration ends
+    (exhausted, closed, an exception or a Ctrl-C), every child is killed and
+    reaped before it does.
     """
+    tasks = iter(tasks)
+    workers = min(workers, usable_cpus()) if hasattr(os, "fork") else 1
+    first = list(islice(tasks, workers))
+    tasks = chain(first, tasks)
+    if len(first) < 2:
+        yield from map(run, tasks)
+        return
     children: list[tuple[int, BinaryIO]] = []
     try:
-        for k in range(workers):
-            _fork(run, islice(tasks, k, None, workers), children)
+        for k in range(len(first)):
+            _fork(run, islice(tasks, k, None, len(first)), children)
         for results in cycle([_results(*child) for child in children]):
             result = next(results, _END)
             if result is _END:

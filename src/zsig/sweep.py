@@ -1,6 +1,6 @@
 """Running a sweep spec into a JSONL record file: loading the spec, the grid's
-verdicts in grid order over this process or the pool, the record format and
-the resume.
+verdicts in grid order through ``pool.imap``, the record format and the
+resume.
 
 A record is one line, ``{"v":1,"key":...}`` and then the verdict's fields,
 written and flushed as its verdict comes.  A resume reads the file once from
@@ -19,11 +19,10 @@ from __future__ import annotations
 import json
 import os
 from functools import partial
-from itertools import chain, islice
 from pathlib import Path
 from typing import BinaryIO, Iterable, Iterator
 
-from . import verifiers
+from . import pool, verifiers
 from .config import RunConfig
 from .verifiers import SweepSpec, TheoremVerdict, point_key
 
@@ -54,20 +53,7 @@ def iter_sweep(
             raise ValueError(f"record {n} of the file is not point {n} of this grid")
 
     run = partial(verifiers._run_point, horizon=spec.horizon, cfg=cfg)
-
-    def verdicts():
-        # the pool forks every worker at once: never more than points left or
-        # usable CPUs, and none where the platform cannot fork
-        workers = cfg.workers if hasattr(os, "fork") else 1
-        if workers > 1:
-            from . import pool
-
-            workers = min(workers, pool.usable_cpus())
-        first = list(islice(walk, workers))
-        tasks = chain(first, walk)
-        yield from pool.imap(run, len(first), tasks) if len(first) > 1 else map(run, tasks)
-
-    return verdicts()
+    return pool.imap(run, cfg.workers, walk)
 
 
 def run_sweep(spec: SweepSpec, config: RunConfig | None = None) -> list[TheoremVerdict]:

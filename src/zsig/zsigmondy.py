@@ -29,12 +29,12 @@ has a primitive prime divisor exactly when |A_N| > P, and is then no unit.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, lcm, prod
 from typing import Sequence
 
+from . import pool
 from .arith import TRIAL_BOUND, build_trial_products, distinct_primes, factor, v_p
 from .config import RunConfig
 from .orbits import OrbitEntry, wandering_entries
@@ -109,22 +109,15 @@ _RHO_FLOOR = TRIAL_BOUND**2
 
 def _witness_lists(stripped: Sequence[int], cfg: RunConfig, workers: int) -> list[tuple]:
     """``_witness_primes`` of each stripped part.  The parts that can reach rho
-    go to at most ``workers`` pool children, never more than usable CPUs or
-    than such parts, in decreasing bit length, and their results are put back
-    by index.  The rest, or all where no two children would start, are
-    factored here.  Each ``factor`` call has its own budget and seeds rho from
-    its input, so where a part runs changes nothing."""
+    go to ``pool.imap`` with ``workers``, in index order, and their results
+    are put back by index; the rest are factored here.  Each ``factor`` call
+    has its own budget and seeds rho from its input, so where a part runs
+    changes nothing."""
     witness = partial(_witness_primes, cfg=cfg)
     large = [i for i, s in enumerate(stripped) if s >= _RHO_FLOOR]
-    large.sort(key=lambda i: stripped[i].bit_length(), reverse=True)
-    found = {}
-    if hasattr(os, "fork") and min(workers, len(large)) > 1:
-        from . import pool
-
-        workers = min(workers, len(large), pool.usable_cpus())
-        if workers > 1:
-            build_trial_products()  # once here, not once in each child
-            found = dict(zip(large, pool.imap(witness, workers, [stripped[i] for i in large])))
+    if len(large) > 1:
+        build_trial_products()  # once before any fork, not once in each child
+    found = dict(zip(large, pool.imap(witness, workers, [stripped[i] for i in large])))
     return [found[i] if i in found else witness(s) for i, s in enumerate(stripped)]
 
 
@@ -133,8 +126,7 @@ def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> Zsigmond
 
     Requires a vanishing linear coefficient and a wandering orbit; a finite
     orbit raises FiniteOrbitError since the set is not defined there.  The
-    stripped parts are factored over ``config.workers`` pool children
-    (``_witness_lists``).
+    stripped parts go to the pool with ``config.workers`` (``_witness_lists``).
     """
     if not f.admissible:
         raise ValueError("linear coefficient is nonzero; Zsigmondy computations require a_1 = 0")
@@ -166,7 +158,7 @@ def zsigmondy_report_from_entries(
     With ``witnesses=False`` nothing is factored unless it fails: witness lists
     and the k(p) table stay empty, and ``rigid_violations`` is the same either way.
     An unbuilt last entry stays unbuilt where ``_unbuilt_primitive`` decides it.
-    ``workers`` caps the pool children that factor (``_witness_lists``); the
+    ``workers`` goes to the pool that factors (``_witness_lists``); the
     verifiers pass none, so a sweep's pool child never forks.
     """
     if any(not e.sign for e in entries):

@@ -4,7 +4,7 @@ from math import gcd
 import pytest
 import sympy
 
-from zsig import RunConfig
+from zsig import RunConfig, pool
 from zsig.orbits import decimal_digits
 
 # Lean budgets keep the suite fast; correctness of stripping verdicts does
@@ -15,6 +15,47 @@ LEAN = RunConfig(factor_rho_budget=200_000)
 @pytest.fixture(scope="session")
 def lean_config() -> RunConfig:
     return LEAN
+
+
+class PoolRecord:
+    """What the callers hand ``pool.imap`` and the pools it starts, with the
+    pool itself left as it is.  ``calls`` holds each call's worker count and
+    tasks, and ``pools`` each started pool's count of children; ``imap`` is
+    ``pool.imap`` unrecorded, for the tests of the pool itself."""
+
+    def __init__(self, monkeypatch) -> None:
+        self.calls, self.pools, self.imap = [], [], pool.imap
+        self._monkeypatch, fork = monkeypatch, pool._fork
+
+        def recording_imap(run, workers, tasks):
+            tasks = list(tasks)
+            self.calls.append((workers, tasks))
+            return self.imap(run, workers, iter(tasks))
+
+        def recording_fork(run, share, children):
+            if not children:  # the first child of a pool
+                self.pools.append(0)
+            self.pools[-1] += 1
+            fork(run, share, children)
+
+        monkeypatch.setattr(pool, "imap", recording_imap)
+        monkeypatch.setattr(pool, "_fork", recording_fork)
+
+    def platform(self, cpus, affinity=None, fork=True) -> None:
+        """``cpus`` is the CPU count, ``affinity`` the affinity mask or None
+        for a platform without one, and ``fork`` whether it has ``os.fork``."""
+        self._monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
+        if affinity is None:
+            self._monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
+        else:
+            self._monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(affinity))
+        if not fork:
+            self._monkeypatch.delattr(pool.os, "fork")
+
+
+@pytest.fixture
+def pool_record(monkeypatch) -> PoolRecord:
+    return PoolRecord(monkeypatch)
 
 
 def frac(s) -> Fraction:

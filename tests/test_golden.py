@@ -181,14 +181,14 @@ def test_cli_output_matches_golden():
     _assert_matches("golden_cli.json", CLI_ARGV)
 
 
-def test_zsig_output_is_the_same_over_the_witness_pool(monkeypatch):
-    usable_cpus, imap, started = pool.usable_cpus, pool.imap, []
+def test_zsig_output_is_the_same_over_the_witness_pool(monkeypatch, pool_record):
+    usable_cpus = pool.usable_cpus
     monkeypatch.setattr(pool, "usable_cpus", lambda: max(2, usable_cpus()))
-    monkeypatch.setattr(pool, "imap", lambda *args: started.append(args[1]) or imap(*args))
-    for argv in CLI_ARGV:
-        if argv[0] == "zsig":
-            assert _run([*argv, "--workers", "2"]) == _run([*argv, "--workers", "1"]), argv
-    assert started and set(started) == {2}
+    argvs = [argv for argv in CLI_ARGV if argv[0] == "zsig"]
+    serial = [_run([*argv, "--workers", "1"]) for argv in argvs]
+    assert pool_record.pools == []
+    assert [_run([*argv, "--workers", "2"]) for argv in argvs] == serial
+    assert pool_record.pools and set(pool_record.pools) == {2}
 
 
 @pytest.mark.exhaustive

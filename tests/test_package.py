@@ -108,6 +108,30 @@ def test_pool_imports_nothing_from_zsig():
     assert not [name for name in imported if name.startswith((".", "zsig"))]
 
 
+def _pool_policy_reads(module: str) -> list[str]:
+    """Each read of ``os.fork`` (``hasattr(os, "fork")`` included) and each
+    call of ``usable_cpus`` in ``src/zsig/<module>.py``."""
+    reads = []
+    for node in ast.walk(ast.parse((SRC / "zsig" / f"{module}.py").read_text())):
+        if isinstance(node, ast.Attribute) and node.attr in ("fork", "usable_cpus"):
+            reads.append(node.attr)
+        elif isinstance(node, ast.Constant) and node.value == "fork":
+            reads.append("fork")
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "usable_cpus":
+            reads.append("usable_cpus")
+    return reads
+
+
+def test_only_the_pool_decides_where_a_batch_runs():
+    # a caller that checked for fork or counted CPUs itself would hold a second
+    # copy of pool.imap's policy; config counts the CPUs only for the command
+    # line's default of --workers
+    reads = {path.stem: _pool_policy_reads(path.stem) for path in (SRC / "zsig").glob("*.py")}
+    assert {"fork", "usable_cpus"} <= set(reads.pop("pool"))
+    assert reads.pop("config") == ["usable_cpus"]
+    assert {module: found for module, found in reads.items() if found} == {}
+
+
 def test_verifiers_imports_nothing_from_sweep():
     # sweep imports verifiers, never the other way; the source is read, so a
     # lazy import added later fails too

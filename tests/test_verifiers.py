@@ -5,7 +5,7 @@ import time
 import tracemalloc
 from contextlib import contextmanager
 from fractions import Fraction
-from itertools import count
+from itertools import count, islice
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -168,7 +168,9 @@ def test_sweep_spec_grid_and_keys():
 
 @pytest.fixture
 def forked(monkeypatch):
-    """The pid of every child the pool forks in this test, in order."""
+    """The pid of every child the pool forks in this test, in order, with as
+    many usable CPUs as the pool asks for."""
+    monkeypatch.setattr(pool, "usable_cpus", lambda: 64)
     pids, fork = [], os.fork
 
     def recording_fork():
@@ -418,25 +420,6 @@ def test_claim_table_drives_routing_and_cli():
     assert verify("cor12", 3, Fraction(7, 2), 2, LEAN, horizon=4).polynomial == "z^3 + 7/2"
 
 
-def _recording_pool(monkeypatch, cpus, affinity=None, fork=True):
-    """Replace the pool by a serial map; the list records the worker counts it
-    is started with.  ``cpus`` is the CPU count, ``affinity`` the affinity
-    mask or None for a platform without one, and ``fork`` whether the
-    platform can fork."""
-    created = []
-    monkeypatch.setattr(
-        pool, "imap", lambda run, workers, tasks: created.append(workers) or map(run, tasks)
-    )
-    monkeypatch.setattr(pool.os, "cpu_count", lambda: cpus)
-    if affinity is None:
-        monkeypatch.delattr(pool.os, "sched_getaffinity", raising=False)
-    else:
-        monkeypatch.setattr(pool.os, "sched_getaffinity", lambda pid: set(affinity))
-    if not fork:
-        monkeypatch.delattr(pool.os, "fork")
-    return created
-
-
 _POOL_CS = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"]
 
 
@@ -448,24 +431,29 @@ _POOL_CS = ["5/2", "7/2", "9/2", "11/2", "13/2", "15/2"]
      # (CPU count, affinity mask, fork): a platform without fork runs serial
      pytest.param(64, 6, (8, {0, 1}, False), [], id="64-6-8-nofork-expected6")],
 )
-def test_iter_sweep_caps_workers(monkeypatch, workers, n_points, cpus, expected):
-    created = _recording_pool(monkeypatch, *(cpus if isinstance(cpus, tuple) else (cpus,)))
-    cs = _POOL_CS[:n_points]
-    spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": cs, "horizon": 3})
-    verdicts = run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=workers))
-    assert created == expected
-    assert verdicts == run_sweep(spec, LEAN)
+def test_iter_sweep_caps_workers(pool_record, workers, n_points, cpus, expected):
+    # the sweep hands the pool its workers and the whole walk, and the pool caps
+    # them (test_imap_starts_a_pool_only_for_two_children)
+    spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": _POOL_CS[:n_points],
+                                "horizon": 3})
+    serial = run_sweep(spec, LEAN)
+    pool_record.platform(*(cpus if isinstance(cpus, tuple) else (cpus,)))
+    assert run_sweep(spec, RunConfig(factor_rho_budget=200_000, workers=workers)) == serial
+    assert pool_record.calls == [(1, spec.points()), (workers, spec.points())]
+    assert pool_record.pools == expected
 
 
 @pytest.mark.parametrize("left", [0, 1])
-def test_resume_with_at_most_one_point_left_starts_no_pool(monkeypatch, left):
+def test_resume_with_at_most_one_point_left_starts_no_pool(pool_record, left):
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [2], "c": _POOL_CS, "horizon": 3})
     results = list(iter_sweep(spec, LEAN))
-    created = _recording_pool(monkeypatch, 8)
+    pool_record.platform(8)
     done = [key for key, _ in results[: len(results) - left]]
     cfg = RunConfig(factor_rho_budget=200_000, workers=64)
     assert list(iter_sweep(spec, cfg, done)) == results[len(results) - left:]
-    assert created == []
+    # the pool is handed the walk from the file's position on
+    assert pool_record.calls[1:] == [(64, spec.points()[len(results) - left:])]
+    assert pool_record.pools == []
 
 
 def test_a_pooled_resume_routes_the_done_prefix_in_the_parent_only(
@@ -596,36 +584,65 @@ def test_a_child_that_dies_mid_share_raises_runtime_error(forked):
 
 @pytest.mark.parametrize("workers, n_tasks", [(5, 3), (3, 10), (2, 0), (3, 3 * 32 + 7)])
 def test_results_keep_their_order_over_any_shares(forked, workers, n_tasks):
-    # more workers than tasks leaves a child with no share; shares differ by one
+    # more workers than tasks forks one child per task; shares differ by one
     with _alarm(60):
         assert list(pool.imap(lambda task: -task, workers, iter(range(n_tasks)))) == [
             -task for task in range(n_tasks)
         ]
-    assert len(forked) == workers and _reaped_within(forked, 5)
+    assert len(forked) == (min(workers, n_tasks) if n_tasks > 1 else 0)
+    assert _reaped_within(forked, 5)
 
 
-def test_a_point_that_factors_never_starts_the_witness_pool(monkeypatch):
+@pytest.mark.parametrize("workers, n_tasks, cpus, affinity, fork, expected", [
+    (64, 3, 8, None, True, [3]),  # a child per task
+    (64, 6, 4, None, True, [4]),  # per CPU
+    (8, 3, 2, None, True, [2]),
+    (2, 6, 8, None, True, [2]),  # per worker
+    (64, 6, 8, {0, 1}, True, [2]),  # per CPU of the affinity mask, not of the machine
+    (64, 6, None, None, True, []),  # no CPU count
+    (8, 6, 1, None, True, []),  # one CPU
+    (64, 6, 8, {0}, True, []),  # two workers would share one CPU
+    (64, 6, 8, {0, 1}, False, []),  # a platform without fork
+    (1, 6, 8, None, True, []),  # one worker
+    (64, 1, 8, None, True, []),  # one task: a lone large part, or one point left to resume
+    (64, 0, 8, None, True, []),  # none: no large part, or no point left to resume
+])
+def test_imap_starts_a_pool_only_for_two_children(
+    pool_record, workers, n_tasks, cpus, affinity, fork, expected
+):
+    pool_record.platform(cpus, affinity, fork)
+    taken = []  # the tasks this process takes; a child takes from its own copy
+
+    def tasks():
+        for task in range(n_tasks):
+            taken.append(task)
+            yield task
+
+    with _alarm(60):
+        results = pool_record.imap(str, workers, tasks())
+        assert taken == []
+        assert list(islice(results, 1)) == ["0"][:n_tasks]
+        # the first next takes a task per child, or the one it runs here
+        assert taken == list(range(sum(expected) or min(n_tasks, 1)))
+        assert list(results) == [str(task) for task in range(1, n_tasks)]
+    assert pool_record.pools == expected
+
+
+def test_a_point_that_factors_never_starts_the_witness_pool(monkeypatch, pool_record):
     # with the valuation law taken to fail, verify and a sweep point factor
-    # every stripped part, but stay serial under workers=2: a sweep's pool
-    # child must not fork
+    # every stripped part, but hand them to the pool with one worker under
+    # workers=2: a sweep's pool child must not fork
     monkeypatch.setattr(zsigmondy, "rigid_law_holds", lambda *args: False)
     monkeypatch.setattr(pool, "usable_cpus", lambda: 2)
-    started, routes = [], []
-    monkeypatch.setattr(
-        pool, "imap", lambda run, workers, tasks: started.append(workers) or map(run, tasks)
-    )
-    witness_lists = zsigmondy._witness_lists
-
-    def recording_witness_lists(stripped, cfg, workers):
-        routes.append(workers)
-        return witness_lists(stripped, cfg, workers)
-
-    monkeypatch.setattr(zsigmondy, "_witness_lists", recording_witness_lists)
     cfg = RunConfig(factor_rho_budget=200_000, workers=2)
     assert verify("cor12", 3, Fraction(7, 2), None, cfg, horizon=6).consistent
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [3], "c": ["7/2"], "horizon": 6})
     assert [v.consistent for v in run_sweep(spec, cfg)] == [True]
-    assert routes == [1, 1] and started == []
-    # the same orbit through zsigmondy_set factors three parts of at least 10^12
+    by_verify, by_sweep, by_point = pool_record.calls
+    assert by_sweep[0] == 2 and pool_record.pools == []
+    # verify and the sweep point hand over the same three parts of at least 10^12
+    workers, parts = by_verify
+    assert by_point == by_verify and workers == 1 and len(parts) == 3
+    # the same orbit through zsigmondy_set
     zsigmondy.zsigmondy_set(binomial(3, Fraction(7, 2)), 6, cfg)
-    assert routes[2:] == [2] and started == [2]
+    assert pool_record.calls[3:] == [(2, parts)] and pool_record.pools == [2]

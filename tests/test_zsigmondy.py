@@ -18,7 +18,7 @@ from zsig import (
     wandering_entries,
     zsigmondy_set,
 )
-from zsig import RunConfig, pool
+from zsig import RunConfig
 import zsig.zsigmondy as zmod
 from zsig.zsigmondy import rigid_law_holds, stripped_numerator, zsigmondy_report_from_entries
 from zsig.verifiers import binomial, trinomial
@@ -316,34 +316,24 @@ def test_denominator_primes_are_exempt_from_the_rigidity_law(coeffs):
     assert {v.prime for v in bare.rigid_violations} == {2}
 
 
-def _recording_imap(monkeypatch, cpus):
-    """Replace the pool by a serial map with ``cpus`` usable CPUs; the list
-    records each pool's worker count and the bit lengths of its parts."""
-    calls = []
-
-    def imap(run, workers, tasks):
-        calls.append((workers, [part.bit_length() for part in tasks]))
-        return map(run, tasks)
-
-    monkeypatch.setattr(pool, "imap", imap)
-    monkeypatch.setattr(pool, "usable_cpus", lambda: cpus)
-    return calls
+def _large_parts(report) -> list[int]:
+    return [v.stripped_part for v in report.per_index if v.stripped_part >= zmod._RHO_FLOOR]
 
 
 # 7/2,0,0,1 at N = 6 has three stripped parts of at least 10^12
 @pytest.mark.parametrize("workers, cpus, expected", [(8, 8, 3), (2, 8, 2), (8, 2, 2)])
-def test_witness_pool_is_capped_and_takes_the_largest_parts_first(
-    monkeypatch, workers, cpus, expected
+def test_witness_pool_is_capped_and_takes_the_parts_in_index_order(
+    pool_record, workers, cpus, expected
 ):
     f = parse_poly("7/2,0,0,1")
     serial = zsigmondy_set(f, 6, LEAN)
-    calls = _recording_imap(monkeypatch, cpus)
+    pool_record.platform(cpus)
     pooled = zsigmondy_set(f, 6, RunConfig(factor_rho_budget=200_000, workers=workers))
     assert pooled == serial
-    large = [v.stripped_part.bit_length() for v in serial.per_index
-             if v.stripped_part >= zmod._RHO_FLOOR]
+    large = _large_parts(serial)
     assert len(large) == 3
-    assert calls == [(expected, sorted(large, reverse=True))]
+    assert pool_record.calls == [(1, large), (workers, large)]
+    assert pool_record.pools == [expected]
 
 
 @pytest.mark.parametrize("coeffs, N, cpus, fork, large", [
@@ -352,12 +342,12 @@ def test_witness_pool_is_capped_and_takes_the_largest_parts_first(
     ("7/2,0,0,1", 6, 1, True, 3),  # one usable CPU
     ("7/2,0,0,1", 6, 8, False, 3),  # a platform without fork
 ])
-def test_witness_pool_starts_only_for_two_children(monkeypatch, coeffs, N, cpus, fork, large):
+def test_witness_pool_starts_only_for_two_children(pool_record, coeffs, N, cpus, fork, large):
     f = parse_poly(coeffs)
     serial = zsigmondy_set(f, N, LEAN)
-    assert sum(v.stripped_part >= zmod._RHO_FLOOR for v in serial.per_index) == large
-    calls = _recording_imap(monkeypatch, cpus)
-    if not fork:
-        monkeypatch.delattr(zmod.os, "fork")
+    parts = _large_parts(serial)
+    assert len(parts) == large
+    pool_record.platform(cpus, fork=fork)
     assert zsigmondy_set(f, N, RunConfig(factor_rho_budget=200_000, workers=8)) == serial
-    assert calls == []
+    assert pool_record.calls == [(1, parts), (8, parts)]
+    assert pool_record.pools == []
