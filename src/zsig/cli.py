@@ -26,7 +26,7 @@ from .heights import (
     trinomial_family_lower,
 )
 from .orbits import DigitBudgetError, FiniteOrbitError, decimal_digits, orbit
-from .polynomials import PolyQ, parse_poly, parse_rational
+from .polynomials import parse_poly, parse_rational
 from .verifiers import BINOMIAL, CLAIMS, verify
 from .zsigmondy import zsigmondy_set
 
@@ -90,12 +90,8 @@ def _fields(record: dict, prefix: str = ""):
             yield key, str(value).lower() if isinstance(value, bool) else value
 
 
-def _parse_target(args: argparse.Namespace) -> PolyQ:
-    return parse_poly(args.coeffs if args.coeffs is not None else args.poly)
-
-
 def cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
-    f = _parse_target(args)
+    f = parse_poly(args.poly)
     orb = orbit(f, args.N, digit_budget=cfg.digit_budget)
 
     def text():
@@ -123,7 +119,7 @@ def cmd_orbit(args: argparse.Namespace, cfg: RunConfig) -> int:
 
 
 def cmd_zsig(args: argparse.Namespace, cfg: RunConfig) -> int:
-    f = _parse_target(args)
+    f = parse_poly(args.poly)
     report = zsigmondy_set(f, args.N, cfg)
 
     def text():
@@ -157,7 +153,7 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
     unread = {"--iterations": args.iterations, "--digit-budget": args.digit_budget}
     if args.hhat != "telescope" and (given := [k for k, v in unread.items() if v is not None]):
         raise ValueError(f"{given[0]} is read only by --hhat telescope")
-    f = _parse_target(args)
+    f = parse_poly(args.poly)
     gc = global_C(f)
     if args.hhat == "telescope":
         iterations = 6 if args.iterations is None else args.iterations
@@ -273,7 +269,9 @@ def _add_knobs(parser: argparse.ArgumentParser, *knobs: str) -> None:
 
 def _add_poly_args(parser: argparse.ArgumentParser) -> None:
     group = parser.add_mutually_exclusive_group(required=True)
-    group.add_argument("--coeffs", help="ascending rational coefficients, e.g. 5/2,0,0,1")
+    # one destination: parse_poly tells a coefficient list from a symbolic form
+    group.add_argument("--coeffs", dest="poly", metavar="COEFFS",
+                       help="ascending rational coefficients, e.g. 5/2,0,0,1")
     group.add_argument("--poly", help="symbolic form, e.g. z^3+5/2")
 
 

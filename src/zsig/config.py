@@ -60,11 +60,13 @@ def config_from_env() -> RunConfig:
     unknown = sorted(k for k in os.environ if k.startswith(_ENV_PREFIX) and k not in knobs)
     if unknown:
         raise ValueError(f"unknown environment variable: {', '.join(unknown)}")
-    overrides = {
-        f.name: type(f.default)(os.environ[name])  # int(raw), or the format string
-        for name, f in knobs.items()
-        if name in os.environ
-    }
+    overrides = {}
+    for name, f in knobs.items():
+        if name in os.environ:
+            try:
+                overrides[f.name] = type(f.default)(os.environ[name])  # int(raw), or the format
+            except ValueError:
+                raise ValueError(f"{name} must be an integer: {os.environ[name]!r}") from None
     if "workers" not in overrides:
         from .pool import usable_cpus
 

@@ -84,8 +84,6 @@ class OrbitEntry:
         """The sign of |v| + sum(lhs) - sum(rhs), v the value (its numerator
         with ``numerator``), for terms as ``compare_sums`` takes them."""
         v = abs(self.A) if numerator else abs(self.value)
-        if not lhs and len(rhs) == 1 and len(rhs[0]) == 1 and rhs[0][0][1] == 1:
-            return (v > rhs[0][0][0]) - (v < rhs[0][0][0])  # against one rational: compare it
         return compare_sums([[(v, 1)], *lhs], rhs)
 
 

@@ -100,7 +100,10 @@ class SweepSpec:
         for key, value in raw_budgets.items():
             if isinstance(value, bool) or not isinstance(value, (int, str)):
                 raise ValueError(f"budget {key} must be an integer")
-            budgets[key] = int(value)
+            try:
+                budgets[key] = int(value)
+            except ValueError:  # a string int() does not read
+                raise ValueError(f"budget {key} must be an integer: {value!r}") from None
         RunConfig(**budgets)  # positivity, checked before any output is written
         horizon = data.get("horizon")
         if horizon is not None and (type(horizon) is not int or horizon < 1):
@@ -204,16 +207,16 @@ def _check_sandwich(
     return True
 
 
-# Each claim's own exact checks: (f, d, e, c, entries) -> details in report
+# Each claim's own exact checks: (d, e, c, entries) -> details in report
 # order.  Strings label a case; every boolean must hold.
 
 
-def _cor12_checks(f, d, e, c, entries) -> dict:
+def _cor12_checks(d, e, c, entries) -> dict:
     # exact growth certificate: every computed iterate stays beyond 2
     return {"growth_verified": all(x.compare([], [[(2, 1)]]) > 0 for x in entries)}
 
 
-def _thm13_checks(f, d, e, c, entries) -> dict:
+def _thm13_checks(d, e, c, entries) -> dict:
     # exact per-instance fact feeding the lower bound: |f(c)| >= |c|^k, i.e.
     # f(c) >= |c|^k or -f(c) >= |c|^k, from the signed terms of c^d + c^e + c
     c_abs = abs(c)
@@ -224,12 +227,12 @@ def _thm13_checks(f, d, e, c, entries) -> dict:
     return {"growth_at_c_verified": grows}
 
 
-def _prop51_checks(f, d, e, c, entries) -> dict:
+def _prop51_checks(d, e, c, entries) -> dict:
     # exact step behind the bound: f(c) > 2c, i.e. c^d + c^e > c for 1 < c < 2
     return {"f_c_above_2c": compare_sums([[(c, d)], [(c, e)]], [[(c, 1)]]) > 0}
 
 
-def _prop52_checks(f, d, e, c, entries) -> dict:
+def _prop52_checks(d, e, c, entries) -> dict:
     alpha = c * c + c + 1
     return {
         "alpha_in_range": 1 < alpha < 3,
@@ -237,7 +240,7 @@ def _prop52_checks(f, d, e, c, entries) -> dict:
     }
 
 
-def _prop53_checks(f, d, e, c, entries) -> dict:
+def _prop53_checks(d, e, c, entries) -> dict:
     if e % 2 == 1:
         alpha = c * c + abs(c) + 1
         return {
@@ -256,7 +259,7 @@ def _prop53_checks(f, d, e, c, entries) -> dict:
     }
 
 
-def _prop54_checks(f, d, e, c, entries) -> dict:
+def _prop54_checks(d, e, c, entries) -> dict:
     # |f^n(0)| <= 3^((d^(n-1)-1)/(d-1)) |c|^(d^(n-1)); 3^k is never built
     c_abs = abs(c)
     upper_ok = all(
@@ -375,7 +378,7 @@ def verify(
                 hhat_lower=hhat_lower, C=C, n_max=bound.n_max,
                 n_max_floor=bound.n_max_floor, bound_certified=bound.certified,
             )
-        checks = claim.checks(f, d, e, c, entries)
+        checks = claim.checks(d, e, c, entries)
         details.update(checks)
         consistent = all(v for v in checks.values() if isinstance(v, bool))
         if claim.cap is None:

@@ -125,16 +125,13 @@ def zsigmondy_set(f: PolyQ, N: int, config: RunConfig | None = None) -> Zsigmond
     """Indices n <= N whose numerator lacks a primitive prime divisor.
 
     Requires a vanishing linear coefficient and a wandering orbit; a finite
-    orbit raises FiniteOrbitError since the set is not defined there.  The
-    stripped parts go to the pool with ``config.workers`` (``_witness_lists``).
+    orbit raises FiniteOrbitError since the set is not defined there.
     """
     if not f.admissible:
         raise ValueError("linear coefficient is nonzero; Zsigmondy computations require a_1 = 0")
     cfg = config or RunConfig()
     entries = wandering_entries(f, N, digit_budget=cfg.digit_budget)
-    return zsigmondy_report_from_entries(
-        entries, cfg, denominator_lcm=f.cleared[1], workers=cfg.workers
-    )
+    return zsigmondy_report_from_entries(entries, cfg, denominator_lcm=f.cleared[1])
 
 
 def zsigmondy_report_from_entries(
@@ -143,7 +140,6 @@ def zsigmondy_report_from_entries(
     *,
     witnesses: bool = True,
     denominator_lcm: int = 0,
-    workers: int = 1,
 ) -> ZsigmondyReport:
     """Per-index verdicts, elements and rigid-divisibility violations.
 
@@ -158,8 +154,9 @@ def zsigmondy_report_from_entries(
     With ``witnesses=False`` nothing is factored unless it fails: witness lists
     and the k(p) table stay empty, and ``rigid_violations`` is the same either way.
     An unbuilt last entry stays unbuilt where ``_unbuilt_primitive`` decides it.
-    ``workers`` goes to the pool that factors (``_witness_lists``); the
-    verifiers pass none, so a sweep's pool child never forks.
+    A report that lists witnesses factors over the pool with ``config.workers``
+    (``_witness_lists``); one without never forks, so a sweep's pool child
+    stays one process.
     """
     if any(not e.sign for e in entries):
         raise ValueError("a zero numerator has no stripped part: the orbit returns to 0")
@@ -172,6 +169,7 @@ def zsigmondy_report_from_entries(
         stripped.append(None if unbuilt else stripped_numerator(entries, N, denominator_lcm))
     holds = unbuilt or rigid_law_holds(entries, stripped, exempt)
     factoring = witnesses or not holds
+    workers = cfg.workers if witnesses else 1
     witness_lists = _witness_lists(stripped, cfg, workers) if factoring else [()] * N
     per_index: list[PrimitiveVerdict] = []
     k_table: dict[int, int] = {}

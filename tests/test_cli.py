@@ -960,6 +960,18 @@ def test_budget_variables_still_hold_where_their_flags_are_refused(capsys, monke
     assert code == 2 and out == "" and "digit_budget must be positive" in err
 
 
+def test_a_knob_that_is_no_integer_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    # int("abc") once surfaced as "invalid literal for int() with base 10"
+    spec_path, out_path = tmp_path / "grid.json", tmp_path / "results.jsonl"
+    spec_path.write_text(json.dumps({**_GOOD_SPEC, "budgets": {"digit_budget": "abc"}}))
+    code, out, err = run(capsys, "sweep", str(spec_path), "-o", str(out_path))
+    assert (code, out, err) == (2, "", "error: budget digit_budget must be an integer: 'abc'\n")
+    assert not out_path.exists()
+    monkeypatch.setenv("ZSIG_DIGIT_BUDGET", "abc")
+    code, out, err = run(capsys, "orbit", "--coeffs", "1,0,1", "-N", "3")
+    assert (code, out, err) == (2, "", "error: ZSIG_DIGIT_BUDGET must be an integer: 'abc'\n")
+
+
 def test_verify_ezsig_prints_its_default_n_max(capsys):
     # the default resolves where it is read, so an unread --n-max stays None
     code, out, _ = run(capsys, "verify", "ezsig", "--d", "3", "--format", "json")

@@ -48,6 +48,19 @@ def test_env_overrides(monkeypatch):
     assert cfg.output_format == "json"
 
 
+def test_a_knob_that_is_no_integer_is_named(monkeypatch):
+    # int("abc") once surfaced as "invalid literal for int() with base 10"
+    for name in INT_KNOBS:
+        monkeypatch.setenv(f"ZSIG_{name.upper()}", "abc")
+        with pytest.raises(ValueError, match=f"^ZSIG_{name.upper()} must be an integer: 'abc'$"):
+            config_from_env()
+        monkeypatch.delenv(f"ZSIG_{name.upper()}")
+    for name in BUDGETS:
+        spec = {"family": "z^d+c", "d": [3], "c": ["7/2"], "budgets": {name: "abc"}}
+        with pytest.raises(ValueError, match=f"^budget {name} must be an integer: 'abc'$"):
+            SweepSpec.from_dict(spec)
+
+
 def test_knob_lists_come_from_the_fields(monkeypatch):
     names = [f.name for f in fields(RunConfig)]
     assert names == ["digit_budget", "factor_rho_budget", "workers", "output_format"]

@@ -21,6 +21,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from zsig import orbits
+from zsig.arith import _EXACT_BITS
 from zsig.orbits import DigitBudgetError, OrbitEntry, PendingEntry, orbit
 from zsig.polynomials import PolyQ
 from zsig.sweep import run_sweep
@@ -254,24 +255,37 @@ def _built_entry(i: int) -> OrbitEntry:
 @st.composite
 def _comparisons(draw):
     """(which entry, lhs, rhs, numerator): small terms on both sides, and on
-    the right at times one term of about |v|, which ties or nearly ties it."""
+    the right at times one term of about |v|, which ties or nearly ties it.
+    Half the draws are |v| against that one term alone."""
     i = draw(st.integers(0, len(_COMPARED) - 1))
     numerator = draw(st.booleans())
     v = abs(_built_entry(i).A) if numerator else abs(_built_entry(i).value)
     base = st.fractions(0, 16, max_denominator=16)
     terms = st.lists(st.lists(st.tuples(base, st.integers(0, 3)), max_size=2), max_size=2)
-    lhs, rhs = draw(terms), draw(terms)
-    if draw(st.booleans()):
+    alone = draw(st.booleans())
+    lhs, rhs = ([], []) if alone else (draw(terms), draw(terms))
+    if alone or draw(st.booleans()):
         rhs.append([(draw(st.sampled_from([v, v + 1, v - 1, F(v) / 2, 2 * v])), 1)])
     return i, lhs, rhs, numerator
+
+
+def _total(side) -> F:
+    return sum((math.prod(F(b) ** k for b, k in term) for term in side), F(0))
 
 
 @given(_comparisons())
 @settings(max_examples=60, deadline=None)
 def test_pending_compare_equals_the_built_compare(comparison):
+    # both equal the sign of |v| + sum(lhs) - sum(rhs) in Fractions, for
+    # entries past _EXACT_BITS, where compare_sums tries its bracket first
     i, lhs, rhs, numerator = comparison
-    entry = _unbuilt(*_COMPARED[i])
-    assert entry.compare(lhs, rhs, numerator) == _built_entry(i).compare(lhs, rhs, numerator)
+    built = _built_entry(i)
+    assert abs(built.A).bit_length() > _EXACT_BITS
+    v = abs(built.A) if numerator else abs(built.value)
+    total = v + _total(lhs) - _total(rhs)
+    expected = (total > 0) - (total < 0)
+    assert built.compare(lhs, rhs, numerator) == expected
+    assert _unbuilt(*_COMPARED[i]).compare(lhs, rhs, numerator) == expected
 
 
 def test_the_next_step_screen_on_a_bracket():

@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 
 from zsig import RunConfig, pool, run_sweep, verify, verifiers, zsigmondy
 from zsig.cli import build_parser
-from zsig.orbits import OrbitEntry
+from zsig.orbits import OrbitEntry, orbit
 from zsig.sweep import iter_sweep
 from zsig.verifiers import (
     CLAIMS, SweepSpec, binomial, classify_point, default_horizon, point_key,
@@ -644,5 +644,14 @@ def test_a_point_that_factors_never_starts_the_witness_pool(monkeypatch, pool_re
     workers, parts = by_verify
     assert by_point == by_verify and workers == 1 and len(parts) == 3
     # the same orbit through zsigmondy_set
-    zsigmondy.zsigmondy_set(binomial(3, Fraction(7, 2)), 6, cfg)
+    f = binomial(3, Fraction(7, 2))
+    zsigmondy.zsigmondy_set(f, 6, cfg)
     assert pool_record.calls[3:] == [(2, parts)] and pool_record.pools == [2]
+    # the report itself sets the workers: witness lists may pool, a verdict never forks
+    entries = orbit(f, 6).entries
+    for witnesses, workers in ((False, 1), (True, 2)):
+        zsigmondy.zsigmondy_report_from_entries(
+            entries, cfg, witnesses=witnesses, denominator_lcm=f.cleared[1]
+        )
+        assert pool_record.calls[-1] == (workers, parts)
+    assert pool_record.pools == [2, 2]
