@@ -17,7 +17,7 @@ def entry() -> None:
         # With SIGINT blocked a second Ctrl-C cannot break the exit, and it
         # stays 130 where CPython would end the process by SIGINT: under
         # python -m it does so once a KeyboardInterrupt has passed through
-        # code that exec() ran, such as the methods dataclasses builds.
+        # code that eval() ran, such as the __new__ namedtuple builds per record.
         if hasattr(signal, "pthread_sigmask"):
             signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT})
         print("interrupted", file=sys.stderr)

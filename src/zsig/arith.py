@@ -13,12 +13,11 @@ Everything here is deterministic for fixed (input, budget).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, compress
 from math import gcd, isqrt, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .config import DEFAULT_RHO_BUDGET
 
@@ -424,8 +423,7 @@ def _brent_rho(n: int, budget: int, rng: random.Random) -> tuple[int | None, int
         # unlucky cycle: retry with fresh parameters
 
 
-@dataclass(frozen=True)
-class FactorReport:
+class FactorReport(NamedTuple):
     """Partial factorization: the factored input is prod(p^e) * cofactor.
 
     cofactor_status "composite_unfactored" also covers cofactors whose

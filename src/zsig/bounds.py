@@ -11,8 +11,8 @@ term, or a family-specific fact for z^d [+ z^e] + c shapes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import compare_sums, distinct_primes
 from .polynomials import PolyQ
@@ -21,8 +21,7 @@ from .polynomials import PolyQ
 _REL_SLACK = 1e-12
 
 
-@dataclass(frozen=True)
-class SignSets:
+class SignSets(NamedTuple):
     N_plus: frozenset[int]
     N_minus: frozenset[int]
     n_plus: int
@@ -94,8 +93,7 @@ def omega_inequality_audit(d: int, n_max: int) -> tuple[list[int], list[int]]:
     return equalities, violations
 
 
-@dataclass(frozen=True)
-class BoundResult:
+class BoundResult(NamedTuple):
     n_max: float
     n_max_floor: int
     hhat_lower_used: float

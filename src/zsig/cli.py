@@ -13,7 +13,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import fields
 
 from . import reports, sweep
 from .bounds import omega_inequality_audit, theorem1_bound
@@ -184,11 +183,11 @@ def cmd_bound(args: argparse.Namespace, cfg: RunConfig) -> int:
         cfg,
         lambda: {
             "polynomial": str(f),
-            "global_C": vars(gc),
+            "global_C": gc._asdict(),
             "C_used": c_used,
             "hhat_method": interval.method,
             "hhat_interval": reports.interval_to_dict(interval),
-            "bound": None if bound is None else vars(bound),
+            "bound": None if bound is None else bound._asdict(),
             "certified": certified,
         },
         text,
@@ -235,7 +234,7 @@ def cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
         for key in sorted(verdict.details):
             yield f"  {key}: {verdict.details[key]}"
 
-    _emit(cfg, lambda: vars(verdict), text)
+    _emit(cfg, verdict._asdict, text)
     return EXIT_OK if verdict.consistent else EXIT_INCONSISTENT
 
 
@@ -335,7 +334,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_PARSE if exc.code not in (0, None) else EXIT_OK
     try:
         # a knob's flag stores into its RunConfig field, where the command has it
-        flags = {f.name: getattr(args, f.name, None) for f in fields(RunConfig)}
+        flags = {name: getattr(args, name, None) for name in RunConfig._fields}
         cfg = config_from_env().with_overrides(**flags)
         # decimal strings are the output format for big integers: clear the
         # interpreter's int->str guard for every size the digit budget allows,

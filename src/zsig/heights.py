@@ -10,8 +10,8 @@ bounds that stay positive where the telescoped lower end collapses to 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 from .arith import compare_sums, factor, v_p
 from .config import DEFAULT_DIGIT_BUDGET
@@ -24,15 +24,13 @@ def global_height(x: Fraction) -> float:
     return math.log(max(abs(x.numerator), x.denominator))
 
 
-@dataclass(frozen=True)
-class GlobalC:
+class GlobalC(NamedTuple):
     archimedean_logCv: float
     nonarch_contribs: dict[int, float]
     total_C: float
 
 
-@dataclass(frozen=True)
-class HeightInterval:
+class HeightInterval(NamedTuple):
     lower: float
     upper: float
     method: str  # "telescoped" | "lemma41" | "ingram" | "family_trinomial"

@@ -18,10 +18,10 @@ so every stop falls at the index it would with A_n built.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd
+from typing import NamedTuple
 
 from .arith import _EXACT_BITS, compare_sums, sum_bracket
 from .config import DEFAULT_DIGIT_BUDGET
@@ -56,8 +56,7 @@ class FiniteOrbitError(ValueError):
     """Raised where a wandering orbit is required but the orbit is finite."""
 
 
-@dataclass(frozen=True)
-class OrbitEntry:
+class OrbitEntry(NamedTuple):
     n: int
     value: Fraction
 
@@ -98,8 +97,8 @@ class PendingEntry(OrbitEntry):
     ``sign`` is 0 where the bracket leaves it open.
     """
 
-    def __init__(self, n: int, f: PolyQ, x: Fraction, pos: list, neg: list):
-        object.__setattr__(self, "n", n)  # a frozen field
+    def __new__(cls, n: int, f: PolyQ, x: Fraction, pos: list, neg: list) -> PendingEntry:
+        self = super().__new__(cls, n, None)  # the value field stays None: see ``value``
         lo, hi, e = sum_bracket(pos, neg)
         self.f, self.x, self._sign = f, x, (lo > 0) - (hi < 0)
         self.bracket = (-hi, -lo, e) if self._sign < 0 else (lo, hi, e)
@@ -107,6 +106,7 @@ class PendingEntry(OrbitEntry):
         K = m * abs(f1[0][1])
         self.g = gcd(self.residue(K), m * pow(q, d, K), K)
         self.den = [(m, 1), (q, d)]
+        return self
 
     value = cached_property(lambda self: self.f.evaluate(self.x))
     sign = property(lambda self: self._sign)
@@ -144,8 +144,7 @@ PREPERIODIC = "preperiodic"
 HIT_ZERO = "hit_zero"
 
 
-@dataclass
-class Orbit:
+class Orbit(NamedTuple):
     """Computed orbit data plus its classification.
 
     kind is one of "wandering", "preperiodic", "hit_zero".  For preperiodic
@@ -154,7 +153,7 @@ class Orbit:
     """
 
     kind: str
-    entries: list[OrbitEntry] = field(default_factory=list)
+    entries: list[OrbitEntry]
     tail: int | None = None
     period: int | None = None
     step: int | None = None
@@ -339,21 +338,22 @@ def iterate_point(
     a rejection ends the list with it unbuilt, and otherwise it is built and
     the step runs as on any value.  So only the last item can be unbuilt.
     """
-    values, seen, bits = [x], {x}, _budget_bits(digit_budget)
+    # keyed by (numerator, denominator): a Fraction's own hash costs a modular inverse
+    values, seen, bits = [x], {x.as_integer_ratio()}, _budget_bits(digit_budget)
     for k in range(N, 0, -1):
         if isinstance(x, PendingEntry):
             if _unbuilt_over_budget(f, x, bits):
                 break
             x = values[-1] = x.value
-            seen.add(x)
+            seen.add(x.as_integer_ratio())
         x = _step(f, x, bits, values if lazy else None, k == 1)
         if x is None:
             break
         values.append(x)
         if not isinstance(x, PendingEntry):  # an unbuilt entry is new
-            if x in seen:
+            if (key := x.as_integer_ratio()) in seen:
                 break
-            seen.add(x)
+            seen.add(key)
     return values
 
 

@@ -7,11 +7,10 @@ canonical lowest-terms form (positive denominator, gcd 1) needed throughout.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
-from typing import Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 RationalLike = Union[Fraction, int, str]
 
@@ -40,8 +39,12 @@ def parse_rational(value: RationalLike) -> Fraction:
         raise ParseError(f"bad rational token: {value!r}") from exc
 
 
-@dataclass(frozen=True)
-class PolyQ:
+# typing.NamedTuple forbids __new__ in its body: the checks sit on the subclass
+class _PolyQFields(NamedTuple):
+    terms: tuple[tuple[int, Fraction], ...]
+
+
+class PolyQ(_PolyQFields):
     """Sparse polynomial over Q of degree >= 2: its nonzero terms as
     (exponent, coefficient) pairs, exponents strictly descending.
 
@@ -51,17 +54,15 @@ class PolyQ:
     that, evaluation does not.
     """
 
-    terms: tuple[tuple[int, Fraction], ...]
-
-    def __post_init__(self) -> None:
-        if not self.terms or self.terms[0][1] == 0:
+    def __new__(cls, terms: tuple[tuple[int, Fraction], ...]) -> PolyQ:
+        if not terms or terms[0][1] == 0:
             raise ParseError("leading coefficient must be nonzero")
-        if self.terms[0][0] < 2:
+        if terms[0][0] < 2:
             raise ParseError("degree must be at least 2")
-        terms = tuple((i, Fraction(a)) for i, a in self.terms if a)
+        terms = tuple((i, Fraction(a)) for i, a in terms if a)
         if terms[-1][0] < 0 or any(i <= j for (i, _), (j, _) in zip(terms, terms[1:])):
             raise ParseError("exponents must be nonnegative and strictly descending")
-        object.__setattr__(self, "terms", terms)
+        return super().__new__(cls, terms)
 
     @classmethod
     def from_coeffs(cls, coeffs: Sequence[Fraction]) -> PolyQ:

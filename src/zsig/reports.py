@@ -5,7 +5,7 @@ ranges); floats serialize natively so values keep every bit.  Decimal strings
 past 4300 digits need a raised ``sys.set_int_max_str_digits``, which
 ``cli.main`` sets and library callers set themselves.  ``GlobalC``,
 ``BoundResult`` and ``TheoremVerdict`` hold no big integer and no infinity, so
-their JSON is ``vars(obj)``.
+their JSON is ``obj._asdict()``.
 """
 
 from __future__ import annotations

@@ -104,7 +104,7 @@ def run_into(spec_path: str, out_path: str, config: RunConfig, fixed=()) -> tupl
         out.truncate()  # where the pass stopped: a torn last line goes
         points = resume.kept
         for points, (key, verdict) in enumerate(verdicts, points + 1):
-            record = {"v": 1, "key": key, **vars(verdict)}
+            record = {"v": 1, "key": key, **verdict._asdict()}
             out.write(json.dumps(record, separators=(",", ":")).encode() + b"\n")
             out.flush()
             if not verdict.consistent:

@@ -18,10 +18,9 @@ as unit-numerator exceptions rather than inconsistencies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterator, NamedTuple, Sequence
 
 from .arith import compare_sums, distinct_primes
 from .bounds import theorem1_bound
@@ -43,19 +42,17 @@ TRINOMIAL = "z^d+z^e+c"
 _SPEC_FIELDS = ("family", "d", "e", "c", "c_grid", "horizon", "budgets")
 
 
-@dataclass
-class TheoremVerdict:
+class TheoremVerdict(NamedTuple):
     theorem_id: str
     polynomial: str
     hypothesis_ok: bool
     predicted: str
     observed_elements: list[int]
     consistent: bool
-    details: dict = field(default_factory=dict)
+    details: dict
 
 
-@dataclass(frozen=True)
-class SweepSpec:
+class SweepSpec(NamedTuple):
     family: str  # BINOMIAL | TRINOMIAL
     d_values: tuple[int, ...]
     e_values: tuple[int, ...] = ()
@@ -78,7 +75,7 @@ class SweepSpec:
             raise ValueError("every d must be >= 2")
         # a float would run as its binary value, or overflow: only exact tokens
         cs = [parse_rational(tok) for tok in _spec_list(data, "c", [], str, int)]
-        c_grid = cls.c_grid
+        c_grid = cls._field_defaults["c_grid"]
         grid = data.get("c_grid")
         if grid is not None:  # an empty or false grid is malformed, not absent
             if isinstance(grid, dict):
@@ -277,8 +274,7 @@ def _prop54_checks(d, e, c, entries) -> dict:
     return {"upper_bound_verified": upper_ok, "case": case, "growth_verified": growth_ok}
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One claim of the paper.
 
     ``in_range(c)`` routes a grid point of ``family`` to the claim and

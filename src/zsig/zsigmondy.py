@@ -29,10 +29,9 @@ has a primitive prime divisor exactly when |A_N| > P, and is then no unit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import partial
 from math import gcd, lcm, prod
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from . import pool
 from .arith import TRIAL_BOUND, build_trial_products, distinct_primes, factor, v_p
@@ -41,8 +40,7 @@ from .orbits import OrbitEntry, wandering_entries
 from .polynomials import PolyQ
 
 
-@dataclass(frozen=True)
-class PrimitiveVerdict:
+class PrimitiveVerdict(NamedTuple):
     n: int
     has_primitive: bool
     stripped_part: int | None  # None: decided with A_n unbuilt
@@ -50,17 +48,15 @@ class PrimitiveVerdict:
     is_unit: bool
 
 
-@dataclass
-class ZsigmondyReport:
+class ZsigmondyReport(NamedTuple):
     horizon: int
     elements: list[int]
     per_index: list[PrimitiveVerdict]
     k_table: dict[int, int]
-    rigid_violations: list["RigidViolation"] = field(default_factory=list)
+    rigid_violations: list[RigidViolation]
 
 
-@dataclass(frozen=True)
-class RigidViolation:
+class RigidViolation(NamedTuple):
     prime: int
     n: int
     observed: int
@@ -181,9 +177,8 @@ def zsigmondy_report_from_entries(
         k_table.update(dict.fromkeys(primes, n))
     elements = [v.n for v in per_index if not v.has_primitive]
     k_table = dict(sorted(k_table.items()))
-    report = ZsigmondyReport(N, elements, per_index, k_table)
-    report.rigid_violations = [] if holds else verify_rigid_divisibility(entries, k_table, exempt)
-    return report
+    violations = [] if holds else verify_rigid_divisibility(entries, k_table, exempt)
+    return ZsigmondyReport(N, elements, per_index, k_table, violations)
 
 
 def _unbuilt_primitive(entries: Sequence[OrbitEntry], stripped: Sequence[int], L: int) -> bool:

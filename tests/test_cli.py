@@ -11,7 +11,6 @@ import sys
 import tempfile
 import time
 import tracemalloc
-from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -436,8 +435,8 @@ def test_field_value_csv_lists_every_json_leaf(capsys, argv):
 
 
 def _covers_fields(obj, data, **renamed):
-    """Every dataclass field of obj is a key of data (or of its renamed keys)."""
-    return all(set(renamed.get(f.name, (f.name,))) <= data.keys() for f in fields(obj))
+    """Every field of the record obj is a key of data (or of its renamed keys)."""
+    return all(set(renamed.get(name, (name,))) <= data.keys() for name in obj._fields)
 
 
 def test_json_encoders_are_complete():
@@ -479,19 +478,22 @@ def test_json_encoders_are_complete():
     iv = canonical_height_interval(f, Fraction(7, 2), 4)
     assert _covers_fields(iv, encode(reports.interval_to_dict, iv))
 
-    # the dataclasses without big integers are their own JSON view
+    # the records without big integers are their own JSON view
+    def asdict(record):
+        return record._asdict()
+
     gc = global_C(f)
-    data = encode(vars, gc)
+    data = encode(asdict, gc)
     assert _covers_fields(gc, data)
     assert gc.nonarch_contribs
     assert {int(p): v for p, v in data["nonarch_contribs"].items()} == gc.nonarch_contribs
 
     br = theorem1_bound(f, 0.5, 1.0)
-    assert encode(vars, br) == vars(br)
+    assert encode(asdict, br) == asdict(br)
 
     spec = SweepSpec.from_dict({"family": "z^d+c", "d": [3], "c": ["7/2"], "horizon": 6})
     verdict = run_sweep(spec, LEAN)[0]
-    assert encode(vars, verdict) == vars(verdict)
+    assert encode(asdict, verdict) == asdict(verdict)
 
 
 def test_sweep_rejects_corrupt_middle_line(tmp_path, capsys):
@@ -882,7 +884,7 @@ def test_removed_knobs_are_usage_errors(tmp_path, capsys, monkeypatch, how, knob
 def _knob_flags() -> dict[str, dict[str, str]]:
     """{subcommand: {knob flag: RunConfig field}} as build_parser() defines them."""
     (sub,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
-    knobs = {f.name for f in fields(RunConfig)}
+    knobs = set(RunConfig._fields)
     return {
         command: {a.option_strings[0]: a.dest for a in parser._actions if a.dest in knobs}
         for command, parser in sub.choices.items()
@@ -1061,8 +1063,9 @@ _IMPORT_INTERRUPTS = {
         "            raise KeyboardInterrupt\n"
         "sys.meta_path.insert(0, Interrupt())\n"
     ),
-    # inside a method that dataclasses builds with exec(): under python -m,
-    # CPython then ends the process by SIGINT at exit unless that is blocked
+    # inside the code that namedtuple runs with eval() to build a record's
+    # __new__: under python -m, CPython then ends the process by SIGINT at
+    # exit unless that is blocked
     "in-exec": (
         "import sys\n"
         "def interrupt(frame, event, arg):\n"
@@ -1174,6 +1177,13 @@ _CTRL_C_SPEC = {
 }
 
 
+def _default_sigint():
+    """The ``preexec_fn`` of a child that a test Ctrl-Cs: SIGINT takes its
+    default action there, even where the suite itself was started with it
+    ignored (a shell's ``&`` or ``nohup``) and the child would inherit that."""
+    signal.signal(signal.SIGINT, signal.SIG_DFL)
+
+
 @pytest.mark.skipif(not hasattr(os, "killpg"), reason="needs POSIX process groups")
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_sweep_interrupted_by_ctrl_c_exits_130_and_resumes(tmp_path, workers):
@@ -1185,6 +1195,7 @@ def test_sweep_interrupted_by_ctrl_c_exits_130_and_resumes(tmp_path, workers):
         argv = [sys.executable, "-m", "zsig", "sweep", str(spec), "-o", str(out), *FAST,
                 "--workers", workers]
         return subprocess.Popen(argv, env=env, cwd=tmp_path, text=True,
+                                preexec_fn=_default_sigint,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, **kwargs)
 
     out = tmp_path / "interrupted.jsonl"
@@ -1238,6 +1249,7 @@ def test_zsig_interrupted_by_ctrl_c_exits_130_and_reaps_its_pool(tmp_path):
             "--workers", "2"]
     # a Ctrl-C signals the whole process group, pool children included
     proc = subprocess.Popen(argv, env=env, cwd=tmp_path, text=True, start_new_session=True,
+                            preexec_fn=_default_sigint,
                             stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     deadline = time.monotonic() + 60
     while not (log.exists() and log.read_text().count("fork") == 2):
@@ -1267,6 +1279,7 @@ def test_ctrl_c_at_seeded_moments_never_hangs_or_prints_a_traceback(tmp_path):
         argv = [sys.executable, "-m", "zsig", "sweep", str(spec), "-o", str(out), *FAST,
                 "--workers", "2"]
         return subprocess.Popen(argv, env=env, cwd=tmp_path, text=True, start_new_session=True,
+                                preexec_fn=_default_sigint,
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE)
 
     start = time.monotonic()

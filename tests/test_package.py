@@ -108,6 +108,14 @@ def test_pool_imports_nothing_from_zsig():
     assert not [name for name in imported if name.startswith((".", "zsig"))]
 
 
+def test_no_module_imports_dataclasses():
+    # every record is a typing.NamedTuple: importing dataclasses and building
+    # its classes cost each command about 15 ms of cold start
+    modules = sorted(path.stem for path in (SRC / "zsig").glob("*.py"))
+    assert {"arith", "config", "verifiers"} <= set(modules)
+    assert [module for module in modules if "dataclasses" in _imported(module)] == []
+
+
 def _pool_policy_reads(module: str) -> list[str]:
     """Each read of ``os.fork`` (``hasattr(os, "fork")`` included) and each
     call of ``usable_cpus`` in ``src/zsig/<module>.py``."""
