@@ -287,33 +287,29 @@ def _product(nums: tuple[int, ...]) -> int:
 
 
 @cache
-def _segment_primes(i: int) -> tuple[int, ...]:
-    """The primes in [i * _SEGMENT, (i + 1) * _SEGMENT), sieved with those of
-    segment 0 the first time trial division reaches segment i."""
+def _segment(i: int) -> tuple[tuple[int, ...], int]:
+    """The primes in [i * _SEGMENT, (i + 1) * _SEGMENT) and their product,
+    sieved with those of segment 0 the first time trial division reaches
+    segment i."""
     lo, hi = i * _SEGMENT, (i + 1) * _SEGMENT
     sieve = bytearray([1]) * _SEGMENT
     if i == 0:
         sieve[:2] = b"\x00\x00"
-    for p in _segment_primes(0) if i else range(2, isqrt(hi - 1) + 1):
+    for p in _segment(0)[0] if i else range(2, isqrt(hi - 1) + 1):
         if p * p >= hi:
             break
         if i or sieve[p]:
             start = max(p * p, -(-lo // p) * p) - lo
             sieve[start::p] = bytes(len(range(start, _SEGMENT, p)))
-    return tuple(compress(range(lo, hi), sieve))
-
-
-@cache
-def _block_product(i: int) -> int:
-    """The product of segment i, built the first time trial division reaches it."""
-    return _product(_segment_primes(i))
+    primes = tuple(compress(range(lo, hi), sieve))
+    return primes, _product(primes)
 
 
 def build_trial_products() -> None:
     """Build every segment product now, as a process about to fork does so
     that no child builds its own."""
     for i in range(TRIAL_BOUND // _SEGMENT):
-        _block_product(i)
+        _segment(i)
 
 
 def trial_division(m: int) -> tuple[dict[int, int], int]:
@@ -326,10 +322,11 @@ def trial_division(m: int) -> tuple[dict[int, int], int]:
     # one gcd per segment product finds the squarefree product of the
     # segment's prime divisors; scanning that small product is then cheap
     for i in range(TRIAL_BOUND // _SEGMENT):
-        g = gcd(m, _block_product(i))
+        primes, block = _segment(i)
+        g = gcd(m, block)
         if g == 1:
             continue
-        for p in _segment_primes(i):
+        for p in primes:
             if g % p == 0:
                 e = 0
                 while m % p == 0:

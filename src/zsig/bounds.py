@@ -4,8 +4,8 @@ Zsigmondy elements.
 The index bound needs (a) a positive certified lower bound on the canonical
 height of the constant term and (b) a growth certificate guaranteeing every
 iterate of the constant term has absolute value >= 1.  The certificate is
-either the exact coefficient-domination inequality evaluated at the constant
-term, or a family-specific fact for z^d [+ z^e] + c shapes.
+either a family-specific fact for z^d [+ z^e] + c shapes, or the exact
+coefficient-domination inequality evaluated at the constant term.
 """
 
 from __future__ import annotations
@@ -103,17 +103,16 @@ class BoundResult(NamedTuple):
 
 def growth_certificate(f: PolyQ) -> bool:
     """True when every iterate of the constant term is certified >= 1 in
-    absolute value: the domination inequality at a_0, or membership in a
-    z^d [+ z^e] + c family with |c| > 2 or c > 1."""
-    a0 = f.constant
-    if abs(a0) >= 1 and check_condition3(f, a0):
-        return True
+    absolute value: membership in a z^d [+ z^e] + c family with |c| > 2 or
+    c > 1, or the domination inequality at a_0.  The family clause is tried
+    first: it reads the terms alone, while the inequality is an exact
+    comparison of sums of powers, and both are pure, so the order cannot
+    change the answer."""
     form = f.trinomial_form()
-    if form is not None:
-        _, _, c = form
-        if abs(c) > 2 or c > 1:
-            return True
-    return False
+    a0 = f.constant
+    return (form is not None and (abs(form[2]) > 2 or form[2] > 1)) or (
+        abs(a0) >= 1 and check_condition3(f, a0)
+    )
 
 
 def theorem1_bound(f: PolyQ, hhat_lower: float, C: float) -> BoundResult:

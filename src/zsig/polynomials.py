@@ -152,12 +152,11 @@ class PolyQ(_PolyQFields):
         return None
 
 
+# every part is optional: _parse_symbolic refuses a term with no coefficient and no z
 _TERM_RE = re.compile(
     r"""^(?P<sign>[+-]?)\s*
-        (?:
-            (?P<coeff>\d+(?:/\d+)?)\s*\*?\s*(?P<var1>z(?:\^(?P<exp1>\d+))?)?
-          | (?P<var2>z(?:\^(?P<exp2>\d+))?)
-        )$""",
+        (?:(?P<coeff>\d+(?:/\d+)?)\s*\*?)?\s*
+        (?P<z>z(?:\^(?P<exp>\d+))?)?$""",
     re.VERBOSE,
 )
 
@@ -173,18 +172,11 @@ def _parse_symbolic(text: str) -> PolyQ:
     terms: dict[int, Fraction] = {}
     for piece in pieces:
         m = _TERM_RE.match(piece)
-        if not m:
+        if not m or not (m.group("coeff") or m.group("z")):
             raise ParseError(f"bad term: {piece!r}")
         sign = -1 if m.group("sign") == "-" else 1
-        if m.group("var2") is not None:
-            coeff = Fraction(sign)
-            exp = int(m.group("exp2") or 1)
-        else:
-            coeff = sign * parse_rational(m.group("coeff"))
-            if m.group("var1") is not None:
-                exp = int(m.group("exp1") or 1)
-            else:
-                exp = 0
+        coeff = sign * parse_rational(m.group("coeff") or "1")
+        exp = int(m.group("exp") or 1) if m.group("z") else 0
         terms[exp] = terms.get(exp, Fraction(0)) + coeff
     # a written top term that cancels leaves a zero leading coefficient
     return PolyQ(tuple(sorted(terms.items(), reverse=True)))

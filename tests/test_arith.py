@@ -477,15 +477,13 @@ def test_trial_division_huge_input():
 
 def test_trial_division_builds_only_the_blocks_it_reaches():
     # 3^45 is done after the first segment, so no later one is sieved or built
-    arith._segment_primes.cache_clear()
-    arith._block_product.cache_clear()
+    arith._segment.cache_clear()
     assert trial_division(3**45) == ({3: 45}, 1)
-    assert arith._segment_primes.cache_info().currsize == 1
-    assert arith._block_product.cache_info().currsize == 1
+    assert arith._segment.cache_info().currsize == 1
 
 
 def test_sieve_segments_hold_the_primes_up_to_the_bound_in_order():
-    segments = [arith._segment_primes(i) for i in range(TRIAL_BOUND // arith._SEGMENT)]
+    segments = [arith._segment(i)[0] for i in range(TRIAL_BOUND // arith._SEGMENT)]
     assert len(segments) == 20
     assert [p for segment in segments for p in segment] == list(sympy.primerange(2, 10**6 + 1))
     assert segments[0][-1] ** 2 > TRIAL_BOUND  # segment 0 sieves every other segment

@@ -209,6 +209,12 @@ def test_growth_certificate_paths():
     assert not growth_certificate(parse_poly("1,0,-3,1"))
 
 
+def test_growth_certificate_off_the_families_is_condition3():
+    f = parse_poly("z^4+2z^2+10")  # middle coefficient 2: no family fact applies
+    assert f.trinomial_form() is None
+    assert check_condition3(f, Fraction(10)) and growth_certificate(f)
+
+
 def test_certified_bound_contains_observed_elements():
     from zsig import ingram_lower_bound, trinomial_family_lower
     from zsig.heights import hypothesis_abs_c_exceeds

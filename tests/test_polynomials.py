@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from zsig import ParseError, PolyQ, parse_poly
 from zsig.verifiers import trinomial
@@ -44,6 +44,62 @@ def test_admissible_flag():
 def test_parse_rejects(text):
     with pytest.raises(ParseError):
         parse_poly(text)
+
+
+@pytest.mark.parametrize("term", ["*z", "z^", "5/", "+", "z^2z", "2z3", "+-z"])
+@pytest.mark.parametrize("template", ["{}", "z^3+{}", "z^3 + {} + 1"])
+def test_parse_rejects_a_malformed_term(term, template):
+    with pytest.raises(ParseError):
+        parse_poly(template.format(term))
+
+
+def test_parse_keeps_the_odd_terms_it_accepts():
+    assert parse_poly("z^2+5*") == parse_poly("5,0,1")  # a "*" with no z after it
+    assert parse_poly("z^3+\t5\t*\tz^2+1") == parse_poly("1,0,5,1")  # tabs inside a term
+    assert parse_poly("-\tz^3+1") == parse_poly("1,0,0,-1")
+
+
+_BLANK = st.sampled_from(["", " ", "\t", " \t "])  # where a term allows a tab
+_SPACE = st.sampled_from(["", " "])  # where it allows only a space
+
+
+@st.composite
+def _term(draw, first):
+    """One written term and the (exponent, coefficient) it stands for."""
+    sign = draw(st.sampled_from(["", "+", "-"] if first else ["+", "-"]))
+    coeff = draw(st.none() | st.tuples(st.integers(0, 60), st.none() | st.integers(1, 9)))
+    star = coeff is not None and draw(st.booleans())
+    z = coeff is None or draw(st.booleans())
+    k = draw(st.none() | st.integers(0, 12)) if z else None
+    text = draw(_SPACE) + sign + draw(_BLANK)
+    value = Fraction(-1 if sign == "-" else 1)
+    if coeff is not None:
+        num, den = coeff
+        text += str(num) + ("" if den is None else draw(_SPACE) + "/" + draw(_SPACE) + str(den))
+        value *= Fraction(num, den or 1)
+        text += draw(_BLANK) + ("*" if star else "")
+    if z:
+        text += draw(_BLANK) + "z" + ("" if k is None else draw(_SPACE) + "^" + draw(_SPACE) + str(k))
+    return text + draw(_SPACE), (k if k is not None else 1) if z else 0, value
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=None, derandomize=True)
+def test_parse_poly_sums_the_terms_it_is_built_from(data):
+    terms = [data.draw(_term(first=True))]
+    terms += data.draw(st.lists(_term(first=False), max_size=5))
+    text = "".join(t for t, _, _ in terms)
+    assume("z" in text)
+    expected: dict[int, Fraction] = {}
+    for _, k, value in terms:
+        expected[k] = expected.get(k, Fraction(0)) + value
+    try:
+        want = PolyQ(tuple(sorted(expected.items(), reverse=True)))
+    except ParseError:
+        with pytest.raises(ParseError):
+            parse_poly(text)
+    else:
+        assert parse_poly(text) == want
 
 
 def test_evaluate_examples():

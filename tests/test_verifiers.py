@@ -10,7 +10,7 @@ from itertools import count, islice
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from zsig import RunConfig, pool, run_sweep, verify, verifiers, zsigmondy
+from zsig import RunConfig, bounds, parse_poly, pool, run_sweep, verify, verifiers, zsigmondy
 from zsig.cli import build_parser
 from zsig.orbits import OrbitEntry, orbit
 from zsig.sweep import iter_sweep
@@ -73,6 +73,33 @@ def test_prop51_examples():
     assert verify("prop51", 4, Fraction(5, 3), 3, LEAN).consistent
     v = verify("prop51", 3, Fraction(1), 2, LEAN)
     assert not v.hypothesis_ok
+
+
+@pytest.mark.parametrize("theorem_id, d, e, c", [
+    ("prop51", 3, 2, Fraction(5, 3)),  # n_max is 6 exactly: log 10 / log 10 = 1
+    ("thm13", 3, 2, Fraction(3)),  # n_max = 6.89..., the tightest case below a cap
+])
+def test_the_cap_ties_stay_consistent_with_floor_6(theorem_id, d, e, c):
+    v = verify(theorem_id, d, c, e, LEAN)
+    assert v.hypothesis_ok and v.consistent
+    assert v.details["n_max_floor"] == 6
+
+
+@pytest.mark.parametrize("theorem_id, d, e, c", [
+    ("cor12", 3, None, Fraction(7, 2)),
+    ("thm13", 4, 2, Fraction(5, 2)),
+    ("prop51", 3, 2, Fraction(3, 2)),
+])
+def test_a_family_point_is_certified_without_condition3(monkeypatch, theorem_id, d, e, c):
+    # the family fact alone certifies growth, so the general check is never run
+    def refuse(f, z):
+        raise AssertionError("check_condition3 reached on a family point")
+
+    monkeypatch.setattr(bounds, "check_condition3", refuse)
+    v = verify(theorem_id, d, c, e, LEAN)
+    assert v.consistent and v.details["bound_certified"]
+    with pytest.raises(AssertionError):  # off the families it is still the certificate
+        bounds.growth_certificate(parse_poly("z^3+2z^2+3"))
 
 
 def test_prop52_unit_exception():
